@@ -33,7 +33,7 @@ from gradient_decay.calibration import (
     write_reliability_csv,
 )
 from gradient_decay.datasets import BlobsConfig, load_mnist_idx, make_blobs, mnist_paths
-from gradient_decay.loss import LossParams, beta_ce_batch
+from gradient_decay.loss import LossParams, beta_ce_batch  # noqa: F401  (bench/spans.py wraps this binding)
 from gradient_decay.mlp import (
     MlpModel,
     TrainConfig,
@@ -213,16 +213,21 @@ def _model_dims(args, train_set, parser) -> tuple[int, ...]:
     return dims
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        lr=args.lr,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch,
-        epochs=args.epochs,
-        clip_norm=args.clip_norm,
-        seed=args.seed,
-    )
+def _train_config(args, train_set, parser) -> TrainConfig:
+    if args.batch > train_set.n:
+        parser.error(f"--batch {args.batch} exceeds the {train_set.n} training samples")
+    try:
+        return TrainConfig(
+            lr=args.lr,
+            momentum=args.momentum,
+            weight_decay=args.weight_decay,
+            batch_size=args.batch,
+            epochs=args.epochs,
+            clip_norm=args.clip_norm,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _warmup_from_args(args) -> WarmupSchedule | None:
@@ -262,23 +267,28 @@ def cmd_verify(args, parser) -> int:
     return 0
 
 
-def _evaluate_run(model, train_set, test_set, params, bins):
-    """Summary metrics plus report objects for one trained model."""
-    train_logits = model.forward(train_set.features)
-    test_logits = model.forward(test_set.features)
-    train_eval = beta_ce_batch(train_logits, train_set.labels, params)
-    pred = PredictionSet.from_logits(test_logits, test_set.labels)
+def _evaluate_run(result, test_set, bins):
+    """Summary metrics plus report objects for one trained model.
+
+    Everything comes from the run's last-epoch evaluation, which saw the
+    final parameters.
+    """
+    last = result.metrics[-1]
+    pred = PredictionSet.from_logits(result.test_logits, test_set.labels)
     report = calibration_report(pred, bins=bins)
     return {
-        "top1_acc": float((test_logits.argmax(axis=1) == test_set.labels).mean()),
-        "train_acc": float((train_logits.argmax(axis=1) == train_set.labels).mean()),
+        "top1_acc": last.test_acc,
+        "train_acc": last.train_acc,
         "ece": report.ece,
         "mce": report.mce,
         "mean_conf": float(pred.confidences.mean()),
         "report": report,
-        "pred": pred,
-        "train_conf_table": confidence_table(train_eval.p_true),
+        "train_conf_table": confidence_table(result.train_p_true),
     }
+
+
+def _diverged(exc: TrainingDiverged) -> str:
+    return f"diverged:epoch={exc.epoch},batch={exc.batch}"
 
 
 def _write_conftable_csv(path, counts) -> None:
@@ -309,6 +319,7 @@ def cmd_sweep(args, parser) -> int:
 
     train_set, test_set = _load_datasets(args, parser)
     dims = _model_dims(args, train_set, parser)
+    cfg = _train_config(args, train_set, parser)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -323,13 +334,12 @@ def cmd_sweep(args, parser) -> int:
         tag = _beta_tag(beta_key)
         model = MlpModel.init(dims, seed=args.seed)
         try:
-            result = train(model, train_set, _train_config(args), params,
+            result = train(model, train_set, cfg, params,
                            warmup=sched, test_set=test_set, trace=False)
         except TrainingDiverged as exc:
-            rows.append([tag, "", "", "", "", "", f"diverged:epoch={exc.epoch},batch={exc.batch}"])
+            rows.append([tag, "", "", "", "", "", _diverged(exc)])
             continue
-        final_params = LossParams(beta=result.metrics[-1].beta, tau=args.tau)
-        ev = _evaluate_run(model, train_set, test_set, final_params, args.bins)
+        ev = _evaluate_run(result, test_set, args.bins)
         write_metrics_csv(out / f"metrics_beta_{tag}.csv", result.metrics)
         write_reliability_csv(out / f"reliability_beta_{tag}.csv", list(ev["report"].bins))
         _write_conftable_csv(out / f"conftable_beta_{tag}.csv", ev["train_conf_table"])
@@ -349,12 +359,17 @@ def cmd_trace(args, parser) -> int:
     _resolve(args, defaults, parser)
     train_set, test_set = _load_datasets(args, parser)
     dims = _model_dims(args, train_set, parser)
+    cfg = _train_config(args, train_set, parser)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     model = MlpModel.init(dims, seed=args.seed)
     params = LossParams(beta=args.beta, tau=args.tau)
-    result = train(model, train_set, _train_config(args), params, test_set=test_set, trace=True)
+    try:
+        result = train(model, train_set, cfg, params, test_set=test_set, trace=True)
+    except TrainingDiverged as exc:
+        print(_diverged(exc), file=sys.stderr)
+        return 2
     groups = difficulty_groups(result.traces, k=args.groups)
 
     write_metrics_csv(out / "metrics.csv", result.metrics)
@@ -402,9 +417,10 @@ def cmd_calib(args, parser) -> int:
     if args.fit_temperature:
         tau = fit_temperature(logits, labels)
         scaled = PredictionSet.from_logits(logits, labels, tau=tau)
+        scaled_report = calibration_report(scaled, bins=args.bins)
         payload["tau_star"] = tau
-        payload["ece_scaled"] = calibration_report(scaled, bins=args.bins).ece
-        payload["mce_scaled"] = calibration_report(scaled, bins=args.bins).mce
+        payload["ece_scaled"] = scaled_report.ece
+        payload["mce_scaled"] = scaled_report.mce
     text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)

@@ -32,6 +32,7 @@ __all__ = [
     "beta_ce_loss",
     "beta_ce_eval",
     "beta_ce_batch",
+    "batch_p_true",
     "gradient_magnitude",
     "magnitude_derivatives",
     "logit_curvature",
@@ -208,12 +209,13 @@ def beta_ce_eval(x: LabeledLogits, p: LossParams) -> LossEval:
     return LossEval(loss=beta_ce_loss(x, p), grad=grad, probs=probs, p_true=pc)
 
 
-def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
-    """Vectorized beta_ce_eval over the rows of a logit matrix.
+def _batch_exps(Z, y, p: LossParams):
+    """Validated shift, exponentials and denominators shared by the batch kernels.
 
-    Z is (n, m), y an integer label vector of length n.  Row k of the result
-    matches beta_ce_eval(LabeledLogits(Z[k], y[k]), p); batch reduction (an
-    unweighted mean) is left to the caller.
+    Returns (rows, W, E, sums, ec, total) with W the shifted, tau-scaled
+    logits, E = exp(W), ec the true-class entries of E and total the loss
+    denominator sums - ec + beta*ec; raises OverflowError where any of these
+    leaves the float64 range.
     """
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y)
@@ -221,6 +223,11 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
         raise ValueError("Z must be (n, m) with m >= 2")
     if y.shape != (Z.shape[0],):
         raise ValueError("labels must be a vector matching the rows of Z")
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
+    m = Z.shape[1]
+    if y.size and (y.min() < 0 or y.max() >= m):
+        raise ValueError(f"labels must lie in [0, {m}), got range [{y.min()}, {y.max()}]")
     if not np.all(np.isfinite(Z)):
         raise ValueError("all logits must be finite")
     n = Z.shape[0]
@@ -243,6 +250,18 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
     if not np.all(np.isfinite(total)) or np.any(total == 0.0):
         k = int(np.argmax(~np.isfinite(total) | (total == 0.0)))
         raise OverflowError(f"shifted exponentials out of float64 range in row {k}")
+    return rows, W, E, sums, ec, total
+
+
+def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
+    """Vectorized beta_ce_eval over the rows of a logit matrix.
+
+    Z is (n, m), y an integer label vector of length n with entries in
+    [0, m).  Row k of the result matches beta_ce_eval(LabeledLogits(Z[k],
+    y[k]), p); batch reduction (an unweighted mean) is left to the caller.
+    """
+    rows, W, E, sums, ec, total = _batch_exps(Z, y, p)
+    y = np.asarray(y)
     losses = np.log(total) - W[rows, y]
 
     probs = E / sums[:, None]
@@ -252,6 +271,16 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
     grads = probs / denom[:, None]
     grads[rows, y] = -(1.0 - pc_raw) / denom
     return BatchEval(losses=losses, grads=grads, probs=probs, p_true=pc)
+
+
+def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
+    """The p_true column of beta_ce_batch(Z, y, p), bitwise, without losses or gradients.
+
+    Validates and range-checks exactly as beta_ce_batch does, so a logit
+    matrix that beta_ce_batch rejects is rejected here too.
+    """
+    _, _, _, sums, ec, _ = _batch_exps(Z, y, p)
+    return np.clip(ec / sums, P_CLAMP, 1.0 - P_CLAMP)
 
 
 def _check_beta(beta) -> None:

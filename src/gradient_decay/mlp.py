@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradient_decay.loss import LossParams, beta_ce_batch
+from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch
 from gradient_decay.schedule import Granularity, WarmupSchedule
 from gradient_decay.datasets import Dataset
 
@@ -72,39 +72,79 @@ class MlpModel:
             biases.append(np.zeros(fan_out))
         return cls(dims, weights, biases)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits for a single sample (dim,) or a batch (n, dim)."""
+    def forward(self, x, acts=None) -> np.ndarray:
+        """Logits for a single sample (dim,) or a batch (n, dim).
+
+        acts, when given, holds one output array per layer (shape
+        x.shape[:-1] + (fan_out,)); each layer's post-activation output is
+        written into it, and the last one, the logits, is returned.
+        """
         a = np.asarray(x, dtype=np.float64)
         expect = self.layer_dims[0]
         if a.shape[-1] != expect:
             raise ValueError(f"input dimension {a.shape[-1]} does not match model ({expect})")
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ W + b, 0.0)
-        return a @ self.weights[-1] + self.biases[-1]
+        if acts is None:
+            acts = [np.empty(a.shape[:-1] + (d,)) for d in self.layer_dims[1:]]
+        hidden = len(self.weights) - 1
+        for layer, (W, b, out) in enumerate(zip(self.weights, self.biases, acts)):
+            np.matmul(a, W, out=out)
+            np.add(out, b, out=out)
+            if layer < hidden:
+                np.maximum(out, 0.0, out=out)
+            a = out
+        return a
 
-    def _forward_cached(self, X: np.ndarray):
-        acts = [X]
-        a = X
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.maximum(a @ W + b, 0.0)
-            acts.append(a)
-        return a @ self.weights[-1] + self.biases[-1], acts
+
+@dataclass
+class _Rows:
+    """Per-row buffers of one batch: inputs, labels, activations, deltas, masks."""
+
+    rows: int
+    x: np.ndarray
+    y: np.ndarray
+    acts: list[np.ndarray]    # post-activation output of each layer
+    deltas: list[np.ndarray]  # backprop delta at each hidden layer
+    masks: list[np.ndarray]   # rectifier masks of the hidden layers
+
+    @classmethod
+    def alloc(cls, dims, rows: int) -> "_Rows":
+        return cls(
+            rows,
+            np.empty((rows, dims[0])),
+            np.empty(rows, dtype=np.int64),
+            [np.empty((rows, d)) for d in dims[1:]],
+            [np.empty((rows, d)) for d in dims[1:-1]],
+            [np.empty((rows, d), dtype=bool) for d in dims[1:-1]],
+        )
+
+    def head(self, rows: int) -> "_Rows":
+        """The same buffers cut to their first rows (for a ragged last batch)."""
+        return _Rows(rows, self.x[:rows], self.y[:rows], [a[:rows] for a in self.acts],
+                     [d[:rows] for d in self.deltas], [k[:rows] for k in self.masks])
 
 
-def _loss_and_grads(model: MlpModel, X, y, params: LossParams):
-    """Mean loss over the batch and parameter gradients of that mean."""
-    logits, acts = model._forward_cached(X)
-    be = beta_ce_batch(logits, y, params)
-    n = X.shape[0]
-    delta = be.grads / n
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = acts[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+def _gradients(model: MlpModel, batch: _Rows, grads, params: LossParams) -> float:
+    """Mean loss over the batch; writes the gradients of that mean into grads.
+
+    grads lists the weight gradients, then the bias gradients, parallel to
+    model.weights + model.biases.  batch.x and batch.y must be filled.
+    """
+    logits = model.forward(batch.x, batch.acts)
+    be = beta_ce_batch(logits, batch.y, params)
+    delta = be.grads
+    delta /= batch.rows
+    layers = len(model.weights)
+    for layer in range(layers - 1, -1, -1):
+        below = batch.x if layer == 0 else batch.acts[layer - 1]
+        np.matmul(below.T, delta, out=grads[layer])
+        np.sum(delta, axis=0, out=grads[layers + layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
-    return float(be.losses.mean()), grads_w, grads_b
+            nxt, mask = batch.deltas[layer - 1], batch.masks[layer - 1]
+            np.matmul(delta, model.weights[layer].T, out=nxt)
+            np.greater(below, 0.0, out=mask)
+            np.multiply(nxt, mask, out=nxt)
+            delta = nxt
+    return float(be.losses.mean())
 
 
 def backward(model: MlpModel, x, c: int, params: LossParams):
@@ -112,19 +152,26 @@ def backward(model: MlpModel, x, c: int, params: LossParams):
 
     Returns (weight_grads, bias_grads), lists parallel to the model layers.
     """
-    X = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    _, gw, gb = _loss_and_grads(model, X, np.asarray([c]), params)
-    return gw, gb
+    batch = _Rows.alloc(model.layer_dims, 1)
+    batch.x[0] = np.asarray(x, dtype=np.float64).reshape(-1)
+    batch.y[0] = c
+    grads = [np.empty_like(p) for p in model.weights + model.biases]
+    _gradients(model, batch, grads, params)
+    layers = len(model.weights)
+    return grads[:layers], grads[layers:]
 
 
 def clip_global_norm(grads_w, grads_b, clip_norm: float):
-    """Scale all gradients so their joint 2-norm is at most clip_norm."""
+    """Scale all gradients in place so their joint 2-norm is at most clip_norm.
+
+    Returns (grads_w, grads_b, norm before clipping).
+    """
     sq = sum(float((g**2).sum()) for g in grads_w) + sum(float((g**2).sum()) for g in grads_b)
     norm = math.sqrt(sq)
     if norm > clip_norm:
         scale = clip_norm / norm
-        grads_w = [g * scale for g in grads_w]
-        grads_b = [g * scale for g in grads_b]
+        for g in (*grads_w, *grads_b):
+            g *= scale
     return grads_w, grads_b, norm
 
 
@@ -180,12 +227,25 @@ class TrainResult:
     model: MlpModel
     metrics: list[EpochMetrics]
     traces: SampleTraces | None
+    train_p_true: np.ndarray        # (n,) clamped p_true of every training sample after the last epoch
+    test_logits: np.ndarray | None  # (n_test, m) after the last epoch; None without a test set
 
 
 @dataclass(frozen=True)
 class DifficultyGroups:
     assignment: np.ndarray   # (n,) group index in [1, k]
     group_means: np.ndarray  # (k, epochs) mean p_true per group per epoch
+
+
+def _check_fits(model: MlpModel, data: Dataset) -> None:
+    """Features and labels of data must match the model's input and output sizes."""
+    if data.dim != model.layer_dims[0]:
+        raise ValueError(f"{data.split} features have dimension {data.dim}, "
+                         f"the model takes {model.layer_dims[0]}")
+    outputs = model.layer_dims[-1]
+    if data.n and data.labels.max() >= outputs:
+        raise ValueError(f"{data.split} label {int(data.labels.max())} is outside "
+                         f"the model's {outputs} outputs")
 
 
 def train(
@@ -202,17 +262,33 @@ def train(
     Update rule: v <- momentum*v + g, param <- param - lr*(v + weight_decay*param),
     with g optionally clipped to a global norm first.  When a warm-up schedule
     is given it overrides loss.beta per iteration (or per epoch).
+
+    Every array the run writes (batch, activations, deltas, gradients,
+    momentum, update temporaries and the evaluation activations) is
+    allocated once before the first step; the steps then work in place, in
+    the same order of operations as an allocating loop, so the results are
+    bitwise identical to it.
     """
     n = train_set.n
     if n == 0:
         raise ValueError("training set is empty")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
+    _check_fits(model, train_set)
+    if test_set is not None:
+        _check_fits(model, test_set)
 
     X, y = train_set.features, train_set.labels
     rng = np.random.default_rng(cfg.seed)
-    vel_w = [np.zeros_like(W) for W in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases  # the model's own arrays, updated in place
+    grads = [np.empty_like(p) for p in params]
+    vel = [np.zeros_like(p) for p in params]
+    tmp = [np.empty_like(p) for p in params]
+    layers = len(model.weights)
+    full = _Rows.alloc(model.layer_dims, cfg.batch_size)
+    ragged = full.head(n % cfg.batch_size)
+    train_acts = [np.empty((n, d)) for d in model.layer_dims[1:]]
+    test_acts = None if test_set is None else [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
     drop_at = {int(frac * cfg.epochs): factor for frac, factor in cfg.lr_drops}
     lr = cfg.lr
 
@@ -225,62 +301,74 @@ def train(
     metrics: list[EpochMetrics] = []
     step = 0
     beta_now = loss.beta
-    for epoch in range(cfg.epochs):
-        if epoch in drop_at:
-            lr *= drop_at[epoch]
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            if warmup is not None:
-                t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
-                beta_now = warmup.beta_at(t)
-                params = LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability)
-            else:
-                params = loss
-            try:
-                batch_loss, gw, gb = _loss_and_grads(model, X[idx], y[idx], params)
-            except (ValueError, OverflowError) as exc:
-                # exploded parameters produce non-finite logits one step later
-                raise TrainingDiverged(epoch, start // cfg.batch_size) from exc
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(epoch, start // cfg.batch_size)
-            loss_sum += batch_loss * idx.size
-            if cfg.clip_norm is not None:
-                gw, gb, _ = clip_global_norm(gw, gb, cfg.clip_norm)
-            for layer in range(len(model.weights)):
-                vel_w[layer] = cfg.momentum * vel_w[layer] + gw[layer]
-                vel_b[layer] = cfg.momentum * vel_b[layer] + gb[layer]
-                model.weights[layer] -= lr * (vel_w[layer] + cfg.weight_decay * model.weights[layer])
-                model.biases[layer] -= lr * (vel_b[layer] + cfg.weight_decay * model.biases[layer])
-            step += 1
+    # a diverging run overflows on its way to non-finite logits; TrainingDiverged reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            if epoch in drop_at:
+                lr *= drop_at[epoch]
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                batch = full if idx.size == cfg.batch_size else ragged
+                # perm holds valid indices; "clip" lets take write straight into out
+                np.take(X, idx, axis=0, out=batch.x, mode="clip")
+                np.take(y, idx, out=batch.y, mode="clip")
+                if warmup is not None:
+                    t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
+                    beta_now = warmup.beta_at(t)
+                    step_loss = LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability)
+                else:
+                    step_loss = loss
+                try:
+                    batch_loss = _gradients(model, batch, grads, step_loss)
+                except (ValueError, OverflowError) as exc:
+                    # exploded parameters produce non-finite logits one step later
+                    raise TrainingDiverged(epoch, start // cfg.batch_size) from exc
+                if not math.isfinite(batch_loss):
+                    raise TrainingDiverged(epoch, start // cfg.batch_size)
+                loss_sum += batch_loss * idx.size
+                if cfg.clip_norm is not None:
+                    clip_global_norm(grads[:layers], grads[layers:], cfg.clip_norm)
+                for p, g, v, t in zip(params, grads, vel, tmp):
+                    np.multiply(v, cfg.momentum, out=v)
+                    np.add(v, g, out=v)
+                    np.multiply(p, cfg.weight_decay, out=t)
+                    np.add(v, t, out=t)
+                    np.multiply(t, lr, out=t)
+                    np.subtract(p, t, out=p)
+                step += 1
 
-        train_logits = model.forward(X)
-        try:
-            be = beta_ce_batch(train_logits, y, LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability))
-        except (ValueError, OverflowError) as exc:
-            raise TrainingDiverged(epoch, (n - 1) // cfg.batch_size) from exc
-        train_acc = float((train_logits.argmax(axis=1) == y).mean())
-        mean_conf = float(be.p_true.mean())
-        if trace_mat is not None:
-            trace_mat[epoch] = be.p_true[traced_ids]
-        if test_set is not None:
-            test_acc = float((model.forward(test_set.features).argmax(axis=1) == test_set.labels).mean())
-        else:
-            test_acc = float("nan")
-        metrics.append(
-            EpochMetrics(
-                epoch=epoch,
-                beta=beta_now,
-                train_loss=loss_sum / n,
-                train_acc=train_acc,
-                test_acc=test_acc,
-                mean_conf=mean_conf,
+            train_logits = model.forward(X, train_acts)
+            try:
+                p_true = batch_p_true(train_logits, y,
+                                      LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability))
+            except (ValueError, OverflowError) as exc:
+                raise TrainingDiverged(epoch, (n - 1) // cfg.batch_size) from exc
+            train_acc = float((train_logits.argmax(axis=1) == y).mean())
+            mean_conf = float(p_true.mean())
+            if trace_mat is not None:
+                trace_mat[epoch] = p_true[traced_ids]
+            if test_set is not None:
+                test_logits = model.forward(test_set.features, test_acts)
+                test_acc = float((test_logits.argmax(axis=1) == test_set.labels).mean())
+            else:
+                test_logits = None
+                test_acc = float("nan")
+            metrics.append(
+                EpochMetrics(
+                    epoch=epoch,
+                    beta=beta_now,
+                    train_loss=loss_sum / n,
+                    train_acc=train_acc,
+                    test_acc=test_acc,
+                    mean_conf=mean_conf,
+                )
             )
-        )
 
     traces = SampleTraces(trace_mat, traced_ids) if trace_mat is not None else None
-    return TrainResult(model=model, metrics=metrics, traces=traces)
+    return TrainResult(model=model, metrics=metrics, traces=traces,
+                       train_p_true=p_true, test_logits=test_logits)
 
 
 def difficulty_groups(traces: SampleTraces, k: int = 5) -> DifficultyGroups:

@@ -84,6 +84,15 @@ class TestSweepCommand:
                  "--dataset", "blobs", "--blob-classes", "4", "--model", "8,3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", [["sweep", "--betas", "1"], ["trace", "--beta", "1"]])
+    def test_batch_larger_than_training_set_is_usage_error(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--out", str(tmp_path / "x")] + FAST_SWEEP + ["--batch", "65"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --batch 65 exceeds the 64 training samples" in err
+        assert "Traceback" not in err
+
     def test_missing_mnist_dir_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--betas", "1", "--dataset", "mnist",
@@ -104,6 +113,12 @@ class TestTraceCommand:
         gm_header, *gm_rows = (out / "group_means.csv").read_text().strip().splitlines()
         assert gm_header == "epoch,group,mean_conf"
         assert len(gm_rows) == 3 * 5
+
+
+    def test_diverging_lr_is_one_line_and_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "trace"
+        assert run(["trace", "--lr", "1e6", "--epochs", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "diverged:epoch=0,batch=5\n"
 
 
 class TestCalibCommand:

@@ -12,6 +12,7 @@ from gradient_decay.loss import (
     LabeledLogits,
     LossParams,
     MaxShift,
+    batch_p_true,
     beta_ce_batch,
     beta_ce_eval,
     beta_ce_loss,
@@ -213,6 +214,31 @@ class TestBatchEval:
             beta_ce_batch(np.zeros((4, 1)), np.zeros(4, dtype=int), LossParams(beta=1.0))
         with pytest.raises(ValueError):
             beta_ce_batch(np.zeros((4, 3)), np.zeros(5, dtype=int), LossParams(beta=1.0))
+
+    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true])
+    @pytest.mark.parametrize("labels", [[-1], [3], [0.0], [True]])
+    def test_labels_must_be_integers_inside_the_columns(self, kernel, labels):
+        # -1 used to wrap to the last class, 0.0 to raise a bare IndexError
+        with pytest.raises(ValueError, match="labels must"):
+            kernel(np.zeros((1, 3)), np.array(labels), LossParams(beta=1.0))
+
+    def test_p_true_kernel_is_bitwise_the_batch_column(self):
+        rng = np.random.default_rng(4)
+        Z = rng.uniform(-30, 30, (50, 6))
+        y = rng.integers(0, 6, 50).astype(np.uint8)
+        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5),
+                       LossParams(beta=1.0, stability=FixedShift(70.0))):
+            assert np.array_equal(batch_p_true(Z, y, params), beta_ce_batch(Z, y, params).p_true)
+
+    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true])
+    def test_range_checks_shared(self, kernel):
+        fixed = LossParams(beta=1.0, stability=FixedShift(70.0))
+        with pytest.raises(OverflowError, match="overflows exp"):
+            kernel(np.array([[800.0, 0.0]]), np.array([0]), fixed)
+        with pytest.raises(OverflowError, match="out of float64 range"):
+            kernel(np.array([[-700.0, -700.0]]), np.array([0]), fixed)
+        with pytest.raises(ValueError, match="finite"):
+            kernel(np.array([[np.inf, 0.0]]), np.array([0]), LossParams(beta=1.0))
 
 
 class TestGradientMagnitude:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gradient_decay.datasets import BlobsConfig, Dataset, make_blobs
-from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_loss
+from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_batch, beta_ce_loss
 from gradient_decay.mlp import (
     DifficultyGroups,
+    EpochMetrics,
     MlpModel,
     SampleTraces,
     TrainConfig,
@@ -159,6 +160,171 @@ def _tiny_blobs(seed=0, sigma=0.05, classes=4, n_per_class=40):
                                   sigma=sigma, radius=1.0, seed=seed))
 
 
+def _reference_forward(model, X):
+    """Allocating forward pass, one temporary per operation."""
+    acts = [X]
+    a = X
+    for W, b in zip(model.weights[:-1], model.biases[:-1]):
+        a = np.maximum(a @ W + b, 0.0)
+        acts.append(a)
+    return a @ model.weights[-1] + model.biases[-1], acts
+
+
+def _reference_grads(model, X, y, params):
+    """Mean batch loss and its parameter gradients, written as a plain allocating loop."""
+    logits, acts = _reference_forward(model, X)
+    be = beta_ce_batch(logits, y, params)
+    delta = be.grads / X.shape[0]
+    gw = [None] * len(model.weights)
+    gb = [None] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        gw[layer] = acts[layer].T @ delta
+        gb[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * (acts[layer] > 0.0)
+    return float(be.losses.mean()), gw, gb
+
+
+def _reference_train(model, train_set, cfg, loss, warmup=None, test_set=None, trace=True):
+    """The trainer as a plain loop that allocates every temporary.
+
+    Returns (metrics, per-epoch p_true of every sample or None, last train
+    p_true, last test logits or None); the model is updated in place.
+    """
+    n = train_set.n
+    X, y = train_set.features, train_set.labels
+    rng = np.random.default_rng(cfg.seed)
+    vel_w = [np.zeros_like(W) for W in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    drop_at = {int(frac * cfg.epochs): factor for frac, factor in cfg.lr_drops}
+    lr = cfg.lr
+    metrics, traces = [], []
+    step = 0
+    beta_now = loss.beta
+    test_logits = None
+    for epoch in range(cfg.epochs):
+        if epoch in drop_at:
+            lr *= drop_at[epoch]
+        perm = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            if warmup is not None:
+                t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
+                beta_now = warmup.beta_at(t)
+                params = LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability)
+            else:
+                params = loss
+            try:
+                batch_loss, gw, gb = _reference_grads(model, X[idx], y[idx], params)
+            except (ValueError, OverflowError) as exc:
+                raise TrainingDiverged(epoch, start // cfg.batch_size) from exc
+            if not math.isfinite(batch_loss):
+                raise TrainingDiverged(epoch, start // cfg.batch_size)
+            loss_sum += batch_loss * idx.size
+            if cfg.clip_norm is not None:
+                sq = sum(float((g**2).sum()) for g in gw) + sum(float((g**2).sum()) for g in gb)
+                norm = math.sqrt(sq)
+                if norm > cfg.clip_norm:
+                    gw = [g * (cfg.clip_norm / norm) for g in gw]
+                    gb = [g * (cfg.clip_norm / norm) for g in gb]
+            for layer in range(len(model.weights)):
+                vel_w[layer] = cfg.momentum * vel_w[layer] + gw[layer]
+                vel_b[layer] = cfg.momentum * vel_b[layer] + gb[layer]
+                model.weights[layer] -= lr * (vel_w[layer] + cfg.weight_decay * model.weights[layer])
+                model.biases[layer] -= lr * (vel_b[layer] + cfg.weight_decay * model.biases[layer])
+            step += 1
+        train_logits, _ = _reference_forward(model, X)
+        try:
+            be = beta_ce_batch(train_logits, y, LossParams(beta=beta_now, tau=loss.tau,
+                                                           stability=loss.stability))
+        except (ValueError, OverflowError) as exc:
+            raise TrainingDiverged(epoch, (n - 1) // cfg.batch_size) from exc
+        traces.append(be.p_true)
+        test_acc = float("nan")
+        if test_set is not None:
+            test_logits, _ = _reference_forward(model, test_set.features)
+            test_acc = float((test_logits.argmax(axis=1) == test_set.labels).mean())
+        metrics.append(EpochMetrics(epoch, beta_now, loss_sum / n,
+                                    float((train_logits.argmax(axis=1) == y).mean()),
+                                    test_acc, float(be.p_true.mean())))
+    return metrics, (np.array(traces) if trace else None), traces[-1], test_logits
+
+
+# (dims, config, warm-up); 128 training rows, so every batch size below leaves a ragged last batch
+_BITWISE_CASES = {
+    "momentum_decay": ((2, 8, 4), TrainConfig(lr=0.05, momentum=0.9, weight_decay=1e-3,
+                                              batch_size=48, epochs=4, seed=3), None),
+    "two_hidden_layers": ((2, 16, 8, 4), TrainConfig(lr=0.1, momentum=0.5, weight_decay=1e-2,
+                                                     batch_size=30, epochs=3, seed=5), None),
+    "clip_norm": ((2, 8, 4), TrainConfig(lr=0.5, momentum=0.9, clip_norm=0.05,
+                                         batch_size=50, epochs=3, seed=1), None),
+    "warmup_per_iteration": ((2, 8, 4), TrainConfig(lr=0.05, momentum=0.9, batch_size=40,
+                                                    epochs=3, seed=2),
+                             WarmupSchedule(0.01, 1.0, 7)),
+    "warmup_per_epoch": ((2, 8, 4), TrainConfig(lr=0.05, momentum=0.9, batch_size=40, epochs=4, seed=2),
+                         WarmupSchedule(0.1, 5.0, 2, granularity=Granularity.PER_EPOCH)),
+    "lr_drops": ((2, 8, 4), TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-4, batch_size=60, epochs=5,
+                                        seed=4, lr_drops=((0.4, 0.1), (0.8, 0.5))), None),
+}
+
+
+class TestTrainMatchesReference:
+    """train must equal the plain allocating loop bitwise, in every feature."""
+
+    @pytest.mark.parametrize("case", sorted(_BITWISE_CASES))
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_bitwise_equal(self, case, trace):
+        dims, cfg, warmup = _BITWISE_CASES[case]
+        train_set, test_set = _tiny_blobs(sigma=0.3)
+        assert train_set.n % cfg.batch_size != 0
+        loss = LossParams(beta=0.3, tau=0.8)
+        model = MlpModel.init(dims, seed=cfg.seed)
+        twin = MlpModel.init(dims, seed=cfg.seed)
+        res = train(model, train_set, cfg, loss, warmup=warmup, test_set=test_set, trace=trace)
+        metrics, traces, p_true, test_logits = _reference_train(
+            twin, train_set, cfg, loss, warmup=warmup, test_set=test_set, trace=trace)
+        for got, want in zip(model.weights + model.biases, twin.weights + twin.biases):
+            assert np.array_equal(got, want)
+        assert res.metrics == metrics
+        assert np.array_equal(res.train_p_true, p_true)
+        assert np.array_equal(res.test_logits, test_logits)
+        if trace:
+            assert np.array_equal(res.traces.p_true, traces)
+        else:
+            assert res.traces is None
+
+    def test_divergence_at_the_same_step(self):
+        train_set, _ = _tiny_blobs(sigma=0.3)  # diverges in epoch 4, in the ragged batch
+        cfg = TrainConfig(lr=1e12, momentum=0.9, epochs=5, batch_size=48, seed=0)
+        caught = []
+        for run in (train, _reference_train):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(TrainingDiverged) as exc:
+                    run(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, LossParams(beta=1.0), trace=False)
+            caught.append((exc.value.epoch, exc.value.batch))
+        assert caught[0] == caught[1]
+
+    def test_last_epoch_arrays_equal_a_fresh_forward(self):
+        train_set, test_set = _tiny_blobs(sigma=0.3)
+        model = MlpModel.init((2, 16, 8, 4), seed=6)
+        sched = WarmupSchedule(0.1, 2.0, 5)
+        res = train(model, train_set, TrainConfig(lr=0.05, momentum=0.9, batch_size=48, epochs=3, seed=6),
+                    LossParams(beta=1.0), warmup=sched, test_set=test_set, trace=False)
+        final = LossParams(beta=res.metrics[-1].beta)
+        fresh = beta_ce_batch(model.forward(train_set.features), train_set.labels, final)
+        assert np.array_equal(res.train_p_true, fresh.p_true)
+        assert np.array_equal(res.test_logits, model.forward(test_set.features))
+
+    def test_backward_matches_reference_gradients(self):
+        model = MlpModel.init((3, 5, 4, 3), seed=2)
+        x = np.array([0.4, -1.1, 0.9])
+        gw, gb = backward(model, x, 2, LossParams(beta=0.2))
+        _, rw, rb = _reference_grads(model, x.reshape(1, -1), np.array([2]), LossParams(beta=0.2))
+        for got, want in zip(gw + gb, rw + rb):
+            assert np.array_equal(got, want)
+
+
 class TestTrain:
     def test_zero_lr_leaves_model_unchanged(self):
         train_set, test_set = _tiny_blobs()
@@ -202,12 +368,10 @@ class TestTrain:
         model = MlpModel.init((2, 3, 3), seed=4)
         twin = MlpModel.init((2, 3, 3), seed=4)
 
-        from gradient_decay.mlp import _loss_and_grads
-
         vel_w = [np.zeros_like(W) for W in twin.weights]
         vel_b = [np.zeros_like(b) for b in twin.biases]
         for _ in range(2):
-            _, gw, gb = _loss_and_grads(twin, train_set.features, train_set.labels, params)
+            _, gw, gb = _reference_grads(twin, train_set.features, train_set.labels, params)
             for L in range(len(twin.weights)):
                 vel_w[L] = 0.9 * vel_w[L] + gw[L]
                 vel_b[L] = 0.9 * vel_b[L] + gb[L]
@@ -307,6 +471,16 @@ class TestTrain:
                     LossParams(beta=1.0))
         assert res.traces.p_true.shape == (3, train_set.n)
         assert np.all((res.traces.p_true >= 0.0) & (res.traces.p_true <= 1.0))
+
+    def test_labels_beyond_the_output_layer_rejected_before_training(self):
+        train_set, test_set = _tiny_blobs(classes=4)
+        model = MlpModel.init((2, 8, 3), seed=0)
+        with pytest.raises(ValueError, match="outside the model's 3 outputs"):
+            train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0))
+        model = MlpModel.init((2, 8, 4), seed=0)
+        wide = Dataset(test_set.features, np.full(test_set.n, 4), "test")
+        with pytest.raises(ValueError, match="test label 4"):
+            train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0), test_set=wide)
 
     def test_batch_size_validation(self):
         train_set, _ = _tiny_blobs(n_per_class=5)
