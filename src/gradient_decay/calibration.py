@@ -53,8 +53,9 @@ class PredictionSet:
 
     @classmethod
     def from_logits(cls, logits, labels, tau: float = 1.0) -> "PredictionSet":
-        z = np.asarray(logits, dtype=np.float64) / tau
-        e = np.exp(z - z.max(axis=1, keepdims=True))
+        z = np.asarray(logits, dtype=np.float64)
+        e = np.empty_like(z)
+        _shifted_exp(z, tau, z.max(axis=1), e)
         return cls(e / e.sum(axis=1, keepdims=True), labels)
 
     @property
@@ -147,11 +148,63 @@ def confidence_table(p_true, thresholds=DEFAULT_THRESHOLDS) -> np.ndarray:
     return np.bincount(idx, minlength=th.size + 1)
 
 
-def _mean_nll(logits: np.ndarray, labels: np.ndarray, tau: float) -> float:
-    z = logits / tau
-    s = z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z - s).sum(axis=1)) + s[:, 0]
-    return float((lse - z[np.arange(z.shape[0]), labels]).mean())
+def _shifted_exp(z: np.ndarray, tau: float, rowmax: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write exp(z/tau - s) into out and return the row shifts s = rowmax/tau.
+
+    rowmax is z.max(axis=1).  Division by tau > 0 is monotone under
+    round-to-nearest, so rowmax/tau is bitwise the row maximum of z/tau.
+    """
+    np.divide(z, tau, out=out)
+    s = rowmax / tau
+    np.subtract(out, s[:, None], out=out)
+    np.exp(out, out=out)
+    return s
+
+
+class _NllWorkspace:
+    """Mean cross-entropy of softmax(z/tau) as a function of tau, for one fit.
+
+    Validates the logits and labels, then keeps the row maxima, the
+    true-class logits and one (n, m) buffer that every pass writes into.
+    The objective is a pure function of tau, so each distinct tau is
+    computed once and remembered.
+    """
+
+    def __init__(self, logits, labels) -> None:
+        z = np.asarray(logits, dtype=np.float64)
+        y = np.asarray(labels)
+        if z.ndim != 2 or z.shape[1] < 2:
+            raise ValueError("logits must be an (n, m) matrix with m >= 2")
+        if y.shape != (z.shape[0],):
+            raise ValueError("labels must have one entry per logit row")
+        if not np.all(np.isfinite(z)):
+            raise ValueError("all logits must be finite")
+        if y.dtype.kind not in "iu":
+            raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
+        m = z.shape[1]
+        if y.size and (y.min() < 0 or y.max() >= m):
+            raise ValueError(f"labels must lie in [0, {m}), got range [{y.min()}, {y.max()}]")
+        self.z = z
+        self.labels = y
+        self.rowmax = z.max(axis=1)
+        self.ztrue = z[np.arange(z.shape[0]), y]
+        self.buf = np.empty_like(z)
+        self.nll: dict[float, float] = {}
+
+    def __call__(self, tau: float) -> float:
+        if tau not in self.nll:
+            self.nll[tau] = self._pass(tau)
+        return self.nll[tau]
+
+    def _pass(self, tau: float) -> float:
+        s = _shifted_exp(self.z, tau, self.rowmax, self.buf)
+        lse = np.log(self.buf.sum(axis=1)) + s
+        return float((lse - self.ztrue / tau).mean())
+
+
+def _mean_nll(logits, labels, tau: float) -> float:
+    """Mean cross-entropy of softmax(logits/tau) against labels."""
+    return _NllWorkspace(logits, labels)(tau)
 
 
 def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: int = 200) -> float:
@@ -159,18 +212,16 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: i
 
     Golden-section search on log(tau) over [log lo, log hi]; the result is
     guaranteed no worse than tau=1 and never changes any predicted class
-    (positive scaling preserves the argmax).
+    (positive scaling preserves the argmax).  Logits must be finite and
+    labels integers in [0, m).
     """
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2 or z.shape[0] < 2:
+    ws = _NllWorkspace(logits, labels)
+    if ws.z.shape[0] < 2:
         raise ValueError("need a logit matrix with at least two rows")
-    if y.shape != (z.shape[0],):
-        raise ValueError("labels must have one entry per logit row")
-    if np.unique(y).size < 2:
+    if np.unique(ws.labels).size < 2:
         raise ValueError("degenerate labels: need at least two classes present")
 
-    nll = lambda log_tau: _mean_nll(z, y, math.exp(log_tau))
+    nll = lambda log_tau: ws(math.exp(log_tau))
     a, b = math.log(lo), math.log(hi)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -187,7 +238,7 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: i
             fd = nll(d)
     # exp/log round-tripping can land one ulp outside the search box
     tau_star = min(max(math.exp((a + b) / 2.0), lo), hi)
-    if _mean_nll(z, y, tau_star) > _mean_nll(z, y, 1.0):
+    if ws(tau_star) > ws(1.0):
         return 1.0
     return tau_star
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -132,6 +133,16 @@ def _resolve(args: argparse.Namespace, defaults: dict, parser: argparse.Argument
     for key, val in merged.items():
         setattr(args, key, val)
     return args
+
+
+def _check_betas(args, parser) -> None:
+    if not args.betas or not all(math.isfinite(b) and b > 0 for b in args.betas):
+        parser.error("--betas must all be positive finite reals")
+
+
+def _check_bins(args, parser) -> None:
+    if args.bins < 1:
+        parser.error(f"--bins must be at least 1, got {args.bins}")
 
 
 def _beta_tag(beta) -> str:
@@ -251,10 +262,12 @@ def cmd_verify(args, parser) -> int:
         "rel_tol": 1e-6,
         "seed": 20240811,
     }, parser)
-    if any(b <= 0 for b in args.betas):
-        parser.error("--betas must all be positive")
-    report = verify_all(FdConfig(step=args.step, rel_tol=args.rel_tol,
-                                 trials=args.trials, seed=args.seed), args.betas)
+    _check_betas(args, parser)
+    try:
+        fd = FdConfig(step=args.step, rel_tol=args.rel_tol, trials=args.trials, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    report = verify_all(fd, args.betas)
     text = report.to_json_lines() + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -310,8 +323,8 @@ def cmd_sweep(args, parser) -> int:
         "warmup_granularity": "iteration",
     })
     _resolve(args, defaults, parser)
-    if any(b <= 0 for b in args.betas):
-        parser.error("--betas must all be positive")
+    _check_betas(args, parser)
+    _check_bins(args, parser)
     try:
         warmup = _warmup_from_args(args)
     except ValueError as exc:
@@ -384,6 +397,7 @@ def cmd_trace(args, parser) -> int:
 
 
 def _load_logits_file(path, parser):
+    """(logits, int64 labels) from a CSV or .npz file; a usage error if either is unusable."""
     p = Path(path)
     if not p.exists():
         parser.error(f"logits file not found: {p}")
@@ -391,11 +405,23 @@ def _load_logits_file(path, parser):
         data = np.load(p)
         if "logits" not in data or "labels" not in data:
             parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
-        return np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"], dtype=np.int64)
-    raw = np.loadtxt(p, delimiter=",", ndmin=2)
-    if raw.shape[1] < 3:
-        parser.error(f"{p}: need at least two logit columns plus a label column")
-    return raw[:, :-1], raw[:, -1].astype(np.int64)
+        logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
+    else:
+        try:
+            raw = np.loadtxt(p, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            parser.error(f"{p}: {exc}")
+        if raw.shape[1] < 3:
+            parser.error(f"{p}: need at least two logit columns plus a label column")
+        logits, labels = raw[:, :-1], raw[:, -1]
+    if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2 or labels.shape != logits.shape[:1]:
+        parser.error(f"{p}: need a non-empty (n, m) logit matrix, m >= 2, and one label per row")
+    if not np.all(np.isfinite(logits)):
+        parser.error(f"{p}: logits must be finite")
+    m = logits.shape[1]
+    if not np.all((labels >= 0) & (labels < m) & (labels == np.floor(labels))):
+        parser.error(f"{p}: labels must be whole numbers in [0, {m})")
+    return logits, labels.astype(np.int64)
 
 
 def cmd_calib(args, parser) -> int:
@@ -404,6 +430,7 @@ def cmd_calib(args, parser) -> int:
         "beta": None,
         "fit_temperature": False,
     }, parser)
+    _check_bins(args, parser)
     logits, labels = _load_logits_file(args.logits, parser)
     pred = PredictionSet.from_logits(logits, labels)
     report = calibration_report(pred, bins=args.bins)
@@ -415,7 +442,10 @@ def cmd_calib(args, parser) -> int:
         "interval_counts": list(report.interval_counts),
     }
     if args.fit_temperature:
-        tau = fit_temperature(logits, labels)
+        try:
+            tau = fit_temperature(logits, labels)
+        except ValueError as exc:  # one row, or a single class present
+            parser.error(f"{args.logits}: {exc}")
         scaled = PredictionSet.from_logits(logits, labels, tau=tau)
         scaled_report = calibration_report(scaled, bins=args.bins)
         payload["tau_star"] = tau

@@ -1,5 +1,8 @@
 """Calibration metric and temperature scaling tests."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from gradient_decay.calibration import (
     PredictionSet,
+    _mean_nll,
+    _NllWorkspace,
     bin_reliability,
     calibration_report,
     confidence_table,
@@ -28,6 +33,80 @@ def _single_conf_rows(confidences, correct, m=20):
     return PredictionSet(np.asarray(rows), np.asarray(labels))
 
 
+# The allocating objective, golden-section search and softmax that the
+# one-buffer workspace replaced, kept verbatim: the workspace must match
+# them bitwise.
+def _reference_mean_nll(logits: np.ndarray, labels: np.ndarray, tau: float) -> float:
+    z = logits / tau
+    s = z.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z - s).sum(axis=1)) + s[:, 0]
+    return float((lse - z[np.arange(z.shape[0]), labels]).mean())
+
+
+def _reference_fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: int = 200) -> float:
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise ValueError("need a logit matrix with at least two rows")
+    if y.shape != (z.shape[0],):
+        raise ValueError("labels must have one entry per logit row")
+    if np.unique(y).size < 2:
+        raise ValueError("degenerate labels: need at least two classes present")
+
+    nll = lambda log_tau: _reference_mean_nll(z, y, math.exp(log_tau))
+    a, b = math.log(lo), math.log(hi)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = nll(c), nll(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = nll(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = nll(d)
+    # exp/log round-tripping can land one ulp outside the search box
+    tau_star = min(max(math.exp((a + b) / 2.0), lo), hi)
+    if _reference_mean_nll(z, y, tau_star) > _reference_mean_nll(z, y, 1.0):
+        return 1.0
+    return tau_star
+
+
+def _reference_probs(logits, tau: float = 1.0) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64) / tau
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _sampled_labels(logits, rng):
+    """One label per row drawn from softmax(logits): calibrated at tau = 1."""
+    probs = _reference_probs(logits)
+    drawn = (rng.uniform(size=(probs.shape[0], 1)) > probs.cumsum(axis=1)).sum(axis=1)
+    return np.minimum(drawn, probs.shape[1] - 1)  # a row's cumsum can end just below 1
+
+
+def _fit_cases():
+    """(name, logits, labels) over shapes, scales, layouts and degenerate rows."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, m in ((2, 2), (37, 3), (500, 10), (2000, 7), (300, 50)):
+        for scale in (0.01, 1.0, 8.0, 300.0):
+            z = rng.normal(0.0, scale, (n, m))
+            y = _sampled_labels(z, rng) if scale <= 8.0 else rng.integers(0, m, n)
+            y[:2] = (0, 1)  # at least two classes present
+            cases.append((f"{n}x{m}@{scale}", z, y))
+    z = rng.normal(0.0, 3.0, (400, 6))
+    y = _sampled_labels(z, rng)
+    cases.append(("fortran_order", np.asfortranarray(z), y))
+    cases.append(("column_view", np.hstack([z, z])[:, 3:9], y))
+    cases.append(("repeated_row", np.tile(np.array([1.0, 0.5, -0.2]), (20, 1)), np.array([0, 1] * 10)))
+    cases.append(("constant_rows", np.ones((20, 3)), np.array([0, 1, 2, 1] * 5)))
+    return cases
+
+
 @st.composite
 def prediction_sets(draw):
     n = draw(st.integers(1, 60))
@@ -46,6 +125,12 @@ def prediction_sets(draw):
 
 
 class TestPredictionSet:
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 2.392596809686705])
+    def test_from_logits_matches_the_allocating_softmax_bitwise(self, tau):
+        for name, z, y in _fit_cases():
+            assert np.array_equal(PredictionSet.from_logits(z, y, tau=tau).probs,
+                                  _reference_probs(z, tau)), name
+
     def test_from_logits_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         pred = PredictionSet.from_logits(rng.uniform(-4, 4, (30, 6)), rng.integers(0, 6, 30))
@@ -183,8 +268,6 @@ class TestFitTemperature:
         assert fit_temperature(2.0 * logits, labels) == pytest.approx(2.0, abs=0.1)
 
     def test_never_worse_than_identity(self):
-        from gradient_decay.calibration import _mean_nll
-
         rng = np.random.default_rng(5)
         logits = rng.normal(0, 3, (500, 6))
         labels = rng.integers(0, 6, 500)
@@ -204,6 +287,76 @@ class TestFitTemperature:
             fit_temperature(logits, np.zeros(10, dtype=int))
         with pytest.raises(ValueError):
             fit_temperature(logits[:1], np.array([0]))
+
+    @pytest.mark.parametrize("case", _fit_cases(), ids=lambda case: case[0])
+    def test_matches_the_allocating_search_bitwise(self, case):
+        _, z, y = case
+        assert fit_temperature(z, y) == _reference_fit_temperature(z, y)
+        for tau in (0.05, 1.0, 3.7):
+            assert _mean_nll(z, y, tau) == _reference_mean_nll(z, y, tau)
+
+    def test_clamps_at_lo(self):
+        # every label is its row's strict argmax: NLL falls all the way to tau -> 0
+        rng = np.random.default_rng(2)
+        z = rng.normal(0.0, 1.0, (300, 4))
+        y = z.argmax(axis=1)
+        tau = fit_temperature(z, y)
+        assert tau == _reference_fit_temperature(z, y)
+        assert tau == pytest.approx(0.05, rel=1e-12)
+
+    def test_clamps_at_hi(self):
+        # every label is its row's argmin: NLL falls all the way to tau -> inf
+        rng = np.random.default_rng(3)
+        z = rng.normal(0.0, 1.0, (300, 4))
+        y = z.argmin(axis=1)
+        tau = fit_temperature(z, y)
+        assert tau == _reference_fit_temperature(z, y)
+        assert tau == pytest.approx(10.0, rel=1e-12)
+
+    def test_worse_than_identity_returns_one(self):
+        # with no iterations the search returns the bracket's midpoint, which
+        # is worse than tau = 1 on calibrated logits
+        logits, labels = self._calibrated_logits(n=2000)
+        midpoint = math.exp((math.log(0.05) + math.log(10.0)) / 2.0)
+        assert _mean_nll(logits, labels, midpoint) > _mean_nll(logits, labels, 1.0)
+        assert fit_temperature(logits, labels, iters=0) == 1.0
+        assert _reference_fit_temperature(logits, labels, iters=0) == 1.0
+
+    def test_each_distinct_tau_is_computed_once(self, monkeypatch):
+        logits, labels = self._calibrated_logits(n=2000, scale=4.0)
+        computed, requested = [], []
+        workspace_pass, reference_nll = _NllWorkspace._pass, _reference_mean_nll
+
+        def counting_pass(ws, tau):
+            computed.append(tau)
+            return workspace_pass(ws, tau)
+
+        def recording_nll(z, y, tau):
+            requested.append(tau)
+            return reference_nll(z, y, tau)
+
+        monkeypatch.setattr(_NllWorkspace, "_pass", counting_pass)
+        monkeypatch.setattr(sys.modules[__name__], "_reference_mean_nll", recording_nll)
+        tau = fit_temperature(logits, labels, iters=200)
+        assert tau == _reference_fit_temperature(logits, labels, iters=200)
+        assert len(requested) == 204
+        assert computed == list(dict.fromkeys(requested))
+        assert len(computed) <= 81
+
+    @pytest.mark.parametrize("logits, labels, message", [
+        ([[0.0, np.nan], [1.0, 0.0]], [0, 1], "all logits must be finite"),
+        ([[0.0, np.inf], [1.0, 0.0]], [0, 1], "all logits must be finite"),
+        ([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0], "labels must have an integer dtype"),
+        ([[0.0, 1.0], [1.0, 0.0]], [-1, 1], r"labels must lie in \[0, 2\)"),
+        ([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], [0, 5], r"labels must lie in \[0, 3\)"),
+        ([0.0, 1.0], [0, 1], "logits must be an"),
+        ([[0.0, 1.0], [1.0, 0.0]], [0, 1, 1], "one entry per logit row"),
+    ])
+    def test_invalid_inputs_rejected(self, logits, labels, message):
+        with pytest.raises(ValueError, match=message):
+            fit_temperature(np.asarray(logits), np.asarray(labels))
+        with pytest.raises(ValueError, match=message):
+            _mean_nll(np.asarray(logits), np.asarray(labels), 1.0)
 
     def test_scaling_preserves_predictions(self):
         rng = np.random.default_rng(9)

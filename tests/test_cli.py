@@ -17,6 +17,16 @@ def run(argv):
     return main(argv)
 
 
+def assert_usage_error(argv, capsys, message):
+    """argv exits 2 with `message` on stderr and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " + message in err
+    assert "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_default_flags_pass(self, capsys):
         assert run(["verify", "--trials", "10"]) == 0
@@ -29,6 +39,14 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--betas", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "trials must be a positive integer, got 0"),
+        (["--betas", "nan"], "--betas must all be positive finite reals"),
+        (["--betas", "1,inf"], "--betas must all be positive finite reals"),
+    ])
+    def test_invalid_values_are_usage_errors(self, capsys, flags, message):
+        assert_usage_error(["verify"] + flags, capsys, message)
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -93,6 +111,14 @@ class TestSweepCommand:
         assert "error: --batch 65 exceeds the 64 training samples" in err
         assert "Traceback" not in err
 
+    def test_zero_bins_is_usage_error_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before --bins was checked")
+
+        monkeypatch.setattr("gradient_decay.cli.train", no_training)
+        assert_usage_error(["sweep", "--betas", "1", "--bins", "0", "--out", str(tmp_path / "x")]
+                           + FAST_SWEEP, capsys, "--bins must be at least 1, got 0")
+
     def test_missing_mnist_dir_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["sweep", "--betas", "1", "--dataset", "mnist",
@@ -155,6 +181,42 @@ class TestCalibCommand:
         np.savez(path, logits=rng.normal(0, 1, (30, 4)), labels=rng.integers(0, 4, 30))
         assert run(["calib", "--logits", str(path)]) == 0
         assert "ece" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logit_is_usage_error(self, tmp_path, capsys, bad):
+        path, logits, labels = self._logits_csv(tmp_path)
+        logits[7, 2] = bad
+        np.savetxt(path, np.column_stack([logits, labels]), delimiter=",")
+        assert_usage_error(["calib", "--logits", str(path), "--fit-temperature"], capsys,
+                           f"{path}: logits must be finite")
+
+    def test_non_finite_npz_logit_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        logits = rng.normal(0, 1, (30, 4))
+        logits[0, 0] = np.nan
+        path = tmp_path / "logits.npz"
+        np.savez(path, logits=logits, labels=rng.integers(0, 4, 30))
+        assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: logits must be finite")
+
+    @pytest.mark.parametrize("bad", [5, -1, 1.5])
+    def test_label_outside_the_columns_is_usage_error(self, tmp_path, capsys, bad):
+        path, logits, labels = self._logits_csv(tmp_path)
+        labels = labels.astype(np.float64)
+        labels[3] = bad
+        np.savetxt(path, np.column_stack([logits, labels]), delimiter=",")
+        assert_usage_error(["calib", "--logits", str(path)], capsys,
+                           f"{path}: labels must be whole numbers in [0, 5)")
+
+    def test_single_class_fit_is_usage_error(self, tmp_path, capsys):
+        path, logits, labels = self._logits_csv(tmp_path)
+        np.savetxt(path, np.column_stack([logits, np.zeros_like(labels)]), delimiter=",")
+        assert_usage_error(["calib", "--logits", str(path), "--fit-temperature"], capsys,
+                           f"{path}: degenerate labels: need at least two classes present")
+
+    def test_zero_bins_is_usage_error(self, tmp_path, capsys):
+        path, _, _ = self._logits_csv(tmp_path)
+        assert_usage_error(["calib", "--logits", str(path), "--bins", "0"], capsys,
+                           "--bins must be at least 1, got 0")
 
     def test_missing_file_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
