@@ -9,9 +9,12 @@ All outputs are timestamp-free CSV/JSON, so identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 property or assertion
 failure, 2 usage error.
 
-An optional --config FILE holds flat ``key = value`` lines (keys are the
-long flag names); explicit flags override the file, which overrides the
-built-in defaults.
+An optional --config FILE holds flat ``key = value`` lines ('#' starts a
+comment).  A line ``key = value`` is exactly the flag ``--key=value`` (a
+``_`` in the key reads as ``-``), parsed by the same parser as the command
+line, so it gets the same type and choice checks; explicit flags win over
+the file.  Flags, and so config keys, must name an option in full: they are
+not matched by prefix.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import csv
 import json
 import math
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,7 @@ from gradient_decay.calibration import (
 from gradient_decay.datasets import BlobsConfig, load_mnist_idx, make_blobs, mnist_paths
 from gradient_decay.loss import LossParams, beta_ce_batch  # noqa: F401  (bench/spans.py wraps this binding)
 from gradient_decay.mlp import (
+    TRACE_LIMIT,
     MlpModel,
     TrainConfig,
     TrainingDiverged,
@@ -67,72 +72,38 @@ def _dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-_CONVERTERS = {
-    "betas": _float_list,
-    "model": _dims,
-    "trials": int,
-    "epochs": int,
-    "batch": int,
-    "seed": int,
-    "bins": int,
-    "warmup_iters": int,
-    "points": int,
-    "groups": int,
-    "blob_classes": int,
-    "blob_dim": int,
-    "blob_per_class": int,
-    "blob_seed": int,
-    "step": float,
-    "rel_tol": float,
-    "beta": float,
-    "beta_initial": float,
-    "beta_end": float,
-    "tau": float,
-    "lr": float,
-    "momentum": float,
-    "weight_decay": float,
-    "clip_norm": float,
-    "blob_sigma": float,
-    "blob_radius": float,
-    "fit_temperature": lambda v: str(v).lower() in ("1", "true", "yes"),
-}
+def _bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
-def _load_config(path: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    values = {}
+def _config_tokens(path: str) -> list[str]:
+    """Each ``key = value`` line as the flag token ``--key=value``; '#' starts a comment."""
+    tokens = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, val = line.partition("=")
+        key = key.strip().replace("_", "-")
+        if not eq or not key:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        values[key] = _CONVERTERS.get(key, str)(val)
-    return values
+        if key == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
+        tokens.append(f"--{key}={val.strip()}")
+    return tokens
 
 
-def _resolve(args: argparse.Namespace, defaults: dict, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Built-in defaults <- config file <- explicit flags."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        try:
-            overrides = _load_config(config_path)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-        unknown = set(overrides) - set(defaults)
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(sorted(unknown))}")
-        merged.update(overrides)
-    for key in defaults:
-        if hasattr(args, key):
-            merged[key] = getattr(args, key)
-    for key, val in merged.items():
-        setattr(args, key, val)
-    return args
+def _build(parser, make, *args, **kwargs):
+    """make(*args, **kwargs), with a ValueError turned into a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _check_betas(args, parser) -> None:
@@ -152,55 +123,34 @@ def _beta_tag(beta) -> str:
 # ---------------------------------------------------------------- datasets
 
 
-_TRAIN_DEFAULTS = {
-    "dataset": "blobs",
-    "mnist_dir": "data/mnist",
-    "model": (50, 20, 10),
-    "tau": 1.0,
-    "lr": 1e-3,
-    "momentum": 0.9,
-    "weight_decay": 1e-4,
-    "epochs": 100,
-    "batch": 100,
-    "seed": 0,
-    "clip_norm": None,
-    "bins": 10,
-    "blob_classes": 10,
-    "blob_dim": 2,
-    "blob_per_class": 100,
-    "blob_sigma": 0.3,
-    "blob_radius": 1.0,
-    "blob_seed": None,
-}
-
-
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    S = argparse.SUPPRESS
-    p.add_argument("--dataset", choices=("blobs", "mnist"), default=S)
-    p.add_argument("--mnist-dir", default=S, help="directory holding the four MNIST IDX files")
-    p.add_argument("--model", type=_dims, default=S, help='layer sizes after the input, e.g. "50,20,10"')
-    p.add_argument("--tau", type=float, default=S)
-    p.add_argument("--lr", type=float, default=S)
-    p.add_argument("--momentum", type=float, default=S)
-    p.add_argument("--weight-decay", type=float, default=S)
-    p.add_argument("--epochs", type=int, default=S)
-    p.add_argument("--batch", type=int, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--clip-norm", type=float, default=S)
-    p.add_argument("--bins", type=int, default=S)
-    p.add_argument("--blob-classes", type=int, default=S)
-    p.add_argument("--blob-dim", type=int, default=S)
-    p.add_argument("--blob-per-class", type=int, default=S)
-    p.add_argument("--blob-sigma", type=float, default=S)
-    p.add_argument("--blob-radius", type=float, default=S)
-    p.add_argument("--blob-seed", type=int, default=S, help="dataset seed (defaults to --seed)")
-    p.add_argument("--config", default=None, help="flat key = value defaults file")
+    p.add_argument("--dataset", choices=("blobs", "mnist"), default="blobs")
+    p.add_argument("--mnist-dir", default="data/mnist", help="directory holding the four MNIST IDX files")
+    p.add_argument("--model", type=_dims, default=(50, 20, 10),
+                   help='layer sizes after the input, e.g. "50,20,10"')
+    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--weight-decay", type=float, default=1e-4)
+    p.add_argument("--epochs", type=int, default=100)
+    p.add_argument("--batch", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clip-norm", type=float)
+    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--blob-classes", type=int, default=10)
+    p.add_argument("--blob-dim", type=int, default=2)
+    p.add_argument("--blob-per-class", type=int, default=100)
+    p.add_argument("--blob-sigma", type=float, default=0.3)
+    p.add_argument("--blob-radius", type=float, default=1.0)
+    p.add_argument("--blob-seed", type=int, help="dataset seed (defaults to --seed)")
     p.add_argument("--out", required=True, help="output directory")
 
 
 def _load_datasets(args, parser):
     if args.dataset == "blobs":
-        cfg = BlobsConfig(
+        cfg = _build(
+            parser,
+            BlobsConfig,
             classes=args.blob_classes,
             dim=args.blob_dim,
             n_per_class=args.blob_per_class,
@@ -227,18 +177,17 @@ def _model_dims(args, train_set, parser) -> tuple[int, ...]:
 def _train_config(args, train_set, parser) -> TrainConfig:
     if args.batch > train_set.n:
         parser.error(f"--batch {args.batch} exceeds the {train_set.n} training samples")
-    try:
-        return TrainConfig(
-            lr=args.lr,
-            momentum=args.momentum,
-            weight_decay=args.weight_decay,
-            batch_size=args.batch,
-            epochs=args.epochs,
-            clip_norm=args.clip_norm,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    return _build(
+        parser,
+        TrainConfig,
+        lr=args.lr,
+        momentum=args.momentum,
+        weight_decay=args.weight_decay,
+        batch_size=args.batch,
+        epochs=args.epochs,
+        clip_norm=args.clip_norm,
+        seed=args.seed,
+    )
 
 
 def _warmup_from_args(args) -> WarmupSchedule | None:
@@ -255,18 +204,8 @@ def _warmup_from_args(args) -> WarmupSchedule | None:
 
 
 def cmd_verify(args, parser) -> int:
-    _resolve(args, {
-        "betas": list(DEFAULT_BETAS),
-        "trials": 200,
-        "step": 1e-5,
-        "rel_tol": 1e-6,
-        "seed": 20240811,
-    }, parser)
     _check_betas(args, parser)
-    try:
-        fd = FdConfig(step=args.step, rel_tol=args.rel_tol, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    fd = _build(parser, FdConfig, step=args.step, rel_tol=args.rel_tol, trials=args.trials, seed=args.seed)
     report = verify_all(fd, args.betas)
     text = report.to_json_lines() + "\n"
     if args.out:
@@ -314,33 +253,19 @@ def _write_conftable_csv(path, counts) -> None:
 
 
 def cmd_sweep(args, parser) -> int:
-    defaults = dict(_TRAIN_DEFAULTS)
-    defaults.update({
-        "betas": [1.0],
-        "beta_initial": None,
-        "beta_end": None,
-        "warmup_iters": None,
-        "warmup_granularity": "iteration",
-    })
-    _resolve(args, defaults, parser)
     _check_betas(args, parser)
     _check_bins(args, parser)
-    try:
-        warmup = _warmup_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-
+    warmup = _build(parser, _warmup_from_args, args)
+    runs: list[tuple[object, LossParams, WarmupSchedule | None]] = [
+        (b, _build(parser, LossParams, beta=b, tau=args.tau), None) for b in args.betas
+    ]
+    if warmup is not None:
+        runs.append(("warmup", LossParams(beta=warmup.beta_initial, tau=args.tau), warmup))
     train_set, test_set = _load_datasets(args, parser)
     dims = _model_dims(args, train_set, parser)
     cfg = _train_config(args, train_set, parser)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    runs: list[tuple[object, LossParams, WarmupSchedule | None]] = [
-        (b, LossParams(beta=b, tau=args.tau), None) for b in args.betas
-    ]
-    if warmup is not None:
-        runs.append(("warmup", LossParams(beta=warmup.beta_initial, tau=args.tau), warmup))
 
     rows = []
     for beta_key, params, sched in runs:
@@ -367,17 +292,17 @@ def cmd_sweep(args, parser) -> int:
 
 
 def cmd_trace(args, parser) -> int:
-    defaults = dict(_TRAIN_DEFAULTS)
-    defaults.update({"beta": 1.0, "groups": 5})
-    _resolve(args, defaults, parser)
+    params = _build(parser, LossParams, beta=args.beta, tau=args.tau)
     train_set, test_set = _load_datasets(args, parser)
+    traced = min(train_set.n, TRACE_LIMIT)
+    if not 1 <= args.groups <= traced:
+        parser.error(f"--groups must lie between 1 and the {traced} traced samples, got {args.groups}")
     dims = _model_dims(args, train_set, parser)
     cfg = _train_config(args, train_set, parser)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     model = MlpModel.init(dims, seed=args.seed)
-    params = LossParams(beta=args.beta, tau=args.tau)
     try:
         result = train(model, train_set, cfg, params, test_set=test_set, trace=True)
     except TrainingDiverged as exc:
@@ -402,10 +327,13 @@ def _load_logits_file(path, parser):
     if not p.exists():
         parser.error(f"logits file not found: {p}")
     if p.suffix == ".npz":
-        data = np.load(p)
-        if "logits" not in data or "labels" not in data:
+        try:
+            data = np.load(p)  # allow_pickle stays off: pickled content is a ValueError
+            logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
+        except (KeyError, IndexError):  # not a member of the archive, or not an archive of arrays
             parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
-        logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            parser.error(f"{p}: {exc}")
     else:
         try:
             raw = np.loadtxt(p, delimiter=",", ndmin=2)
@@ -425,12 +353,9 @@ def _load_logits_file(path, parser):
 
 
 def cmd_calib(args, parser) -> int:
-    _resolve(args, {
-        "bins": 10,
-        "beta": None,
-        "fit_temperature": False,
-    }, parser)
     _check_bins(args, parser)
+    if args.beta is not None:
+        _build(parser, LossParams, beta=args.beta)
     logits, labels = _load_logits_file(args.logits, parser)
     pred = PredictionSet.from_logits(logits, labels)
     report = calibration_report(pred, bins=args.bins)
@@ -462,15 +387,9 @@ def cmd_calib(args, parser) -> int:
 
 
 def cmd_warmup_demo(args, parser) -> int:
-    _resolve(args, {
-        "beta_initial": 0.1,
-        "beta_end": 1.0,
-        "warmup_iters": 1000,
-        "points": 11,
-    }, parser)
     if args.points < 2:
         parser.error("--points must be at least 2")
-    sched = WarmupSchedule(args.beta_initial, args.beta_end, args.warmup_iters)
+    sched = _build(parser, WarmupSchedule, args.beta_initial, args.beta_end, args.warmup_iters)
     print("t,beta")
     for i in range(args.points):
         t = round(i * args.warmup_iters / (args.points - 1))
@@ -481,55 +400,63 @@ def cmd_warmup_demo(args, parser) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    """Finds --config in argv; each subcommand inherits the option for its help."""
+    p = argparse.ArgumentParser(prog="gradient-decay", add_help=False, allow_abbrev=False)
+    p.add_argument("--config", help="file of 'key = value' lines, each read as the flag --key=value")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradient-decay",
         description="Gradient-decay softmax: verification and desk-scale experiments",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    S = argparse.SUPPRESS
+    config = _config_parser()
 
-    p = sub.add_parser("verify", help="run the analytic property suite")
-    p.add_argument("--betas", type=_float_list, default=S)
-    p.add_argument("--trials", type=int, default=S)
-    p.add_argument("--step", type=float, default=S)
-    p.add_argument("--rel-tol", type=float, default=S)
-    p.add_argument("--seed", type=int, default=S)
-    p.add_argument("--out", default=None, help="write the JSON-lines report here instead of stdout")
-    p.add_argument("--config", default=None)
+    def command(name, help):
+        return sub.add_parser(name, help=help, parents=[config], allow_abbrev=False)
+
+    p = command("verify", "run the analytic property suite")
+    p.add_argument("--betas", type=_float_list, default=list(DEFAULT_BETAS))
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--rel-tol", type=float, default=1e-6)
+    p.add_argument("--seed", type=int, default=20240811)
+    p.add_argument("--out", help="write the JSON-lines report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="train one model per beta, report accuracy and calibration")
-    p.add_argument("--betas", type=_float_list, default=S)
-    p.add_argument("--beta-initial", type=float, default=S)
-    p.add_argument("--beta-end", type=float, default=S)
-    p.add_argument("--warmup-iters", type=int, default=S)
-    p.add_argument("--warmup-granularity", choices=("iteration", "epoch"), default=S)
+    p = command("sweep", "train one model per beta, report accuracy and calibration")
+    p.add_argument("--betas", type=_float_list, default=[1.0])
+    p.add_argument("--beta-initial", type=float)
+    p.add_argument("--beta-end", type=float)
+    p.add_argument("--warmup-iters", type=int)
+    p.add_argument("--warmup-granularity", choices=("iteration", "epoch"), default="iteration")
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("trace", help="record per-sample confidence traces and difficulty groups")
-    p.add_argument("--beta", type=float, default=S)
-    p.add_argument("--groups", type=int, default=S)
+    p = command("trace", "record per-sample confidence traces and difficulty groups")
+    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--groups", type=int, default=5)
     _add_train_flags(p)
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("calib", help="calibration report for a stored logits file")
+    p = command("calib", "calibration report for a stored logits file")
     p.add_argument("--logits", required=True, help="CSV (logit columns + final label column) or .npz")
-    p.add_argument("--bins", type=int, default=S)
-    p.add_argument("--beta", type=float, default=S, help="annotate the report with this beta")
-    p.add_argument("--fit-temperature", action="store_true", default=S)
-    p.add_argument("--out", default=None)
-    p.add_argument("--reliability-out", default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--beta", type=float, help="annotate the report with this beta")
+    p.add_argument("--fit-temperature", type=_bool, nargs="?", const=True, default=False)
+    p.add_argument("--out")
+    p.add_argument("--reliability-out")
     p.set_defaults(func=cmd_calib)
 
-    p = sub.add_parser("warmup-demo", help="print the t -> beta warm-up table")
-    p.add_argument("--beta-initial", type=float, default=S)
-    p.add_argument("--beta-end", type=float, default=S)
-    p.add_argument("--warmup-iters", type=int, default=S)
-    p.add_argument("--points", type=int, default=S)
-    p.add_argument("--config", default=None)
+    p = command("warmup-demo", "print the t -> beta warm-up table")
+    p.add_argument("--beta-initial", type=float, default=0.1)
+    p.add_argument("--beta-end", type=float, default=1.0)
+    p.add_argument("--warmup-iters", type=int, default=1000)
+    p.add_argument("--points", type=int, default=11)
     p.set_defaults(func=cmd_warmup_demo)
 
     return parser
@@ -537,7 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config is not None:
+        try:
+            rest[1:1] = _config_tokens(known.config)  # after the subcommand, so explicit flags win
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+    args = parser.parse_args(rest)
     return args.func(args, parser)
 
 

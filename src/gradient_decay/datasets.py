@@ -61,6 +61,8 @@ class BlobsConfig:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive, got {self.radius!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # trace every sample by default up to this dataset size
-_TRACE_LIMIT = 100_000
+TRACE_LIMIT = 100_000
 
 
 class TrainingDiverged(RuntimeError):
@@ -187,16 +187,18 @@ class TrainConfig:
     lr_drops: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.lr >= 0:
-            raise ValueError(f"lr must be non-negative, got {self.lr!r}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be a non-negative finite real, got {self.lr!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be a non-negative finite real, got {self.weight_decay!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be positive")
-        if self.clip_norm is not None and not self.clip_norm > 0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm!r}")
+        if self.clip_norm is not None and not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be a positive finite real, got {self.clip_norm!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -292,8 +294,8 @@ def train(
     drop_at = {int(frac * cfg.epochs): factor for frac, factor in cfg.lr_drops}
     lr = cfg.lr
 
-    if trace and n > _TRACE_LIMIT:
-        traced_ids = np.linspace(0, n - 1, _TRACE_LIMIT).astype(np.int64)
+    if trace and n > TRACE_LIMIT:
+        traced_ids = np.linspace(0, n - 1, TRACE_LIMIT).astype(np.int64)
     else:
         traced_ids = np.arange(n, dtype=np.int64)
     trace_mat = np.zeros((cfg.epochs, traced_ids.size)) if trace else None

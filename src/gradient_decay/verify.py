@@ -60,12 +60,14 @@ class FdConfig:
     seed: int = 20240811
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be a positive finite real, got {self.step!r}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be a positive finite real, got {self.rel_tol!r}")
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

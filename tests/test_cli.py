@@ -1,9 +1,13 @@
 """CLI behavior: exit codes, file schemas, reproducibility."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gradient_decay.cli import main
 
@@ -17,14 +21,26 @@ def run(argv):
     return main(argv)
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+@pytest.fixture
+def forbid_work(monkeypatch):
+    """Training, the verify suite and the temperature fit fail if reached."""
+    for name in ("train", "verify_all", "fit_temperature"):
+        monkeypatch.setattr(f"gradient_decay.cli.{name}", no_work)
+
+
 def assert_usage_error(argv, capsys, message):
-    """argv exits 2 with `message` on stderr and no traceback."""
+    """argv exits 2 with `message` on stderr and no traceback; returns what went to stdout."""
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "error: " + message in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "error: " + message in captured.err
+    assert "Traceback" not in captured.err
+    return captured.out
 
 
 class TestVerifyCommand:
@@ -148,7 +164,8 @@ class TestTraceCommand:
 
 
 class TestCalibCommand:
-    def _logits_csv(self, tmp_path):
+    @staticmethod
+    def _logits_csv(tmp_path):
         rng = np.random.default_rng(0)
         logits = rng.normal(0, 2, (60, 5))
         labels = rng.integers(0, 5, 60)
@@ -250,3 +267,178 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             run(["warmup-demo", "--config", str(cfg)])
         assert exc.value.code == 2
+
+    def test_sweep_from_config_matches_flags_byte_for_byte(self, tmp_path):
+        values = {"betas": "1,0.1", "beta_initial": "0.01", "beta_end": "0.1", "warmup_iters": "10",
+                  "warmup_granularity": "epoch", "dataset": "blobs", "epochs": "3", "lr": "0.05",
+                  "batch": "50", "blob_per_class": "20", "blob_classes": "4", "model": "8,4"}
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        flags = [tok for k, v in values.items() for tok in ("--" + k.replace("_", "-"), v)]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["sweep", "--config", str(cfg), "--out", str(a)]) == 0
+        assert run(["sweep"] + flags + ["--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert "summary.csv" in names and "metrics_beta_warmup.csv" in names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("sweep", "warmup_granularity = epochs", "argument --warmup-granularity: invalid choice: 'epochs'"),
+        ("sweep", "dataset = blob", "argument --dataset: invalid choice: 'blob'"),
+        ("sweep", "mom = 0.5", "unrecognized arguments: --mom=0.5"),
+        ("calib", "fit_temperature = yes please",
+         "argument --fit-temperature: expected true or false, got 'yes please'"),
+        ("sweep", "config = other.cfg", "{cfg}:1: a config file cannot name another config file"),
+        ("sweep", "just words", "{cfg}:1: expected 'key = value', got 'just words'"),
+    ])
+    def test_bad_config_line_is_usage_error(self, tmp_path, capsys, forbid_work, command, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        required = {"sweep": ["--out", str(tmp_path / "x")], "calib": ["--logits", str(tmp_path / "l.csv")]}
+        assert_usage_error([command, "--config", str(cfg)] + required[command] + FAST_SWEEP * (command == "sweep"),
+                           capsys, message.format(cfg=cfg))
+
+    def test_flags_are_not_matched_by_prefix(self, tmp_path, capsys):
+        assert_usage_error(["warmup-demo", "--points", "3", "--beta-init", "0.2"], capsys,
+                           "unrecognized arguments: --beta-init 0.2")
+
+    @pytest.mark.parametrize("value, fitted", [("true", True), ("false", False)])
+    def test_fit_temperature_line_is_a_boolean(self, tmp_path, capsys, value, fitted):
+        path, _, _ = TestCalibCommand._logits_csv(tmp_path)
+        cfg = tmp_path / "calib.cfg"
+        cfg.write_text(f"fit_temperature = {value}\n")
+        assert run(["calib", "--config", str(cfg), "--logits", str(path)]) == 0
+        assert ("tau_star" in json.loads(capsys.readouterr().out)) is fitted
+
+    def test_bare_fit_temperature_flag_overrides_the_file(self, tmp_path, capsys):
+        path, _, _ = TestCalibCommand._logits_csv(tmp_path)
+        cfg = tmp_path / "calib.cfg"
+        cfg.write_text("fit_temperature = false\n")
+        assert run(["calib", "--config", str(cfg), "--logits", str(path), "--fit-temperature"]) == 0
+        assert "tau_star" in json.loads(capsys.readouterr().out)
+
+    def test_required_flags_may_come_from_the_file(self, tmp_path, capsys):
+        path, _, _ = TestCalibCommand._logits_csv(tmp_path)
+        out = tmp_path / "report.json"
+        cfg = tmp_path / "calib.cfg"
+        cfg.write_text(f"logits = {path}\nout = {out}\n")
+        assert run(["calib", "--config", str(cfg)]) == 0
+        assert set(json.loads(out.read_text())) == {"beta", "ece", "mce", "mean_conf", "interval_counts"}
+
+        sweep_out = tmp_path / "sweep"
+        cfg.write_text(f"out = {sweep_out}\nbetas = 1\n")
+        assert run(["sweep", "--config", str(cfg)] + FAST_SWEEP) == 0
+        assert (sweep_out / "summary.csv").exists()
+
+
+class TestUsageErrorsBeforeWork:
+    """Inputs that used to end in a traceback with exit 1 now exit 2 before any model trains."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "--groups", "0"], "--groups must lie between 1 and the 64 traced samples, got 0"),
+        (["trace", "--groups", "1000"], "--groups must lie between 1 and the 64 traced samples, got 1000"),
+        (["trace", "--beta", "nan"], "beta must be a positive finite real, got nan"),
+        (["sweep", "--tau", "0"], "tau must be a positive finite real, got 0.0"),
+        (["sweep", "--tau", "nan"], "tau must be a positive finite real, got nan"),
+        (["sweep", "--blob-sigma", "-1"], "sigma must be positive, got -1.0"),
+        (["sweep", "--blob-dim", "0"], "need dim >= 2, got 0"),
+        (["sweep", "--blob-classes", "1"], "need at least 2 classes, got 1"),
+        (["sweep", "--blob-per-class", "0"], "n_per_class must be positive, got 0"),
+        (["sweep", "--blob-radius", "nan"], "radius must be positive, got nan"),
+        (["sweep", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["trace", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["sweep", "--blob-seed", "-1"], "seed must be non-negative, got -1"),
+        (["trace", "--blob-seed", "-1"], "seed must be non-negative, got -1"),
+    ])
+    def test_training_commands(self, tmp_path, capsys, forbid_work, argv, message):
+        command, *flags = argv
+        assert_usage_error([command, "--out", str(tmp_path / "x")] + FAST_SWEEP + flags, capsys, message)
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["warmup-demo", "--warmup-iters", "0"], "t_warm must be an integer >= 1, got 0"),
+        (["warmup-demo", "--beta-end", "nan"], "beta_end must be a positive finite real, got nan"),
+    ])
+    def test_other_commands(self, capsys, forbid_work, argv, message):
+        assert assert_usage_error(argv, capsys, message) == ""
+
+    @pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04truncated"])
+    def test_npz_that_is_not_an_archive(self, tmp_path, capsys, forbid_work, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        assert_usage_error(["calib", "--logits", str(path), "--fit-temperature"], capsys, f"{path}: ")
+
+    @pytest.mark.parametrize("save", [lambda f: np.savez(f, x=np.zeros((3, 2))), lambda f: np.save(f, np.zeros(3))],
+                             ids=["other_names", "npy_content"])
+    def test_npz_without_the_named_arrays(self, tmp_path, capsys, save):
+        path = tmp_path / "other.npz"
+        with open(path, "wb") as f:
+            save(f)
+        assert_usage_error(["calib", "--logits", str(path)], capsys,
+                           f"{path}: expected arrays named 'logits' and 'labels'")
+
+
+# One valid invocation per subcommand; each contract case replaces one of its
+# flags with a bad value.  VALID_ZERO lists the flags for which 0 is allowed.
+_FAST = {flag[2:]: value for flag, value in zip(FAST_SWEEP[::2], FAST_SWEEP[1::2])}
+_BASE = {
+    "verify": {},
+    "sweep": {**_FAST, "betas": "1", "beta-initial": "0.01", "beta-end": "0.1", "warmup-iters": "20"},
+    "trace": {**_FAST, "beta": "1", "groups": "4"},
+    "calib": {"fit-temperature": "true"},
+    "warmup-demo": {},
+}
+_TRAIN_FLAGS = ("tau", "lr", "momentum", "weight-decay", "epochs", "batch", "seed", "clip-norm",
+                "blob-classes", "blob-dim", "blob-per-class", "blob-sigma", "blob-radius", "blob-seed",
+                "dataset", "model")
+_FLAGS = {
+    "verify": ("betas", "trials", "step", "rel-tol", "seed"),
+    "sweep": ("betas", "beta-initial", "beta-end", "warmup-iters", "warmup-granularity", "bins") + _TRAIN_FLAGS,
+    "trace": ("beta", "groups") + _TRAIN_FLAGS,
+    "calib": ("bins", "beta", "fit-temperature"),
+    "warmup-demo": ("beta-initial", "beta-end", "warmup-iters", "points"),
+}
+VALID_ZERO = {"lr", "momentum", "weight-decay", "seed", "blob-seed", "fit-temperature"}
+BAD_VALUES = ("0", "-1", "-2.5", "nan", "inf", "-inf", "abc", "")
+CONTRACT_CASES = [(command, flag, value) for command in sorted(_FLAGS) for flag in _FLAGS[command]
+                  for value in BAD_VALUES if not (value == "0" and flag in VALID_ZERO)]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    rng = np.random.default_rng(0)
+    np.savetxt(d / "logits.csv", np.column_stack([rng.normal(0, 2, (40, 3)), rng.integers(0, 3, 40)]),
+               delimiter=",")
+    return d
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(CONTRACT_CASES), route=st.sampled_from(["--flag=value", "--flag value", "config"]))
+def test_bad_value_is_usage_error_before_any_work(contract_dir, forbid_work, case, route):
+    """Any flag of any subcommand, given a bad value as a flag or a config line, exits 2 before work."""
+    command, flag, value = case
+    args = dict(_BASE[command])
+    args.pop(flag, None)
+    argv = [command] + [tok for k, v in args.items() for tok in (f"--{k}", v)]
+    argv += {"sweep": ["--out", str(contract_dir / "out")], "trace": ["--out", str(contract_dir / "out")],
+             "calib": ["--logits", str(contract_dir / "logits.csv")]}.get(command, [])
+    if route == "config":
+        cfg = contract_dir / "bad.cfg"
+        cfg.write_text(f"{flag.replace('-', '_')} = {value}\n")
+        argv += ["--config", str(cfg)]
+    elif route == "--flag value":
+        argv += [f"--{flag}", value]
+    else:
+        argv += [f"--{flag}={value}"]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        main(argv)
+    assert exc.value.code == 2, (argv, err.getvalue())
+    assert "error: " in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""
+    assert not (contract_dir / "out").exists()

@@ -60,6 +60,8 @@ class TestMakeBlobs:
             BlobsConfig(sigma=0.0)
         with pytest.raises(ValueError):
             BlobsConfig(n_per_class=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            BlobsConfig(seed=-1)
 
 
 class TestDataset:

@@ -482,6 +482,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="test label 4"):
             train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0), test_set=wide)
 
+    @pytest.mark.parametrize("bad", [
+        {"lr": -0.1}, {"lr": float("inf")}, {"lr": float("nan")}, {"momentum": 1.0},
+        {"weight_decay": float("inf")}, {"clip_norm": 0.0}, {"clip_norm": float("inf")},
+        {"batch_size": 0}, {"epochs": 0}, {"seed": -1},
+    ])
+    def test_config_validation(self, bad):
+        with pytest.raises(ValueError):
+            TrainConfig(**{"lr": 0.1, **bad})
+
     def test_batch_size_validation(self):
         train_set, _ = _tiny_blobs(n_per_class=5)
         model = MlpModel.init((2, 4, 4), seed=0)

@@ -126,3 +126,9 @@ class TestVerifyAll:
             FdConfig(rel_tol=-1.0)
         with pytest.raises(ValueError):
             FdConfig(trials=0)
+        with pytest.raises(ValueError):
+            FdConfig(step=float("inf"))
+        with pytest.raises(ValueError):
+            FdConfig(rel_tol=float("inf"))
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            FdConfig(seed=-1)
