@@ -23,6 +23,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import zipfile
 from pathlib import Path
@@ -98,12 +99,21 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _build(parser, make, *args, **kwargs):
-    """make(*args, **kwargs), with a ValueError turned into a usage error."""
+def _build(parser, make, flags=None, **fields):
+    """make(**fields), with a ValueError turned into a usage error naming the flag.
+
+    The first field the message names stands for its flag: ``--`` plus the
+    field name with ``-`` for ``_``, unless ``flags`` maps it to another.
+    """
     try:
-        return make(*args, **kwargs)
+        return make(**fields)
     except ValueError as exc:
-        parser.error(str(exc))
+        msg = str(exc)
+        named = re.search(r"\b(" + "|".join(fields) + r")\b", msg)
+        if named:
+            field = named.group(1)
+            msg = f"argument {(flags or {}).get(field, '--' + field.replace('_', '-'))}: {msg}"
+        parser.error(msg)
 
 
 def _check_betas(args, parser) -> None:
@@ -136,7 +146,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip-norm", type=float)
-    p.add_argument("--bins", type=int, default=10)
     p.add_argument("--blob-classes", type=int, default=10)
     p.add_argument("--blob-dim", type=int, default=2)
     p.add_argument("--blob-per-class", type=int, default=100)
@@ -148,9 +157,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 def _load_datasets(args, parser):
     if args.dataset == "blobs":
+        seed_flag = "--seed" if args.blob_seed is None else "--blob-seed"
         cfg = _build(
             parser,
             BlobsConfig,
+            {"classes": "--blob-classes", "dim": "--blob-dim", "n_per_class": "--blob-per-class",
+             "sigma": "--blob-sigma", "radius": "--blob-radius", "seed": seed_flag},
             classes=args.blob_classes,
             dim=args.blob_dim,
             n_per_class=args.blob_per_class,
@@ -180,6 +192,7 @@ def _train_config(args, train_set, parser) -> TrainConfig:
     return _build(
         parser,
         TrainConfig,
+        {"batch_size": "--batch"},
         lr=args.lr,
         momentum=args.momentum,
         weight_decay=args.weight_decay,
@@ -190,14 +203,19 @@ def _train_config(args, train_set, parser) -> TrainConfig:
     )
 
 
-def _warmup_from_args(args) -> WarmupSchedule | None:
+def _warmup(args, parser, granularity=Granularity.PER_ITERATION) -> WarmupSchedule:
+    return _build(parser, WarmupSchedule, {"t_warm": "--warmup-iters"}, beta_initial=args.beta_initial,
+                  beta_end=args.beta_end, t_warm=args.warmup_iters, granularity=granularity)
+
+
+def _warmup_from_args(args, parser) -> WarmupSchedule | None:
     given = [v is not None for v in (args.beta_initial, args.beta_end, args.warmup_iters)]
     if not any(given):
         return None
     if not all(given):
-        raise ValueError("--beta-initial, --beta-end and --warmup-iters must be given together")
+        parser.error("--beta-initial, --beta-end and --warmup-iters must be given together")
     gran = Granularity.PER_EPOCH if args.warmup_granularity == "epoch" else Granularity.PER_ITERATION
-    return WarmupSchedule(args.beta_initial, args.beta_end, args.warmup_iters, gran)
+    return _warmup(args, parser, gran)
 
 
 # ---------------------------------------------------------------- commands
@@ -255,9 +273,9 @@ def _write_conftable_csv(path, counts) -> None:
 def cmd_sweep(args, parser) -> int:
     _check_betas(args, parser)
     _check_bins(args, parser)
-    warmup = _build(parser, _warmup_from_args, args)
+    warmup = _warmup_from_args(args, parser)
     runs: list[tuple[object, LossParams, WarmupSchedule | None]] = [
-        (b, _build(parser, LossParams, beta=b, tau=args.tau), None) for b in args.betas
+        (b, _build(parser, LossParams, {"beta": "--betas"}, beta=b, tau=args.tau), None) for b in args.betas
     ]
     if warmup is not None:
         runs.append(("warmup", LossParams(beta=warmup.beta_initial, tau=args.tau), warmup))
@@ -389,7 +407,7 @@ def cmd_calib(args, parser) -> int:
 def cmd_warmup_demo(args, parser) -> int:
     if args.points < 2:
         parser.error("--points must be at least 2")
-    sched = _build(parser, WarmupSchedule, args.beta_initial, args.beta_end, args.warmup_iters)
+    sched = _warmup(args, parser)
     print("t,beta")
     for i in range(args.points):
         t = round(i * args.warmup_iters / (args.points - 1))
@@ -434,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-end", type=float)
     p.add_argument("--warmup-iters", type=int)
     p.add_argument("--warmup-granularity", choices=("iteration", "epoch"), default="iteration")
+    p.add_argument("--bins", type=int, default=10)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)
 

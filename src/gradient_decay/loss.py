@@ -32,6 +32,7 @@ __all__ = [
     "beta_ce_loss",
     "beta_ce_eval",
     "beta_ce_batch",
+    "batch_losses",
     "batch_p_true",
     "gradient_magnitude",
     "magnitude_derivatives",
@@ -149,27 +150,14 @@ def softmax_probs(z, tau: float = 1.0) -> np.ndarray:
         raise ValueError("all logits must be finite")
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau!r}")
+    return _softmax(z, tau)
+
+
+def _softmax(z: np.ndarray, tau: float) -> np.ndarray:
+    # softmax_probs without its checks, for logits that are already validated
     y = z / tau
     e = np.exp(y - y.max())
     return e / e.sum()
-
-
-def _shift(z: np.ndarray, stability: Stability) -> float:
-    if isinstance(stability, MaxShift):
-        return float(z.max())
-    return float(stability.u)
-
-
-def _shifted_exps(z: np.ndarray, p: LossParams) -> np.ndarray:
-    """exp((z - u')/tau) under the configured stability shift."""
-    w = (z - _shift(z, p.stability)) / p.tau
-    wmax = w.max()
-    if wmax > _EXP_ARG_MAX:
-        i = int(np.argmax(w))
-        raise OverflowError(
-            f"logit z[{i}]={z[i]!r} overflows exp() under FixedShift(u={p.stability.u!r})"
-        )
-    return np.exp(w)
 
 
 def beta_ce_loss(x: LabeledLogits, p: LossParams) -> float:
@@ -179,16 +167,25 @@ def beta_ce_loss(x: LabeledLogits, p: LossParams) -> float:
     the result by less than 1e-10.  At beta=1 this is the standard softmax
     cross-entropy.
     """
-    e = _shifted_exps(x.z, p)
-    others = e.sum() - e[x.c]
-    total = others + p.beta * e[x.c]
-    if not np.isfinite(total) or total == 0.0:
+    if isinstance(p.stability, MaxShift):
+        u = x.z.max()
+    else:
+        u = p.stability.u
+    w = (x.z - u) / p.tau
+    if w.max() > _EXP_ARG_MAX:
+        i = int(np.argmax(w))
+        raise OverflowError(
+            f"logit z[{i}]={x.z[i]!r} overflows exp() under FixedShift(u={p.stability.u!r})"
+        )
+    e = np.exp(w)
+    total = e.sum() - e[x.c] + p.beta * e[x.c]
+    if not math.isfinite(total) or total == 0.0:
         i = int(np.argmax(x.z))
         raise OverflowError(
             f"shifted exponentials out of float64 range (worst logit z[{i}]={x.z[i]!r}); "
             "use MaxShift or adjust FixedShift.u"
         )
-    return float(np.log(total) - (x.z[x.c] - _shift(x.z, p.stability)) / p.tau)
+    return float(np.log(total) - w[x.c])
 
 
 def beta_ce_eval(x: LabeledLogits, p: LossParams) -> LossEval:
@@ -200,7 +197,7 @@ def beta_ce_eval(x: LabeledLogits, p: LossParams) -> LossEval:
     before the division (denominator only; clamping the numerators would
     break the exact zero sum of the gradient at saturated probabilities).
     """
-    probs = softmax_probs(x.z, p.tau)
+    probs = _softmax(x.z, p.tau)
     pc_raw = float(probs[x.c])
     pc = min(max(pc_raw, P_CLAMP), 1.0 - P_CLAMP)
     denom = p.tau * (1.0 + (p.beta - 1.0) * pc)
@@ -271,6 +268,17 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
     grads = probs / denom[:, None]
     grads[rows, y] = -(1.0 - pc_raw) / denom
     return BatchEval(losses=losses, grads=grads, probs=probs, p_true=pc)
+
+
+def batch_losses(Z, y, p: LossParams) -> np.ndarray:
+    """The losses column of beta_ce_batch(Z, y, p), bitwise, without probs or gradients.
+
+    Row k equals beta_ce_loss(LabeledLogits(Z[k], y[k]), p) bitwise: the
+    same float operations in the same order.  Validates and range-checks
+    exactly as beta_ce_batch does.
+    """
+    rows, W, _, _, _, total = _batch_exps(Z, y, p)
+    return np.log(total) - W[rows, np.asarray(y)]
 
 
 def batch_p_true(Z, y, p: LossParams) -> np.ndarray:

@@ -193,8 +193,10 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be a non-negative finite real, got {self.weight_decay!r}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size!r}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be positive, got {self.epochs!r}")
         if self.clip_norm is not None and not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
             raise ValueError(f"clip_norm must be a positive finite real, got {self.clip_norm!r}")
         if not self.seed >= 0:

@@ -3,7 +3,10 @@
 Central finite differences and dense grid scans act as the reference for
 every analytic claim in :mod:`gradient_decay.loss`.  Reference values are
 computed from loss *values* only (or from closed forms written out locally);
-they never reuse the analytic derivative code paths they are checking.
+they never reuse the analytic derivative code paths they are checking.  The
+finite-difference gradient takes all 2m perturbed rows of a sample as one
+matrix and reads their loss values from one ``batch_losses`` call, which
+returns the same bits as 2m scalar ``beta_ce_loss`` calls.
 
 Error convention: differences are scaled by max(1, |reference|), i.e. they
 are relative for O(1) quantities and absolute below that.  A pure relative
@@ -22,6 +25,7 @@ import numpy as np
 from gradient_decay.loss import (
     LabeledLogits,
     LossParams,
+    batch_losses,
     beta_ce_eval,
     beta_ce_loss,
     gradient_magnitude,
@@ -108,24 +112,30 @@ class VerifyReport:
 
 
 def central_diff_grad(f, z, step: float) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a vector.
+    """Central-difference gradient from one call of f on all 2m perturbed rows.
 
-    Component i is (f(z + step*e_i) - f(z - step*e_i)) / (2 step).
+    f maps a (k, m) matrix to its k row values and is called once, on rows
+    z + step*e_i (row i) and z - step*e_i (row m + i).  Component i is
+    (f(z + step*e_i) - f(z - step*e_i)) / (2 step).
     """
     z = np.asarray(z, dtype=np.float64)
     if not step > 0:
         raise ValueError(f"step must be positive, got {step!r}")
-    g = np.empty_like(z)
-    for i in range(z.size):
-        zp = z.copy()
-        zp[i] += step
-        zm = z.copy()
-        zm[i] -= step
-        fp, fm = f(zp), f(zm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"non-finite evaluation while differencing coordinate {i}")
-        g[i] = (fp - fm) / (2.0 * step)
-    return g
+    if z.ndim != 1:
+        raise ValueError("z must be a 1-d vector")
+    m = z.size
+    Z = np.tile(z, (2 * m, 1))
+    i = np.arange(m)
+    Z[i, i] += step
+    Z[m + i, i] -= step
+    vals = np.asarray(f(Z), dtype=np.float64)
+    if vals.shape != (2 * m,):
+        raise ValueError(f"f must return one value per row, {2 * m} in all; got shape {vals.shape}")
+    fp, fm = vals[:m], vals[m:]
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    if bad.any():
+        raise ValueError(f"non-finite evaluation while differencing coordinate {int(np.argmax(bad))}")
+    return (fp - fm) / (2.0 * step)
 
 
 def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, float]:
@@ -161,6 +171,12 @@ def _standard_ce_grad(z: np.ndarray, c: int, tau: float = 1.0) -> np.ndarray:
     g = p / tau
     g[c] = (p[c] - 1.0) / tau
     return g
+
+
+def _fd_loss_grad(z: np.ndarray, c: int, params: LossParams, step: float) -> np.ndarray:
+    """Central-difference gradient of the loss at (z, c), from batch_losses values only."""
+    labels = np.full(2 * z.size, c)
+    return central_diff_grad(lambda Z: batch_losses(Z, labels, params), z, step)
 
 
 def _scaled_err(candidate: np.ndarray, reference: np.ndarray) -> float:
@@ -238,7 +254,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         worst_sum = 0.0
         for z, c in trials:
             x = LabeledLogits(z, c)
-            fd_grad = central_diff_grad(lambda zz: beta_ce_loss(LabeledLogits(zz, c), params), z, fd.step)
+            fd_grad = _fd_loss_grad(z, c, params, fd.step)
             ev = beta_ce_eval(x, params)
             worst_fd = max(worst_fd, _scaled_err(ev.grad, fd_grad))
             worst_sum = max(worst_sum, abs(float(ev.grad.sum())))

@@ -32,6 +32,11 @@ def forbid_work(monkeypatch):
         monkeypatch.setattr(f"gradient_decay.cli.{name}", no_work)
 
 
+def flagged(flag, message):
+    """The usage message for `flag`: argparse's "argument --flag: " unless it already leads with the flag."""
+    return message if message.startswith(flag) else f"argument {flag}: {message}"
+
+
 def assert_usage_error(argv, capsys, message):
     """argv exits 2 with `message` on stderr and no traceback; returns what went to stdout."""
     with pytest.raises(SystemExit) as exc:
@@ -60,9 +65,10 @@ class TestVerifyCommand:
         (["--trials", "0"], "trials must be a positive integer, got 0"),
         (["--betas", "nan"], "--betas must all be positive finite reals"),
         (["--betas", "1,inf"], "--betas must all be positive finite reals"),
+        (["--rel-tol", "inf"], "rel_tol must be a positive finite real, got inf"),
     ])
     def test_invalid_values_are_usage_errors(self, capsys, flags, message):
-        assert_usage_error(["verify"] + flags, capsys, message)
+        assert_usage_error(["verify"] + flags, capsys, flagged(flags[0], message))
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -156,6 +162,11 @@ class TestTraceCommand:
         assert gm_header == "epoch,group,mean_conf"
         assert len(gm_rows) == 3 * 5
 
+
+    def test_bins_is_not_a_trace_flag(self, tmp_path, capsys, forbid_work):
+        assert_usage_error(["trace", "--bins", "3", "--out", str(tmp_path / "x")] + FAST_SWEEP, capsys,
+                           "unrecognized arguments: --bins 3")
+        assert not (tmp_path / "x").exists()
 
     def test_diverging_lr_is_one_line_and_exit_two(self, tmp_path, capsys):
         out = tmp_path / "trace"
@@ -351,10 +362,15 @@ class TestUsageErrorsBeforeWork:
         (["trace", "--seed", "-1"], "seed must be non-negative, got -1"),
         (["sweep", "--blob-seed", "-1"], "seed must be non-negative, got -1"),
         (["trace", "--blob-seed", "-1"], "seed must be non-negative, got -1"),
+        (["sweep", "--epochs", "0"], "epochs must be positive, got 0"),
+        (["trace", "--batch", "0"], "batch_size must be positive, got 0"),
+        (["sweep", "--warmup-iters", "0", "--beta-initial", "0.1", "--beta-end", "1"],
+         "t_warm must be an integer >= 1, got 0"),
     ])
     def test_training_commands(self, tmp_path, capsys, forbid_work, argv, message):
         command, *flags = argv
-        assert_usage_error([command, "--out", str(tmp_path / "x")] + FAST_SWEEP + flags, capsys, message)
+        assert_usage_error([command, "--out", str(tmp_path / "x")] + FAST_SWEEP + flags, capsys,
+                           flagged(flags[0], message))
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -363,7 +379,7 @@ class TestUsageErrorsBeforeWork:
         (["warmup-demo", "--beta-end", "nan"], "beta_end must be a positive finite real, got nan"),
     ])
     def test_other_commands(self, capsys, forbid_work, argv, message):
-        assert assert_usage_error(argv, capsys, message) == ""
+        assert assert_usage_error(argv, capsys, flagged(argv[1], message)) == ""
 
     @pytest.mark.parametrize("content", [b"garbage", b"", b"PK\x03\x04truncated"])
     def test_npz_that_is_not_an_archive(self, tmp_path, capsys, forbid_work, content):

@@ -12,6 +12,7 @@ from gradient_decay.loss import (
     LabeledLogits,
     LossParams,
     MaxShift,
+    batch_losses,
     batch_p_true,
     beta_ce_batch,
     beta_ce_eval,
@@ -222,7 +223,7 @@ class TestBatchEval:
         with pytest.raises(ValueError):
             beta_ce_batch(np.zeros((4, 3)), np.zeros(5, dtype=int), LossParams(beta=1.0))
 
-    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true])
+    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true, batch_losses])
     @pytest.mark.parametrize("labels", [[-1], [3], [0.0], [True]])
     def test_labels_must_be_integers_inside_the_columns(self, kernel, labels):
         # -1 used to wrap to the last class, 0.0 to raise a bare IndexError
@@ -237,7 +238,36 @@ class TestBatchEval:
                        LossParams(beta=1.0, stability=FixedShift(70.0))):
             assert np.array_equal(batch_p_true(Z, y, params), beta_ce_batch(Z, y, params).p_true)
 
-    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true])
+    def test_losses_kernel_is_bitwise_the_batch_column(self):
+        rng = np.random.default_rng(5)
+        Z = rng.uniform(-30, 30, (50, 6))
+        y = rng.integers(0, 6, 50)
+        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5),
+                       LossParams(beta=1.0, stability=FixedShift(70.0))):
+            assert np.array_equal(batch_losses(Z, y, params), beta_ce_batch(Z, y, params).losses)
+
+    @pytest.mark.parametrize("stability", [MaxShift(), FixedShift(70.0)], ids=["max", "fixed"])
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
+    def test_losses_rows_are_bitwise_the_scalar_loss(self, stability, tau):
+        # verify's finite differences read batch_losses rows where they used to
+        # call beta_ce_loss per row; its report stays byte-identical only if
+        # every row is the same float64 value.
+        rng = np.random.default_rng(6)
+        offset = 0.0 if isinstance(stability, MaxShift) else stability.u
+        for m in range(2, 21):
+            z = offset + rng.uniform(-5.0, 5.0, m)
+            perturbed = np.tile(z, (2 * m, 1))
+            perturbed[np.arange(m), np.arange(m)] += 1e-5
+            perturbed[m + np.arange(m), np.arange(m)] -= 1e-5
+            Z = np.vstack([perturbed, offset + rng.uniform(-5.0, 5.0, (8, m))])
+            y = rng.integers(0, m, Z.shape[0])
+            for beta in (0.01, 0.37, 1.0, 20.0):
+                params = LossParams(beta=beta, tau=tau, stability=stability)
+                losses = batch_losses(Z, y, params)
+                for k in range(Z.shape[0]):
+                    assert losses[k] == beta_ce_loss(LabeledLogits(Z[k], int(y[k])), params)
+
+    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true, batch_losses])
     def test_range_checks_shared(self, kernel):
         fixed = LossParams(beta=1.0, stability=FixedShift(70.0))
         with pytest.raises(OverflowError, match="overflows exp"):
