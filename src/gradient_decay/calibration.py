@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gradient_decay.loss import check_labeled_logits, check_labels, shifted_exp, stable_softmax
+
 __all__ = [
     "PredictionSet",
     "ReliabilityBin",
@@ -39,24 +41,18 @@ class PredictionSet:
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
-        l = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "labels", l)
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 2:
             raise ValueError("probs must be a non-empty (n, m) matrix with m >= 2")
-        if l.shape != (p.shape[0],):
-            raise ValueError("labels must have one entry per probability row")
-        if np.any((l < 0) | (l >= p.shape[1])):
-            raise ValueError("labels must index the probability columns")
-        if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("probability rows must sum to 1 within 1e-9")
+        object.__setattr__(self, "labels", check_labels(self.labels, *p.shape, rows="probability"))
+        # written so that a NaN row sum, which compares false, fails too
+        if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9:
+            raise ValueError("probability rows must be finite and sum to 1 within 1e-9")
 
     @classmethod
     def from_logits(cls, logits, labels, tau: float = 1.0) -> "PredictionSet":
-        z = np.asarray(logits, dtype=np.float64)
-        e = np.empty_like(z)
-        _shifted_exp(z, tau, z.max(axis=1), e)
-        return cls(e / e.sum(axis=1, keepdims=True), labels)
+        z, y = check_labeled_logits(logits, labels)
+        return cls(stable_softmax(z, tau), y)
 
     @property
     def n(self) -> int:
@@ -121,19 +117,25 @@ def bin_reliability(pred: PredictionSet, bins: int = 10) -> list[ReliabilityBin]
     return out
 
 
+def _ece_mce(bins: list[ReliabilityBin], n: int) -> tuple[float, float]:
+    """(ECE, MCE) of reliability bins over n samples.
+
+    ECE is the count-weighted mean of |accuracy - confidence| over the bins,
+    MCE its largest value over the non-empty bins.
+    """
+    gaps = [(b.count, abs(b.accuracy - b.mean_conf)) for b in bins if b.count]
+    e = sum((count / n) * gap for count, gap in gaps)
+    return float(e), float(max(gap for _, gap in gaps))
+
+
 def ece(pred: PredictionSet, bins: int = 10) -> float:
     """Count-weighted mean of |accuracy - confidence| over the bins."""
-    total = 0.0
-    for b in bin_reliability(pred, bins):
-        if b.count:
-            total += (b.count / pred.n) * abs(b.accuracy - b.mean_conf)
-    return total
+    return _ece_mce(bin_reliability(pred, bins), pred.n)[0]
 
 
 def mce(pred: PredictionSet, bins: int = 10) -> float:
     """Largest |accuracy - confidence| over the non-empty bins."""
-    gaps = [abs(b.accuracy - b.mean_conf) for b in bin_reliability(pred, bins) if b.count]
-    return max(gaps)
+    return _ece_mce(bin_reliability(pred, bins), pred.n)[1]
 
 
 def confidence_table(p_true, thresholds=DEFAULT_THRESHOLDS) -> np.ndarray:
@@ -148,47 +150,21 @@ def confidence_table(p_true, thresholds=DEFAULT_THRESHOLDS) -> np.ndarray:
     return np.bincount(idx, minlength=th.size + 1)
 
 
-def _shifted_exp(z: np.ndarray, tau: float, rowmax: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write exp(z/tau - s) into out and return the row shifts s = rowmax/tau.
-
-    rowmax is z.max(axis=1).  Division by tau > 0 is monotone under
-    round-to-nearest, so rowmax/tau is bitwise the row maximum of z/tau.
-    """
-    np.divide(z, tau, out=out)
-    s = rowmax / tau
-    np.subtract(out, s[:, None], out=out)
-    np.exp(out, out=out)
-    return s
-
-
 class _NllWorkspace:
     """Mean cross-entropy of softmax(z/tau) as a function of tau, for one fit.
 
     Validates the logits and labels, then keeps the row maxima, the
-    true-class logits and one (n, m) buffer that every pass writes into.
-    The objective is a pure function of tau, so each distinct tau is
-    computed once and remembered.
+    true-class logits and an (n, m) and an (n,) buffer that every pass
+    writes into.  The objective is a pure function of tau, so each distinct
+    tau is computed once and remembered.
     """
 
     def __init__(self, logits, labels) -> None:
-        z = np.asarray(logits, dtype=np.float64)
-        y = np.asarray(labels)
-        if z.ndim != 2 or z.shape[1] < 2:
-            raise ValueError("logits must be an (n, m) matrix with m >= 2")
-        if y.shape != (z.shape[0],):
-            raise ValueError("labels must have one entry per logit row")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("all logits must be finite")
-        if y.dtype.kind not in "iu":
-            raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
-        m = z.shape[1]
-        if y.size and (y.min() < 0 or y.max() >= m):
-            raise ValueError(f"labels must lie in [0, {m}), got range [{y.min()}, {y.max()}]")
-        self.z = z
-        self.labels = y
-        self.rowmax = z.max(axis=1)
+        self.z, self.labels = z, y = check_labeled_logits(logits, labels)
+        self.rowmax = z.max(axis=1, keepdims=True)
         self.ztrue = z[np.arange(z.shape[0]), y]
         self.buf = np.empty_like(z)
+        self.lse = np.empty(z.shape[0])
         self.nll: dict[float, float] = {}
 
     def __call__(self, tau: float) -> float:
@@ -197,9 +173,11 @@ class _NllWorkspace:
         return self.nll[tau]
 
     def _pass(self, tau: float) -> float:
-        s = _shifted_exp(self.z, tau, self.rowmax, self.buf)
-        lse = np.log(self.buf.sum(axis=1)) + s
-        return float((lse - self.ztrue / tau).mean())
+        _, s = shifted_exp(self.z, tau, self.rowmax, self.buf)
+        lse = np.log(self.buf.sum(axis=1, out=self.lse), out=self.lse)
+        lse += s[:, 0]
+        lse -= np.divide(self.ztrue, tau, out=s[:, 0])  # s is spent: its memory takes ztrue/tau
+        return float(lse.mean())
 
 
 def _mean_nll(logits, labels, tau: float) -> float:
@@ -247,10 +225,9 @@ def calibration_report(pred: PredictionSet, bins: int = 10,
                        thresholds=DEFAULT_THRESHOLDS) -> CalibrationReport:
     """Bins, ECE, MCE and true-class confidence interval counts in one shot."""
     rel = bin_reliability(pred, bins)
-    e = sum((b.count / pred.n) * abs(b.accuracy - b.mean_conf) for b in rel if b.count)
-    m = max(abs(b.accuracy - b.mean_conf) for b in rel if b.count)
+    e, m = _ece_mce(rel, pred.n)
     counts = confidence_table(pred.p_true, thresholds)
-    return CalibrationReport(tuple(rel), float(e), float(m), tuple(int(c) for c in counts))
+    return CalibrationReport(tuple(rel), e, m, tuple(int(c) for c in counts))
 
 
 def write_reliability_csv(path, bins: list[ReliabilityBin]) -> None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from gradient_decay.calibration import (
     PredictionSet,
-    bin_reliability,
+    bin_reliability,  # noqa: F401  (bench/spans.py wraps this binding)
     calibration_report,
     confidence_table,
     fit_temperature,
@@ -400,7 +400,7 @@ def cmd_calib(args, parser) -> int:
     else:
         sys.stdout.write(text)
     if args.reliability_out:
-        write_reliability_csv(args.reliability_out, bin_reliability(pred, args.bins))
+        write_reliability_csv(args.reliability_out, list(report.bins))
     return 0
 
 

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from gradient_decay.loss import integer_labels
+
 __all__ = [
     "BlobsConfig",
     "Dataset",
@@ -75,7 +77,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         f = np.asarray(self.features, dtype=np.float64)
-        l = np.asarray(self.labels, dtype=np.int64)
+        l = integer_labels(self.labels).astype(np.int64, copy=False)
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", l)
         if f.ndim != 2:

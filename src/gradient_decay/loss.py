@@ -96,6 +96,61 @@ class LossParams:
             raise TypeError("stability must be MaxShift() or FixedShift(u)")
 
 
+def integer_labels(labels) -> np.ndarray:
+    """labels as an array, which must have an integer dtype (floats are not truncated)."""
+    y = np.asarray(labels)
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
+    return y
+
+
+def check_labels(labels, n: int, m: int, rows: str = "logit") -> np.ndarray:
+    """integer_labels(labels), checked to hold one entry per row, each in [0, m)."""
+    y = integer_labels(labels)
+    if y.shape != (n,):
+        raise ValueError(f"labels must have one entry per {rows} row")
+    if y.size and (y.min() < 0 or y.max() >= m):
+        raise ValueError(f"labels must lie in [0, {m}), got range [{y.min()}, {y.max()}]")
+    return y
+
+
+def check_logits(z, ndim: int) -> np.ndarray:
+    """z as float64, checked to be finite: an (m,) vector for ndim 1, an (n, m) matrix for ndim 2; m >= 2."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != ndim or z.shape[-1] < 2:
+        raise ValueError(f"logits must be an {'(m,) vector' if ndim == 1 else '(n, m) matrix'} with m >= 2")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("all logits must be finite")
+    return z
+
+
+def check_labeled_logits(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(z, y): z a finite float64 (n, m) matrix, m >= 2; y integer labels, one per row, in [0, m)."""
+    z = check_logits(logits, 2)
+    return z, check_labels(labels, *z.shape)
+
+
+def shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None):
+    """(exp(z/tau - s), s) with s = zmax/tau, writing the exponentials into out if given.
+
+    zmax is the maximum of z along its last axis, shaped to broadcast against
+    z.  Division by tau > 0 is monotone, so s is bitwise the maximum of z/tau.
+    """
+    out = np.divide(z, tau, out)
+    s = zmax / tau
+    np.subtract(out, s, out)
+    np.exp(out, out)
+    return out, s
+
+
+def stable_softmax(z: np.ndarray, tau: float) -> np.ndarray:
+    """softmax(z/tau) of a checked logit vector, or of each row of a checked logit matrix."""
+    rows = z.ndim > 1
+    e, _ = shifted_exp(z, tau, z.max(axis=-1, keepdims=rows))
+    e /= e.sum(axis=-1, keepdims=rows)
+    return e
+
+
 @dataclass(frozen=True)
 class LabeledLogits:
     """Class scores z for one sample plus the index c of its true class."""
@@ -104,14 +159,9 @@ class LabeledLogits:
     c: int
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.z, dtype=np.float64)
-        object.__setattr__(self, "z", z)
-        if z.ndim != 1 or z.size < 2:
-            raise ValueError("z must be a 1-d array of at least 2 class scores")
-        if not np.all(np.isfinite(z)):
-            raise ValueError("all logits must be finite")
-        if not 0 <= int(self.c) < z.size:
-            raise ValueError(f"class index {self.c} outside [0, {z.size})")
+        object.__setattr__(self, "z", check_logits(self.z, 1))
+        if not 0 <= int(self.c) < self.z.size:
+            raise ValueError(f"class index {self.c} outside [0, {self.z.size})")
         object.__setattr__(self, "c", int(self.c))
 
 
@@ -143,21 +193,10 @@ class BatchEval:
 
 def softmax_probs(z, tau: float = 1.0) -> np.ndarray:
     """Probability vector exp(z_i/tau - s) / sum_j exp(z_j/tau - s), s = max."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.size < 2:
-        raise ValueError("z must be a 1-d array of at least 2 class scores")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("all logits must be finite")
+    z = check_logits(z, 1)
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau!r}")
-    return _softmax(z, tau)
-
-
-def _softmax(z: np.ndarray, tau: float) -> np.ndarray:
-    # softmax_probs without its checks, for logits that are already validated
-    y = z / tau
-    e = np.exp(y - y.max())
-    return e / e.sum()
+    return stable_softmax(z, tau)
 
 
 def beta_ce_loss(x: LabeledLogits, p: LossParams) -> float:
@@ -197,7 +236,7 @@ def beta_ce_eval(x: LabeledLogits, p: LossParams) -> LossEval:
     before the division (denominator only; clamping the numerators would
     break the exact zero sum of the gradient at saturated probabilities).
     """
-    probs = _softmax(x.z, p.tau)
+    probs = stable_softmax(x.z, p.tau)
     pc_raw = float(probs[x.c])
     pc = min(max(pc_raw, P_CLAMP), 1.0 - P_CLAMP)
     denom = p.tau * (1.0 + (p.beta - 1.0) * pc)
@@ -209,24 +248,12 @@ def beta_ce_eval(x: LabeledLogits, p: LossParams) -> LossEval:
 def _batch_exps(Z, y, p: LossParams):
     """Validated shift, exponentials and denominators shared by the batch kernels.
 
-    Returns (rows, W, E, sums, ec, total) with W the shifted, tau-scaled
-    logits, E = exp(W), ec the true-class entries of E and total the loss
-    denominator sums - ec + beta*ec; raises OverflowError where any of these
-    leaves the float64 range.
+    Returns (rows, y, W, E, sums, ec, total) with y the checked labels, W
+    the shifted, tau-scaled logits, E = exp(W), ec the true-class entries of
+    E and total the loss denominator sums - ec + beta*ec; raises
+    OverflowError where any of these leaves the float64 range.
     """
-    Z = np.asarray(Z, dtype=np.float64)
-    y = np.asarray(y)
-    if Z.ndim != 2 or Z.shape[1] < 2:
-        raise ValueError("Z must be (n, m) with m >= 2")
-    if y.shape != (Z.shape[0],):
-        raise ValueError("labels must be a vector matching the rows of Z")
-    if y.dtype.kind not in "iu":
-        raise ValueError(f"labels must have an integer dtype, got {y.dtype}")
-    m = Z.shape[1]
-    if y.size and (y.min() < 0 or y.max() >= m):
-        raise ValueError(f"labels must lie in [0, {m}), got range [{y.min()}, {y.max()}]")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("all logits must be finite")
+    Z, y = check_labeled_logits(Z, y)
     n = Z.shape[0]
     rows = np.arange(n)
 
@@ -247,7 +274,7 @@ def _batch_exps(Z, y, p: LossParams):
     if not np.all(np.isfinite(total)) or np.any(total == 0.0):
         k = int(np.argmax(~np.isfinite(total) | (total == 0.0)))
         raise OverflowError(f"shifted exponentials out of float64 range in row {k}")
-    return rows, W, E, sums, ec, total
+    return rows, y, W, E, sums, ec, total
 
 
 def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
@@ -257,8 +284,7 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
     [0, m).  Row k of the result matches beta_ce_eval(LabeledLogits(Z[k],
     y[k]), p); batch reduction (an unweighted mean) is left to the caller.
     """
-    rows, W, E, sums, ec, total = _batch_exps(Z, y, p)
-    y = np.asarray(y)
+    rows, y, W, E, sums, ec, total = _batch_exps(Z, y, p)
     losses = np.log(total) - W[rows, y]
 
     probs = E / sums[:, None]
@@ -277,8 +303,8 @@ def batch_losses(Z, y, p: LossParams) -> np.ndarray:
     same float operations in the same order.  Validates and range-checks
     exactly as beta_ce_batch does.
     """
-    rows, W, _, _, _, total = _batch_exps(Z, y, p)
-    return np.log(total) - W[rows, np.asarray(y)]
+    rows, y, W, _, _, _, total = _batch_exps(Z, y, p)
+    return np.log(total) - W[rows, y]
 
 
 def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
@@ -287,7 +313,7 @@ def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
     Validates and range-checks exactly as beta_ce_batch does, so a logit
     matrix that beta_ce_batch rejects is rejected here too.
     """
-    _, _, _, sums, ec, _ = _batch_exps(Z, y, p)
+    _, _, _, _, sums, ec, _ = _batch_exps(Z, y, p)
     return np.clip(ec / sums, P_CLAMP, 1.0 - P_CLAMP)
 
 

@@ -184,7 +184,6 @@ class TrainConfig:
     epochs: int = 1
     clip_norm: float | None = None
     seed: int = 0
-    lr_drops: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lr) and self.lr >= 0):
@@ -293,8 +292,6 @@ def train(
     ragged = full.head(n % cfg.batch_size)
     train_acts = [np.empty((n, d)) for d in model.layer_dims[1:]]
     test_acts = None if test_set is None else [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
-    drop_at = {int(frac * cfg.epochs): factor for frac, factor in cfg.lr_drops}
-    lr = cfg.lr
 
     if trace and n > TRACE_LIMIT:
         traced_ids = np.linspace(0, n - 1, TRACE_LIMIT).astype(np.int64)
@@ -308,8 +305,6 @@ def train(
     # a diverging run overflows on its way to non-finite logits; TrainingDiverged reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            if epoch in drop_at:
-                lr *= drop_at[epoch]
             perm = rng.permutation(n)
             loss_sum = 0.0
             for start in range(0, n, cfg.batch_size):
@@ -339,7 +334,7 @@ def train(
                     np.add(v, g, out=v)
                     np.multiply(p, cfg.weight_decay, out=t)
                     np.add(v, t, out=t)
-                    np.multiply(t, lr, out=t)
+                    np.multiply(t, cfg.lr, out=t)
                     np.subtract(p, t, out=p)
                 step += 1
 

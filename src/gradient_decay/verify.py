@@ -139,18 +139,15 @@ def central_diff_grad(f, z, step: float) -> np.ndarray:
 
 
 def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, float]:
-    """(argmax, max) of g over an equispaced grid on [lo, hi]."""
+    """(argmax, max) of g over an equispaced grid on [lo, hi]; g is called once, on the whole grid."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if not (isinstance(points, int) and points >= 3):
         raise ValueError(f"points must be an integer >= 3, got {points!r}")
     grid = np.linspace(lo, hi, points)
-    try:
-        vals = np.asarray(g(grid), dtype=np.float64)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([g(x) for x in grid], dtype=np.float64)
+    vals = np.asarray(g(grid), dtype=np.float64)
+    if vals.shape != grid.shape:
+        raise ValueError(f"g returned shape {vals.shape} for a grid of shape {grid.shape}")
     i = int(np.argmax(vals))
     return float(grid[i]), float(vals[i])
 

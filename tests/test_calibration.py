@@ -20,6 +20,7 @@ from gradient_decay.calibration import (
     mce,
     write_reliability_csv,
 )
+from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_eval, softmax_probs
 
 
 def _single_conf_rows(confidences, correct, m=20):
@@ -149,6 +150,59 @@ class TestPredictionSet:
         with pytest.raises(ValueError):
             PredictionSet(np.array([[0.5, 0.5]]), np.array([2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_rejected(self, bad):
+        # a NaN row sum used to slip past the row-sum check
+        with pytest.raises(ValueError, match="finite"):
+            PredictionSet(np.array([[bad, bad], [0.5, 0.5]]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_logits_rejects_non_finite_logits(self, bad):
+        with pytest.raises(ValueError, match="all logits must be finite"):
+            PredictionSet.from_logits(np.array([[0.0, bad], [1.0, 0.0]]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("make", [
+        lambda labels: PredictionSet(np.array([[0.2, 0.8], [0.6, 0.4]]), labels),
+        lambda labels: PredictionSet.from_logits(np.array([[0.0, 1.0], [1.0, 0.0]]), labels),
+    ], ids=["probs", "from_logits"])
+    def test_float_labels_rejected(self, make):
+        # 1.7 used to be truncated to class 1
+        with pytest.raises(ValueError, match="labels must have an integer dtype"):
+            make(np.array([1.7, 0.0]))
+
+    @pytest.mark.parametrize("logits, labels, message", [
+        ([0.0, 1.0], [0], "logits must be an"),
+        ([[0.0, 1.0], [1.0, 0.0]], [0, 1, 1], "one entry per logit row"),
+        ([[0.0, 1.0], [1.0, 0.0]], [0, 2], r"labels must lie in \[0, 2\)"),
+    ])
+    def test_from_logits_runs_the_logit_matrix_check(self, logits, labels, message):
+        with pytest.raises(ValueError, match=message):
+            PredictionSet.from_logits(np.asarray(logits), np.asarray(labels))
+
+
+def _old_softmax(z, tau):
+    """The scalar-path softmax that loss.py used before the shared kernel, verbatim."""
+    y = z / tau
+    e = np.exp(y - y.max())
+    return e / e.sum()
+
+
+class TestOneSoftmax:
+    """softmax_probs, beta_ce_eval and PredictionSet.from_logits share one softmax."""
+
+    @pytest.mark.parametrize("tau", [1.0, 0.3, 2.392596809686705, 0.05, 40.0])
+    def test_every_softmax_gives_the_same_bits(self, tau):
+        rng = np.random.default_rng(17)
+        params = LossParams(beta=0.5, tau=tau)
+        for m in (2, 3, 10, 50):
+            for scale in (0.01, 1.0, 30.0):
+                z = rng.normal(0.0, scale, m)
+                c = int(rng.integers(m))
+                probs = softmax_probs(z, tau)
+                assert np.array_equal(probs, _old_softmax(z, tau))
+                assert np.array_equal(beta_ce_eval(LabeledLogits(z, c), params).probs, probs)
+                assert np.array_equal(PredictionSet.from_logits(z[None], [c], tau=tau).probs[0], probs)
+
 
 class TestBinReliability:
     def test_single_bin_all_correct(self):
@@ -214,6 +268,13 @@ class TestEceMce:
         assert mce(pred, 10) >= ece(pred, 10) - 1e-15
         assert 0.0 <= ece(pred, 10) <= 1.0
         assert 0.0 <= mce(pred, 10) <= 1.0
+
+    @given(prediction_sets(), st.integers(1, 20))
+    @settings(max_examples=100)
+    def test_report_fields_are_ece_and_mce(self, pred, bins):
+        report = calibration_report(pred, bins=bins)
+        assert report.ece == ece(pred, bins)
+        assert report.mce == mce(pred, bins)
 
     @given(prediction_sets(), st.randoms())
     @settings(max_examples=60)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gradient_decay import calibration, cli
+from gradient_decay.calibration import PredictionSet, calibration_report, write_reliability_csv
 from gradient_decay.cli import main
 
 FAST_SWEEP = [
@@ -202,6 +204,33 @@ class TestCalibCommand:
         assert rec["beta"] == 0.5
         assert 0.05 <= rec["tau_star"] <= 10.0
         assert rel.read_text().splitlines()[0] == "bin_lo,bin_hi,count,mean_conf,accuracy"
+
+    @pytest.mark.parametrize("bins", [10, 7])
+    def test_reliability_out_is_the_report_bins(self, tmp_path, bins):
+        path, _, _ = self._logits_csv(tmp_path)
+        rel = tmp_path / "rel.csv"
+        assert run(["calib", "--logits", str(path), "--bins", str(bins), "--reliability-out", str(rel)]) == 0
+        raw = np.loadtxt(path, delimiter=",", ndmin=2)
+        pred = PredictionSet.from_logits(raw[:, :-1], raw[:, -1].astype(np.int64))
+        want = tmp_path / "want.csv"
+        write_reliability_csv(want, calibration_report(pred, bins=bins).bins)
+        assert rel.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("fit, reports", [([], 1), (["--fit-temperature"], 2)])
+    def test_bins_built_once_per_report(self, tmp_path, monkeypatch, fit, reports):
+        path, _, _ = self._logits_csv(tmp_path)
+        calls = []
+        binning = calibration.bin_reliability
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return binning(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "bin_reliability", counted)
+        monkeypatch.setattr(cli, "bin_reliability", counted)
+        assert run(["calib", "--logits", str(path), "--out", str(tmp_path / "r.json"),
+                    "--reliability-out", str(tmp_path / "rel.csv"), *fit]) == 0
+        assert len(calls) == reports
 
     def test_npz_input(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -73,6 +73,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.full((2, 2), np.nan), np.zeros(2, dtype=int), "train")
 
+    @pytest.mark.parametrize("labels", [[0.0, 1.7, 1.0], [True, False, True]])
+    def test_non_integer_labels_rejected(self, labels):
+        # 1.7 used to be truncated to class 1
+        with pytest.raises(ValueError, match="labels must have an integer dtype"):
+            Dataset(np.zeros((3, 2)), np.array(labels), "train")
+
+    def test_integer_labels_stored_as_int64(self):
+        d = Dataset(np.zeros((3, 2)), np.array([0, 2, 1], dtype=np.uint8), "train")
+        assert d.labels.dtype == np.int64 and list(d.labels) == [0, 2, 1]
+
     def test_properties(self):
         d = Dataset(np.zeros((4, 3)), np.array([0, 1, 2, 1]), "test")
         assert d.n == 4 and d.dim == 3 and d.num_classes == 3

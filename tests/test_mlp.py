@@ -196,15 +196,11 @@ def _reference_train(model, train_set, cfg, loss, warmup=None, test_set=None, tr
     rng = np.random.default_rng(cfg.seed)
     vel_w = [np.zeros_like(W) for W in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
-    drop_at = {int(frac * cfg.epochs): factor for frac, factor in cfg.lr_drops}
-    lr = cfg.lr
     metrics, traces = [], []
     step = 0
     beta_now = loss.beta
     test_logits = None
     for epoch in range(cfg.epochs):
-        if epoch in drop_at:
-            lr *= drop_at[epoch]
         perm = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -231,8 +227,8 @@ def _reference_train(model, train_set, cfg, loss, warmup=None, test_set=None, tr
             for layer in range(len(model.weights)):
                 vel_w[layer] = cfg.momentum * vel_w[layer] + gw[layer]
                 vel_b[layer] = cfg.momentum * vel_b[layer] + gb[layer]
-                model.weights[layer] -= lr * (vel_w[layer] + cfg.weight_decay * model.weights[layer])
-                model.biases[layer] -= lr * (vel_b[layer] + cfg.weight_decay * model.biases[layer])
+                model.weights[layer] -= cfg.lr * (vel_w[layer] + cfg.weight_decay * model.weights[layer])
+                model.biases[layer] -= cfg.lr * (vel_b[layer] + cfg.weight_decay * model.biases[layer])
             step += 1
         train_logits, _ = _reference_forward(model, X)
         try:
@@ -264,8 +260,6 @@ _BITWISE_CASES = {
                              WarmupSchedule(0.01, 1.0, 7)),
     "warmup_per_epoch": ((2, 8, 4), TrainConfig(lr=0.05, momentum=0.9, batch_size=40, epochs=4, seed=2),
                          WarmupSchedule(0.1, 5.0, 2, granularity=Granularity.PER_EPOCH)),
-    "lr_drops": ((2, 8, 4), TrainConfig(lr=0.1, momentum=0.9, weight_decay=1e-4, batch_size=60, epochs=5,
-                                        seed=4, lr_drops=((0.4, 0.1), (0.8, 0.5))), None),
 }
 
 
@@ -429,23 +423,6 @@ class TestTrain:
                     TrainConfig(lr=0.05, momentum=0.9, clip_norm=3.0, epochs=2, batch_size=32, seed=0),
                     LossParams(beta=0.01), trace=False)
         assert len(res.metrics) == 2
-
-    def test_lr_drop_schedule(self):
-        # with a 100% drop factor of 0 at half time, later epochs change nothing
-        train_set, _ = _tiny_blobs()
-        model = MlpModel.init((2, 8, 4), seed=0)
-        cfg = TrainConfig(lr=0.05, epochs=4, batch_size=40, seed=0, lr_drops=((0.5, 0.0),))
-        train(model, train_set, cfg, LossParams(beta=1.0), trace=False)
-        mid = [W.copy() for W in model.weights]
-        cfg2 = TrainConfig(lr=0.05, epochs=2, batch_size=40, seed=0)
-        model2 = MlpModel.init((2, 8, 4), seed=0)
-        train(model2, train_set, cfg2, LossParams(beta=1.0), trace=False)
-        # epochs 2,3 ran with lr 0, so 4-epoch run == 2-epoch run... except the
-        # rng stream differs per epoch; compare against a 4-epoch run instead
-        model3 = MlpModel.init((2, 8, 4), seed=0)
-        train(model3, train_set, cfg, LossParams(beta=1.0), trace=False)
-        for a, b in zip(mid, model3.weights):
-            assert np.array_equal(a, b)
 
     def test_warmup_per_epoch_beta_recorded(self):
         train_set, _ = _tiny_blobs()

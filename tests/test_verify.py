@@ -136,9 +136,23 @@ class TestGridScanExtremum:
         assert arg == pytest.approx(1.0 / 11.0, abs=1e-5)
         assert val == pytest.approx(0.25, abs=1e-9)
 
-    def test_scalar_only_function_falls_back(self):
-        arg, _ = grid_scan_extremum(lambda x: -abs(float(x) - 0.25), 0.0, 1.0, 101)
-        assert arg == pytest.approx(0.25, abs=1e-2)
+    @pytest.mark.parametrize("g, error", [
+        (lambda x: -abs(float(x) - 0.25), TypeError),  # float() of the grid array raises
+        (lambda x: logit_curvature(x, 1.0)[0], ValueError),  # the grid's 0 is outside (0, 1)
+        (lambda x: x[:-1], ValueError),
+        (lambda x: np.ones(()), ValueError),
+    ], ids=["scalar_only", "raises_value_error", "one_value_short", "one_value_in_all"])
+    def test_function_must_evaluate_the_grid(self, g, error):
+        # the error comes back after one call, not after a per-point retry
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return g(x)
+
+        with pytest.raises(error):
+            grid_scan_extremum(counted, 0.0, 1.0, 101)
+        assert len(calls) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
