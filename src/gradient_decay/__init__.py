@@ -1,11 +1,9 @@
 """Gradient-decay softmax cross-entropy: loss analytics, trainer, calibration."""
 
 from gradient_decay.loss import (
-    FixedShift,
     LabeledLogits,
     LossEval,
     LossParams,
-    MaxShift,
     beta_ce_eval,
     beta_ce_loss,
     gradient_magnitude,

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradient_decay.loss import check_labeled_logits, check_labels, shifted_exp, stable_softmax
+from gradient_decay.loss import (
+    check_labeled_logits,
+    check_labels,
+    check_positive_real,
+    shifted_exp,
+    stable_softmax,
+)
 
 __all__ = [
     "PredictionSet",
@@ -51,6 +57,7 @@ class PredictionSet:
 
     @classmethod
     def from_logits(cls, logits, labels, tau: float = 1.0) -> "PredictionSet":
+        check_positive_real("tau", tau)
         z, y = check_labeled_logits(logits, labels)
         return cls(stable_softmax(z, tau), y)
 

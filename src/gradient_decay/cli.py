@@ -175,12 +175,15 @@ def _load_datasets(args, parser):
         ti, tl, vi, vl = mnist_paths(args.mnist_dir)
     except FileNotFoundError as exc:
         parser.error(str(exc))
-    return load_mnist_idx(ti, tl, "train"), load_mnist_idx(vi, vl, "test")
+    train_set = load_mnist_idx(ti, tl, "train")
+    if train_set.n == 0:
+        parser.error(f"{ti} holds no training images")
+    return train_set, load_mnist_idx(vi, vl, "test")
 
 
 def _model_dims(args, train_set, parser) -> tuple[int, ...]:
     dims = (train_set.dim,) + tuple(args.model)
-    classes = int(max(train_set.labels.max(), 0)) + 1
+    classes = train_set.num_classes
     if dims[-1] != classes:
         parser.error(f"model output size {dims[-1]} does not match {classes} classes")
     return dims

@@ -9,6 +9,10 @@ as a soft margin in decision space, and beta controls how fast the gradient
 assigned to a sample decays as its true-class probability p_c rises.  beta=1
 is the standard softmax cross-entropy.
 
+Every kernel subtracts the maximum logit before exponentiating, so each
+sample has one exponential equal to exp(0) = 1: for any finite logits the
+denominator is finite and at least min(beta, 1), and nothing overflows.
+
 Everything here is a pure function of its inputs (no shared state), in 64-bit
 floating point.  The scalar curvature functions accept numpy arrays as well
 and broadcast elementwise.
@@ -22,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "MaxShift",
-    "FixedShift",
     "LossParams",
     "LabeledLogits",
     "LossEval",
@@ -36,6 +38,7 @@ __all__ = [
     "batch_p_true",
     "gradient_magnitude",
     "magnitude_derivatives",
+    "curvature",
     "logit_curvature",
     "inflection_point",
     "local_lipschitz_bound",
@@ -45,32 +48,6 @@ __all__ = [
 # Clamp applied to p_c before it enters any denominator; keeps gradients
 # finite when the softmax saturates in float64.
 P_CLAMP = 1e-12
-
-# exp() overflows float64 just above 709.78; the fixed-shift mode has to
-# refuse logits that would cross it.
-_EXP_ARG_MAX = 709.0
-
-
-@dataclass(frozen=True)
-class MaxShift:
-    """Subtract max(z) from every logit before exponentiation.
-
-    Correct for arbitrary logit scales; this is the default.
-    """
-
-
-@dataclass(frozen=True)
-class FixedShift:
-    """Subtract a fixed constant u from every logit before exponentiation.
-
-    Only safe while all logits stay well below u + ~709; out-of-range logits
-    raise OverflowError.
-    """
-
-    u: float = 70.0
-
-
-Stability = MaxShift | FixedShift
 
 
 @dataclass(frozen=True)
@@ -85,15 +62,16 @@ class LossParams:
 
     beta: float
     tau: float = 1.0
-    stability: Stability = MaxShift()
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.beta, (int, float)) and math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError(f"beta must be a positive finite real, got {self.beta!r}")
-        if not (isinstance(self.tau, (int, float)) and math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be a positive finite real, got {self.tau!r}")
-        if not isinstance(self.stability, (MaxShift, FixedShift)):
-            raise TypeError("stability must be MaxShift() or FixedShift(u)")
+        check_positive_real("beta", self.beta)
+        check_positive_real("tau", self.tau)
+
+
+def check_positive_real(name: str, value) -> None:
+    """Raise ValueError unless value is an int or float that is finite and > 0."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
 
 
 def integer_labels(labels) -> np.ndarray:
@@ -160,7 +138,10 @@ class LabeledLogits:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", check_logits(self.z, 1))
-        if not 0 <= int(self.c) < self.z.size:
+        # an int or numpy integer; a float or bool is not truncated to one
+        if isinstance(self.c, bool) or not isinstance(self.c, (int, np.integer)):
+            raise ValueError(f"class index must be an integer, got {self.c!r}")
+        if not 0 <= self.c < self.z.size:
             raise ValueError(f"class index {self.c} outside [0, {self.z.size})")
         object.__setattr__(self, "c", int(self.c))
 
@@ -169,10 +150,10 @@ class LabeledLogits:
 class LossEval:
     """Loss value, per-logit gradient, probabilities and p_c for one sample.
 
-    Guarantees (in float64, beta in a sane range): probs sums to 1 within
-    1e-12, grad[c] <= 0 with grad[i] >= 0 elsewhere, the gradient sums to 0
-    within 1e-12, and |grad[c]| equals the sum of the other entries.
-    p_true has been clamped to [1e-12, 1 - 1e-12].
+    Guarantees (in float64, for any finite logits, beta in a sane range):
+    probs sums to 1 within 1e-12, grad[c] <= 0 with grad[i] >= 0 elsewhere,
+    the gradient sums to 0 within 1e-12, and |grad[c]| equals the sum of the
+    other entries.  p_true has been clamped to [1e-12, 1 - 1e-12].
     """
 
     loss: float
@@ -200,30 +181,14 @@ def softmax_probs(z, tau: float = 1.0) -> np.ndarray:
 
 
 def beta_ce_loss(x: LabeledLogits, p: LossParams) -> float:
-    """Loss J = log(sum_{i != c} e^{(z_i-u')/tau} + beta e^{(z_c-u')/tau}) - (z_c-u')/tau.
+    """Loss J = log(sum_{i != c} e^{(z_i-u)/tau} + beta e^{(z_c-u)/tau}) - (z_c-u)/tau, u = max(z).
 
-    Shift-invariant in MaxShift mode: adding a constant to every logit moves
-    the result by less than 1e-10.  At beta=1 this is the standard softmax
-    cross-entropy.
+    Shift-invariant: adding a constant to every logit moves the result by
+    less than 1e-10.  At beta=1 this is the standard softmax cross-entropy.
     """
-    if isinstance(p.stability, MaxShift):
-        u = x.z.max()
-    else:
-        u = p.stability.u
-    w = (x.z - u) / p.tau
-    if w.max() > _EXP_ARG_MAX:
-        i = int(np.argmax(w))
-        raise OverflowError(
-            f"logit z[{i}]={x.z[i]!r} overflows exp() under FixedShift(u={p.stability.u!r})"
-        )
+    w = (x.z - x.z.max()) / p.tau
     e = np.exp(w)
     total = e.sum() - e[x.c] + p.beta * e[x.c]
-    if not math.isfinite(total) or total == 0.0:
-        i = int(np.argmax(x.z))
-        raise OverflowError(
-            f"shifted exponentials out of float64 range (worst logit z[{i}]={x.z[i]!r}); "
-            "use MaxShift or adjust FixedShift.u"
-        )
     return float(np.log(total) - w[x.c])
 
 
@@ -249,31 +214,18 @@ def _batch_exps(Z, y, p: LossParams):
     """Validated shift, exponentials and denominators shared by the batch kernels.
 
     Returns (rows, y, W, E, sums, ec, total) with y the checked labels, W
-    the shifted, tau-scaled logits, E = exp(W), ec the true-class entries of
-    E and total the loss denominator sums - ec + beta*ec; raises
-    OverflowError where any of these leaves the float64 range.
+    the tau-scaled logits less their row maximum, E = exp(W), ec the
+    true-class entries of E and total the loss denominator sums - ec +
+    beta*ec.  Every row of E holds a 1, so sums and total are finite and
+    positive.
     """
     Z, y = check_labeled_logits(Z, y)
-    n = Z.shape[0]
-    rows = np.arange(n)
-
-    if isinstance(p.stability, MaxShift):
-        u = Z.max(axis=1, keepdims=True)
-    else:
-        u = np.full((n, 1), p.stability.u)
-    W = (Z - u) / p.tau
-    if W.max() > _EXP_ARG_MAX:
-        k, i = np.unravel_index(int(np.argmax(W)), W.shape)
-        raise OverflowError(
-            f"logit Z[{k},{i}]={Z[k, i]!r} overflows exp() under FixedShift(u={p.stability.u!r})"
-        )
+    rows = np.arange(Z.shape[0])
+    W = (Z - Z.max(axis=1, keepdims=True)) / p.tau
     E = np.exp(W)
     sums = E.sum(axis=1)
     ec = E[rows, y]
     total = sums - ec + p.beta * ec
-    if not np.all(np.isfinite(total)) or np.any(total == 0.0):
-        k = int(np.argmax(~np.isfinite(total) | (total == 0.0)))
-        raise OverflowError(f"shifted exponentials out of float64 range in row {k}")
     return rows, y, W, E, sums, ec, total
 
 
@@ -300,8 +252,8 @@ def batch_losses(Z, y, p: LossParams) -> np.ndarray:
     """The losses column of beta_ce_batch(Z, y, p), bitwise, without probs or gradients.
 
     Row k equals beta_ce_loss(LabeledLogits(Z[k], y[k]), p) bitwise: the
-    same float operations in the same order.  Validates and range-checks
-    exactly as beta_ce_batch does.
+    same float operations in the same order.  Validates exactly as
+    beta_ce_batch does.
     """
     rows, y, W, _, _, _, total = _batch_exps(Z, y, p)
     return np.log(total) - W[rows, y]
@@ -310,8 +262,8 @@ def batch_losses(Z, y, p: LossParams) -> np.ndarray:
 def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
     """The p_true column of beta_ce_batch(Z, y, p), bitwise, without losses or gradients.
 
-    Validates and range-checks exactly as beta_ce_batch does, so a logit
-    matrix that beta_ce_batch rejects is rejected here too.
+    Depends on p only through tau.  Validates exactly as beta_ce_batch does,
+    so a logit matrix that beta_ce_batch rejects is rejected here too.
     """
     _, _, _, _, sums, ec, _ = _batch_exps(Z, y, p)
     return np.clip(ec / sums, P_CLAMP, 1.0 - P_CLAMP)
@@ -352,17 +304,33 @@ def magnitude_derivatives(p_c, beta):
     return -beta / d**2, 2.0 * beta * (beta - 1.0) / d**3
 
 
+def _d2j(p, beta):
+    # (d2J, d): d2J = beta p (1-p) / d^2 with d = 1 + (beta-1) p, unchecked;
+    # finite on the closed interval [0, 1]
+    d = 1.0 + (beta - 1.0) * p
+    return beta * p * (1.0 - p) / d**2, d
+
+
+def curvature(p_c, beta):
+    """d2J = beta p (1-p) / (1 + (beta-1) p)^2, the curvature of J in z_c at tau=1.
+
+    Bitwise the first element of logit_curvature(p_c, beta), without
+    computing d3J.  Positive on (0, 1), with its peak 1/4 at p = 1/(1+beta).
+    """
+    _check_beta(beta)
+    return _d2j(_check_prob_open(p_c), beta)[0]
+
+
 def logit_curvature(p_c, beta):
     """Second and third derivatives of J with respect to z_c, at tau=1.
 
-    d2J = beta p (1-p) / (1 + (beta-1) p)^2       (positive on (0, 1))
+    d2J = curvature(p_c, beta)
     d3J = d2J / (1 + (beta-1) p) * (1 - (1+beta) p)
     d3J changes sign at p = 1/(1+beta), where d2J peaks at exactly 1/4.
     """
     _check_beta(beta)
     p = _check_prob_open(p_c)
-    d = 1.0 + (beta - 1.0) * p
-    d2j = beta * p * (1.0 - p) / d**2
+    d2j, d = _d2j(p, beta)
     return d2j, d2j / d * (1.0 - (1.0 + beta) * p)
 
 
@@ -370,12 +338,6 @@ def inflection_point(beta) -> float:
     """p_c = 1/(1+beta): the confidence at which d2J attains its maximum 1/4."""
     _check_beta(beta)
     return 1.0 / (1.0 + beta)
-
-
-def _curvature_closed(p: float, beta: float) -> float:
-    # beta p (1-p) / (1 + (beta-1) p)^2, valid on the closed interval [0, 1]
-    d = 1.0 + (beta - 1.0) * p
-    return beta * p * (1.0 - p) / (d * d)
 
 
 def local_lipschitz_bound(beta, p_lo: float, p_hi: float) -> float:
@@ -391,7 +353,7 @@ def local_lipschitz_bound(beta, p_lo: float, p_hi: float) -> float:
         raise ValueError(f"need 0 <= p_lo < p_hi <= 1, got [{p_lo!r}, {p_hi!r}]")
     if p_lo <= inflection_point(beta) <= p_hi:
         return 0.25
-    return max(_curvature_closed(p_lo, beta), _curvature_closed(p_hi, beta))
+    return max(_d2j(p_lo, beta)[0], _d2j(p_hi, beta)[0])
 
 
 def suggested_learning_rate(beta, p_lo: float, p_hi: float) -> float:

@@ -316,12 +316,12 @@ def train(
                 if warmup is not None:
                     t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
                     beta_now = warmup.beta_at(t)
-                    step_loss = LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability)
+                    step_loss = LossParams(beta=beta_now, tau=loss.tau)
                 else:
                     step_loss = loss
                 try:
                     batch_loss = _gradients(model, batch, grads, step_loss)
-                except (ValueError, OverflowError) as exc:
+                except ValueError as exc:
                     # exploded parameters produce non-finite logits one step later
                     raise TrainingDiverged(epoch, start // cfg.batch_size) from exc
                 if not math.isfinite(batch_loss):
@@ -340,9 +340,8 @@ def train(
 
             train_logits = model.forward(X, train_acts)
             try:
-                p_true = batch_p_true(train_logits, y,
-                                      LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability))
-            except (ValueError, OverflowError) as exc:
+                p_true = batch_p_true(train_logits, y, loss)  # depends on tau, not on beta
+            except ValueError as exc:
                 raise TrainingDiverged(epoch, (n - 1) // cfg.batch_size) from exc
             train_acc = float((train_logits.argmax(axis=1) == y).mean())
             mean_conf = float(p_true.mean())

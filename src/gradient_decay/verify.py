@@ -28,6 +28,7 @@ from gradient_decay.loss import (
     batch_losses,
     beta_ce_eval,
     beta_ce_loss,
+    curvature,
     gradient_magnitude,
     inflection_point,
     logit_curvature,
@@ -294,7 +295,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
 
         # Grid scan must find the curvature peak of exactly 1/4 at 1/(1+beta).
         arg, val = grid_scan_extremum(
-            lambda p: logit_curvature(p, b)[0], _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS
+            lambda p: curvature(p, b), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS
         )
         add("curvature_peak_location", b, 1e-5, abs(arg - inflection_point(b)))
         add("curvature_peak_value", b, 1e-9, abs(val - 0.25))
@@ -315,7 +316,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
                 z2 = z.copy()
                 z2[c] = t
                 p2 = float(np.exp(z2[c] - z2.max()) / np.exp(z2 - z2.max()).sum())
-                return float(logit_curvature(p2, b)[0])
+                return float(curvature(p2, b))
 
             fd2 = (grad_c(z[c] + h) - grad_c(z[c] - h)) / (2.0 * h)
             fd3 = (curv(z[c] + h) - curv(z[c] - h)) / (2.0 * h)

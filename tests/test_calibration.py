@@ -156,6 +156,12 @@ class TestPredictionSet:
         with pytest.raises(ValueError, match="finite"):
             PredictionSet(np.array([[bad, bad], [0.5, 0.5]]), np.array([0, 1]))
 
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, -0.0, np.inf, np.nan, "1", None])
+    def test_from_logits_rejects_a_bad_temperature(self, tau):
+        # tau=-1 used to return the softmax of -z, tau=inf uniform rows
+        with pytest.raises(ValueError, match="tau must be a positive finite real"):
+            PredictionSet.from_logits(np.array([[0.0, 3.0]]), np.array([1]), tau=tau)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_logits_rejects_non_finite_logits(self, bad):
         with pytest.raises(ValueError, match="all logits must be finite"):

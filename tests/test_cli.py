@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gradient_decay import calibration, cli
 from gradient_decay.calibration import PredictionSet, calibration_report, write_reliability_csv
 from gradient_decay.cli import main
+from gradient_decay.datasets import write_idx_images, write_idx_labels
 
 FAST_SWEEP = [
     "--dataset", "blobs", "--epochs", "3", "--lr", "0.05", "--batch", "50",
@@ -148,6 +149,19 @@ class TestSweepCommand:
             run(["sweep", "--betas", "1", "--dataset", "mnist",
                  "--mnist-dir", str(tmp_path / "nowhere"), "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["sweep", "--betas", "1"], ["trace", "--beta", "1"]])
+    def test_empty_mnist_training_set_is_usage_error(self, tmp_path, capsys, forbid_work, command):
+        # sweep used to end in a numpy "zero-size array" traceback, trace in a --groups message
+        rng = np.random.default_rng(0)
+        write_idx_images(tmp_path / "train-images-idx3-ubyte", np.zeros((0, 2, 2), dtype=np.uint8))
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte", np.zeros(0, dtype=np.uint8))
+        write_idx_images(tmp_path / "t10k-images-idx3-ubyte", rng.integers(0, 256, (4, 2, 2), dtype=np.uint8))
+        write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", np.array([0, 1, 2, 1], dtype=np.uint8))
+        argv = command + ["--dataset", "mnist", "--mnist-dir", str(tmp_path), "--model", "3",
+                          "--epochs", "1", "--out", str(tmp_path / "x")]
+        assert_usage_error(argv, capsys, f"{tmp_path / 'train-images-idx3-ubyte'} holds no training images")
+        assert not (tmp_path / "x").exists()
 
 
 class TestTraceCommand:

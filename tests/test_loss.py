@@ -1,5 +1,6 @@
 """Unit and property tests for the gradient-decay loss core."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,15 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradient_decay.loss import (
-    FixedShift,
     LabeledLogits,
     LossParams,
-    MaxShift,
     batch_losses,
     batch_p_true,
     beta_ce_batch,
     beta_ce_eval,
     beta_ce_loss,
+    curvature,
     gradient_magnitude,
     inflection_point,
     local_lipschitz_bound,
@@ -136,28 +136,6 @@ class TestBetaCeLoss:
             ref = math.log(np.exp(z - z.max()).sum()) + z.max() - z[c]
             assert j == pytest.approx(ref, abs=1e-12)
 
-    def test_fixed_shift_matches_max_shift_on_moderate_logits(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            z = rng.uniform(-30, 30, 8)
-            x = LabeledLogits(z, 3)
-            a = beta_ce_loss(x, LossParams(beta=0.3, stability=MaxShift()))
-            b = beta_ce_loss(x, LossParams(beta=0.3, stability=FixedShift(70.0)))
-            assert abs(a - b) < 1e-10
-
-    def test_fixed_shift_default_is_70(self):
-        assert FixedShift().u == 70.0
-
-    def test_fixed_shift_overflow_names_offending_logit(self):
-        z = np.array([0.0, 1000.0, 0.0])
-        with pytest.raises(OverflowError, match=r"z\[1\]"):
-            beta_ce_loss(LabeledLogits(z, 0), LossParams(beta=1.0, stability=FixedShift(70.0)))
-
-    def test_fixed_shift_underflow_is_a_range_error(self):
-        z = np.array([-900.0, -905.0])
-        with pytest.raises(OverflowError):
-            beta_ce_loss(LabeledLogits(z, 0), LossParams(beta=1.0, stability=FixedShift(70.0)))
-
 
 class TestBetaCeEval:
     def test_uniform_logits_standard_ce(self):
@@ -208,8 +186,7 @@ class TestBatchEval:
         rng = np.random.default_rng(3)
         Z = rng.uniform(-6, 6, (40, 7))
         y = rng.integers(0, 7, 40)
-        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5),
-                       LossParams(beta=1.0, stability=FixedShift(70.0))):
+        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5), LossParams(beta=1.0)):
             be = beta_ce_batch(Z, y, params)
             for k in range(Z.shape[0]):
                 ev = beta_ce_eval(LabeledLogits(Z[k], int(y[k])), params)
@@ -234,26 +211,25 @@ class TestBatchEval:
         rng = np.random.default_rng(4)
         Z = rng.uniform(-30, 30, (50, 6))
         y = rng.integers(0, 6, 50).astype(np.uint8)
-        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5),
-                       LossParams(beta=1.0, stability=FixedShift(70.0))):
+        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5), LossParams(beta=1.0)):
             assert np.array_equal(batch_p_true(Z, y, params), beta_ce_batch(Z, y, params).p_true)
 
     def test_losses_kernel_is_bitwise_the_batch_column(self):
         rng = np.random.default_rng(5)
         Z = rng.uniform(-30, 30, (50, 6))
         y = rng.integers(0, 6, 50)
-        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5),
-                       LossParams(beta=1.0, stability=FixedShift(70.0))):
+        for params in (LossParams(beta=0.1), LossParams(beta=5.0, tau=0.5), LossParams(beta=1.0)):
             assert np.array_equal(batch_losses(Z, y, params), beta_ce_batch(Z, y, params).losses)
 
-    @pytest.mark.parametrize("stability", [MaxShift(), FixedShift(70.0)], ids=["max", "fixed"])
+    @pytest.mark.parametrize("offset", [0.0, 1000.0], ids=["max", "large"])
     @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
-    def test_losses_rows_are_bitwise_the_scalar_loss(self, stability, tau):
+    def test_losses_rows_are_bitwise_the_scalar_loss(self, offset, tau):
         # verify's finite differences read batch_losses rows where they used to
         # call beta_ce_loss per row; its report stays byte-identical only if
-        # every row is the same float64 value.
+        # every row is the same float64 value.  Both subtract the row maximum,
+        # so logits near 0 ("max") and near 1000, where exp() of an unshifted
+        # logit overflows ("large"), must agree alike.
         rng = np.random.default_rng(6)
-        offset = 0.0 if isinstance(stability, MaxShift) else stability.u
         for m in range(2, 21):
             z = offset + rng.uniform(-5.0, 5.0, m)
             perturbed = np.tile(z, (2 * m, 1))
@@ -262,20 +238,40 @@ class TestBatchEval:
             Z = np.vstack([perturbed, offset + rng.uniform(-5.0, 5.0, (8, m))])
             y = rng.integers(0, m, Z.shape[0])
             for beta in (0.01, 0.37, 1.0, 20.0):
-                params = LossParams(beta=beta, tau=tau, stability=stability)
+                params = LossParams(beta=beta, tau=tau)
                 losses = batch_losses(Z, y, params)
                 for k in range(Z.shape[0]):
                     assert losses[k] == beta_ce_loss(LabeledLogits(Z[k], int(y[k])), params)
 
     @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true, batch_losses])
     def test_range_checks_shared(self, kernel):
-        fixed = LossParams(beta=1.0, stability=FixedShift(70.0))
-        with pytest.raises(OverflowError, match="overflows exp"):
-            kernel(np.array([[800.0, 0.0]]), np.array([0]), fixed)
-        with pytest.raises(OverflowError, match="out of float64 range"):
-            kernel(np.array([[-700.0, -700.0]]), np.array([0]), fixed)
         with pytest.raises(ValueError, match="finite"):
             kernel(np.array([[np.inf, 0.0]]), np.array([0]), LossParams(beta=1.0))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_extreme_logits_keep_the_denominator_in_range(self, m):
+        # Subtracting the row maximum leaves one exp(0) = 1 in every row, so the
+        # loss denominator lies in [min(beta, 1), m + beta], up to rounding, whatever the logits:
+        # the loss is never NaN and never below log(min(beta, 1)).
+        big = np.finfo(np.float64).max
+        vals = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, big, -big, 700.0, -745.0, 1e-300]
+        Z = np.repeat(np.array(list(itertools.product(vals, repeat=m))), m, axis=0)
+        y = np.tile(np.arange(m), len(Z) // m)
+        # big - (-big) is inf before the division by tau; at tau 5e-324 the
+        # gradients' denominator tau * (1 + (beta-1) p_c) underflows, so only
+        # the losses and p_true are checked here
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for beta in (5e-324, 1e-8, 0.5, 1.0, 20.0, 1e300, big):
+                for tau in (5e-324, 1e-300, 0.01, 1.0, 1e300):
+                    params = LossParams(beta=beta, tau=tau)
+                    losses = batch_losses(Z, y, params)
+                    assert not np.isnan(losses).any()
+                    assert np.all(losses >= math.log(min(beta, 1.0)) - 1e-12)
+                    assert np.array_equal(beta_ce_batch(Z, y, params).losses, losses)
+                    p_true = batch_p_true(Z, y, params)
+                    assert np.all((p_true >= 1e-12) & (p_true <= 1.0 - 1e-12))
+                    for k in range(0, len(Z), 97):
+                        assert beta_ce_loss(LabeledLogits(Z[k], int(y[k])), params) == losses[k]
 
 
 class TestGradientMagnitude:
@@ -370,6 +366,24 @@ class TestLogitCurvature:
         assert np.all(d3[p > star + 1e-9] < 0)
 
 
+class TestCurvature:
+    @given(betas)
+    @settings(max_examples=50)
+    def test_is_bitwise_the_first_element_of_logit_curvature(self, beta):
+        p = np.linspace(1e-6, 1 - 1e-6, 10_001)
+        assert np.array_equal(curvature(p, beta), logit_curvature(p, beta)[0])
+        for q in p[::500]:
+            assert curvature(float(q), beta) == logit_curvature(float(q), beta)[0]
+
+    def test_domain(self):
+        for p in (0.0, 1.0, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="p_c"):
+                curvature(p, 1.0)
+        for beta in (0.0, -1.0, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                curvature(0.5, beta)
+
+
 class TestInflectionPoint:
     def test_values(self):
         assert inflection_point(1.0) == 0.5
@@ -458,3 +472,16 @@ class TestParamValidation:
             LabeledLogits(np.array([1.0, 2.0]), 2)
         with pytest.raises(ValueError):
             LabeledLogits(np.array([1.0, 2.0]), -1)
+
+    @pytest.mark.parametrize("c", [1.7, 1.0, True, np.bool_(True), np.float64(1.0), "1", None],
+                             ids=["1.7", "1.0", "True", "np.True_", "np.float64", "str", "None"])
+    def test_class_index_must_be_an_integer(self, c):
+        # 1.7 and True used to be cast to class 1
+        with pytest.raises(ValueError, match="class index must be an integer"):
+            LabeledLogits(np.array([0.0, 1.0, 2.0]), c)
+
+    @pytest.mark.parametrize("c", [1, np.int64(1), np.uint8(1), np.int32(1)],
+                             ids=["int", "np.int64", "np.uint8", "np.int32"])
+    def test_integer_class_index_becomes_an_int(self, c):
+        x = LabeledLogits(np.array([0.0, 1.0, 2.0]), c)
+        assert x.c == 1 and type(x.c) is int

@@ -208,12 +208,12 @@ def _reference_train(model, train_set, cfg, loss, warmup=None, test_set=None, tr
             if warmup is not None:
                 t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
                 beta_now = warmup.beta_at(t)
-                params = LossParams(beta=beta_now, tau=loss.tau, stability=loss.stability)
+                params = LossParams(beta=beta_now, tau=loss.tau)
             else:
                 params = loss
             try:
                 batch_loss, gw, gb = _reference_grads(model, X[idx], y[idx], params)
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise TrainingDiverged(epoch, start // cfg.batch_size) from exc
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(epoch, start // cfg.batch_size)
@@ -232,9 +232,8 @@ def _reference_train(model, train_set, cfg, loss, warmup=None, test_set=None, tr
             step += 1
         train_logits, _ = _reference_forward(model, X)
         try:
-            be = beta_ce_batch(train_logits, y, LossParams(beta=beta_now, tau=loss.tau,
-                                                           stability=loss.stability))
-        except (ValueError, OverflowError) as exc:
+            be = beta_ce_batch(train_logits, y, LossParams(beta=beta_now, tau=loss.tau))
+        except ValueError as exc:
             raise TrainingDiverged(epoch, (n - 1) // cfg.batch_size) from exc
         traces.append(be.p_true)
         test_acc = float("nan")
