@@ -16,6 +16,7 @@ import numpy as np
 
 from gradient_decay.loss import (
     check_labeled_logits,
+    check_int,
     check_labels,
     check_positive_real,
     shifted_exp,
@@ -105,8 +106,7 @@ def _bin_index(confidences: np.ndarray, bins: int) -> np.ndarray:
 
 def bin_reliability(pred: PredictionSet, bins: int = 10) -> list[ReliabilityBin]:
     """Equal-width reliability bins on (0, 1]."""
-    if not (isinstance(bins, int) and bins >= 1):
-        raise ValueError(f"bins must be a positive integer, got {bins!r}")
+    check_int("bins", bins, 1)
     conf = pred.confidences
     correct = (pred.predicted == pred.labels).astype(np.float64)
     idx = _bin_index(conf, bins)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 import zipfile
@@ -38,13 +37,14 @@ from gradient_decay.calibration import (
     fit_temperature,
     write_reliability_csv,
 )
-from gradient_decay.datasets import BlobsConfig, load_mnist_idx, make_blobs, mnist_paths
+from gradient_decay.datasets import BlobsConfig, IdxFormatError, load_mnist_idx, make_blobs, mnist_paths
 from gradient_decay.loss import LossParams, beta_ce_batch  # noqa: F401  (bench/spans.py wraps this binding)
 from gradient_decay.mlp import (
     TRACE_LIMIT,
     MlpModel,
     TrainConfig,
     TrainingDiverged,
+    check_fits,
     difficulty_groups,
     train,
     write_metrics_csv,
@@ -58,9 +58,12 @@ __all__ = ["main", "entry", "build_parser"]
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in str(text).split(",") if v.strip() != ""]
+        values = [float(v) for v in str(text).split(",") if v.strip() != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}")
+    return values
 
 
 def _dims(text: str) -> tuple[int, ...]:
@@ -116,11 +119,6 @@ def _build(parser, make, flags=None, **fields):
         parser.error(msg)
 
 
-def _check_betas(args, parser) -> None:
-    if not args.betas or not all(math.isfinite(b) and b > 0 for b in args.betas):
-        parser.error("--betas must all be positive finite reals")
-
-
 def _check_bins(args, parser) -> None:
     if args.bins < 1:
         parser.error(f"--bins must be at least 1, got {args.bins}")
@@ -156,6 +154,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_datasets(args, parser):
+    """(train set, test set, layer sizes) with a model shape that fits both sets, or a usage error."""
     if args.dataset == "blobs":
         seed_flag = "--seed" if args.blob_seed is None else "--blob-seed"
         cfg = _build(
@@ -170,23 +169,25 @@ def _load_datasets(args, parser):
             radius=args.blob_radius,
             seed=args.seed if args.blob_seed is None else args.blob_seed,
         )
-        return make_blobs(cfg)
-    try:
-        ti, tl, vi, vl = mnist_paths(args.mnist_dir)
-    except FileNotFoundError as exc:
-        parser.error(str(exc))
-    train_set = load_mnist_idx(ti, tl, "train")
-    if train_set.n == 0:
-        parser.error(f"{ti} holds no training images")
-    return train_set, load_mnist_idx(vi, vl, "test")
-
-
-def _model_dims(args, train_set, parser) -> tuple[int, ...]:
+        (train_set, test_set), test_files = make_blobs(cfg), "the blobs test split"
+    else:
+        try:
+            ti, tl, vi, vl = mnist_paths(args.mnist_dir)
+            train_set, test_set = load_mnist_idx(ti, tl, "train"), load_mnist_idx(vi, vl, "test")
+        except (FileNotFoundError, IdxFormatError) as exc:  # an IdxFormatError names its file
+            parser.error(str(exc))
+        for images, data, what in ((ti, train_set, "training"), (vi, test_set, "test")):
+            if data.n == 0:
+                parser.error(f"{images} holds no {what} images")
+        test_files = f"{vi}, {vl}"
     dims = (train_set.dim,) + tuple(args.model)
-    classes = train_set.num_classes
-    if dims[-1] != classes:
-        parser.error(f"model output size {dims[-1]} does not match {classes} classes")
-    return dims
+    if dims[-1] != train_set.num_classes:
+        parser.error(f"model output size {dims[-1]} does not match {train_set.num_classes} classes")
+    try:
+        check_fits(dims, test_set)
+    except ValueError as exc:
+        parser.error(f"{test_files}: {exc}")
+    return train_set, test_set, dims
 
 
 def _train_config(args, train_set, parser) -> TrainConfig:
@@ -225,7 +226,8 @@ def _warmup_from_args(args, parser) -> WarmupSchedule | None:
 
 
 def cmd_verify(args, parser) -> int:
-    _check_betas(args, parser)
+    for b in args.betas:
+        _build(parser, LossParams, {"beta": "--betas"}, beta=b)
     fd = _build(parser, FdConfig, step=args.step, rel_tol=args.rel_tol, trials=args.trials, seed=args.seed)
     report = verify_all(fd, args.betas)
     text = report.to_json_lines() + "\n"
@@ -274,7 +276,6 @@ def _write_conftable_csv(path, counts) -> None:
 
 
 def cmd_sweep(args, parser) -> int:
-    _check_betas(args, parser)
     _check_bins(args, parser)
     warmup = _warmup_from_args(args, parser)
     runs: list[tuple[object, LossParams, WarmupSchedule | None]] = [
@@ -282,8 +283,7 @@ def cmd_sweep(args, parser) -> int:
     ]
     if warmup is not None:
         runs.append(("warmup", LossParams(beta=warmup.beta_initial, tau=args.tau), warmup))
-    train_set, test_set = _load_datasets(args, parser)
-    dims = _model_dims(args, train_set, parser)
+    train_set, test_set, dims = _load_datasets(args, parser)
     cfg = _train_config(args, train_set, parser)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,11 +314,10 @@ def cmd_sweep(args, parser) -> int:
 
 def cmd_trace(args, parser) -> int:
     params = _build(parser, LossParams, beta=args.beta, tau=args.tau)
-    train_set, test_set = _load_datasets(args, parser)
+    train_set, test_set, dims = _load_datasets(args, parser)
     traced = min(train_set.n, TRACE_LIMIT)
     if not 1 <= args.groups <= traced:
         parser.error(f"--groups must lie between 1 and the {traced} traced samples, got {args.groups}")
-    dims = _model_dims(args, train_set, parser)
     cfg = _train_config(args, train_set, parser)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -343,7 +342,7 @@ def cmd_trace(args, parser) -> int:
 
 
 def _load_logits_file(path, parser):
-    """(logits, int64 labels) from a CSV or .npz file; a usage error if either is unusable."""
+    """(logits, labels, their PredictionSet) from a CSV or .npz file; a usage error if either is unusable."""
     p = Path(path)
     if not p.exists():
         parser.error(f"logits file not found: {p}")
@@ -363,22 +362,24 @@ def _load_logits_file(path, parser):
         if raw.shape[1] < 3:
             parser.error(f"{p}: need at least two logit columns plus a label column")
         logits, labels = raw[:, :-1], raw[:, -1]
-    if logits.ndim != 2 or logits.shape[0] < 1 or logits.shape[1] < 2 or labels.shape != logits.shape[:1]:
-        parser.error(f"{p}: need a non-empty (n, m) logit matrix, m >= 2, and one label per row")
-    if not np.all(np.isfinite(logits)):
-        parser.error(f"{p}: logits must be finite")
-    m = logits.shape[1]
-    if not np.all((labels >= 0) & (labels < m) & (labels == np.floor(labels))):
-        parser.error(f"{p}: labels must be whole numbers in [0, {m})")
-    return logits, labels.astype(np.int64)
+    if labels.dtype.kind == "f":  # a CSV column, or float labels saved to .npz
+        with np.errstate(invalid="ignore"):  # nan, inf and huge values do not survive the cast
+            whole = labels.astype(np.int64)
+        bad = labels[whole != labels]
+        if bad.size:
+            parser.error(f"{p}: labels must be whole numbers in the int64 range, got {float(bad[0])!r}")
+        labels = whole
+    try:
+        return logits, labels, PredictionSet.from_logits(logits, labels)
+    except ValueError as exc:  # check_labeled_logits, or no rows at all
+        parser.error(f"{p}: {exc}")
 
 
 def cmd_calib(args, parser) -> int:
     _check_bins(args, parser)
     if args.beta is not None:
         _build(parser, LossParams, beta=args.beta)
-    logits, labels = _load_logits_file(args.logits, parser)
-    pred = PredictionSet.from_logits(logits, labels)
+    logits, labels, pred = _load_logits_file(args.logits, parser)
     report = calibration_report(pred, bins=args.bins)
     payload = {
         "beta": args.beta,

@@ -10,12 +10,13 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from gradient_decay.loss import integer_labels
+from gradient_decay.loss import check_int, check_positive_real, integer_labels
 
 __all__ = [
     "BlobsConfig",
@@ -53,18 +54,12 @@ class BlobsConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.classes < 2:
-            raise ValueError(f"need at least 2 classes, got {self.classes}")
-        if self.dim < 2:
-            raise ValueError(f"need dim >= 2, got {self.dim}")
-        if self.n_per_class < 1:
-            raise ValueError(f"n_per_class must be positive, got {self.n_per_class}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        check_int("classes", self.classes, 2)
+        check_int("dim", self.dim, 2)
+        check_int("n_per_class", self.n_per_class, 1)
+        check_positive_real("sigma", self.sigma)
+        check_positive_real("radius", self.radius)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -145,8 +140,11 @@ class IdxCountMismatch(IdxFormatError):
 
 def _read_bytes(path) -> bytes:
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rb") as f:
-        return f.read()
+    try:
+        with opener(path, "rb") as f:
+            return f.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:  # not gzip, cut short, or corrupt
+        raise IdxFormatError(path, 0, f"unreadable gzip data: {exc}") from exc
 
 
 def _read_be32(raw: bytes, offset: int, path) -> int:

@@ -49,6 +49,10 @@ __all__ = [
 # finite when the softmax saturates in float64.
 P_CLAMP = 1e-12
 
+# scalar types the parameter checkers accept; bool, an int subclass, is rejected on its own
+_INTS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
 
 @dataclass(frozen=True)
 class LossParams:
@@ -69,9 +73,15 @@ class LossParams:
 
 
 def check_positive_real(name: str, value) -> None:
-    """Raise ValueError unless value is an int or float that is finite and > 0."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    """Raise ValueError unless value is a finite real number > 0: numpy scalars pass, a bool does not."""
+    if isinstance(value, bool) or not (isinstance(value, _REALS) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an integer >= least: numpy integers pass, a bool or float does not."""
+    if isinstance(value, bool) or not (isinstance(value, _INTS) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def integer_labels(labels) -> np.ndarray:
@@ -113,10 +123,15 @@ def shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None):
 
     zmax is the maximum of z along its last axis, shaped to broadcast against
     z.  Division by tau > 0 is monotone, so s is bitwise the maximum of z/tau.
+    If s overflows anywhere, which takes tau < 1, inf - inf would give NaN
+    there, so all exponents are taken as (z - zmax)/tau instead: finite or -inf.
     """
     out = np.divide(z, tau, out)
     s = zmax / tau
-    np.subtract(out, s, out)
+    if tau < 1.0 and not np.isfinite(s).all():
+        np.divide(np.subtract(z, zmax, out), tau, out)
+    else:
+        np.subtract(out, s, out)
     np.exp(out, out)
     return out, s
 
@@ -138,10 +153,8 @@ class LabeledLogits:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", check_logits(self.z, 1))
-        # an int or numpy integer; a float or bool is not truncated to one
-        if isinstance(self.c, bool) or not isinstance(self.c, (int, np.integer)):
-            raise ValueError(f"class index must be an integer, got {self.c!r}")
-        if not 0 <= self.c < self.z.size:
+        check_int("class index", self.c, 0)
+        if self.c >= self.z.size:
             raise ValueError(f"class index {self.c} outside [0, {self.z.size})")
         object.__setattr__(self, "c", int(self.c))
 
@@ -175,8 +188,7 @@ class BatchEval:
 def softmax_probs(z, tau: float = 1.0) -> np.ndarray:
     """Probability vector exp(z_i/tau - s) / sum_j exp(z_j/tau - s), s = max."""
     z = check_logits(z, 1)
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
+    check_positive_real("tau", tau)
     return stable_softmax(z, tau)
 
 
@@ -269,11 +281,6 @@ def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
     return np.clip(ec / sums, P_CLAMP, 1.0 - P_CLAMP)
 
 
-def _check_beta(beta) -> None:
-    if not (np.isscalar(beta) and math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be a positive finite real, got {beta!r}")
-
-
 def _check_prob_open(p_c):
     p = np.asarray(p_c, dtype=np.float64)
     if not np.all((p > 0.0) & (p < 1.0)):
@@ -287,7 +294,7 @@ def gradient_magnitude(p_c, beta):
     Strictly decreasing in p_c with G in (0, 1); the total gradient mass a
     sample receives at confidence p_c.
     """
-    _check_beta(beta)
+    check_positive_real("beta", beta)
     p = _check_prob_open(p_c)
     return (1.0 - p) / (1.0 + (beta - 1.0) * p)
 
@@ -298,7 +305,7 @@ def magnitude_derivatives(p_c, beta):
     dG = -beta / (1 + (beta-1) p_c)^2           (negative everywhere)
     d2G = 2 beta (beta-1) / (1 + (beta-1) p_c)^3 (sign of beta-1)
     """
-    _check_beta(beta)
+    check_positive_real("beta", beta)
     p = _check_prob_open(p_c)
     d = 1.0 + (beta - 1.0) * p
     return -beta / d**2, 2.0 * beta * (beta - 1.0) / d**3
@@ -317,7 +324,7 @@ def curvature(p_c, beta):
     Bitwise the first element of logit_curvature(p_c, beta), without
     computing d3J.  Positive on (0, 1), with its peak 1/4 at p = 1/(1+beta).
     """
-    _check_beta(beta)
+    check_positive_real("beta", beta)
     return _d2j(_check_prob_open(p_c), beta)[0]
 
 
@@ -328,7 +335,7 @@ def logit_curvature(p_c, beta):
     d3J = d2J / (1 + (beta-1) p) * (1 - (1+beta) p)
     d3J changes sign at p = 1/(1+beta), where d2J peaks at exactly 1/4.
     """
-    _check_beta(beta)
+    check_positive_real("beta", beta)
     p = _check_prob_open(p_c)
     d2j, d = _d2j(p, beta)
     return d2j, d2j / d * (1.0 - (1.0 + beta) * p)
@@ -336,7 +343,7 @@ def logit_curvature(p_c, beta):
 
 def inflection_point(beta) -> float:
     """p_c = 1/(1+beta): the confidence at which d2J attains its maximum 1/4."""
-    _check_beta(beta)
+    check_positive_real("beta", beta)
     return 1.0 / (1.0 + beta)
 
 
@@ -348,7 +355,7 @@ def local_lipschitz_bound(beta, p_lo: float, p_hi: float) -> float:
     On [0, 0.5] this reduces to beta/(beta+1)^2 for beta < 1 and 1/4 for
     beta >= 1.
     """
-    _check_beta(beta)
+    check_positive_real("beta", beta)
     if not (0.0 <= p_lo < p_hi <= 1.0):
         raise ValueError(f"need 0 <= p_lo < p_hi <= 1, got [{p_lo!r}, {p_hi!r}]")
     if p_lo <= inflection_point(beta) <= p_hi:

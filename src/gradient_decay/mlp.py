@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch
+from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch, check_int, check_positive_real
 from gradient_decay.schedule import Granularity, WarmupSchedule
 from gradient_decay.datasets import Dataset
 
@@ -32,6 +32,7 @@ __all__ = [
     "TrainResult",
     "TrainingDiverged",
     "train",
+    "check_fits",
     "difficulty_groups",
     "clip_global_norm",
     "write_metrics_csv",
@@ -192,14 +193,11 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be a non-negative finite real, got {self.weight_decay!r}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size!r}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be positive, got {self.epochs!r}")
-        if self.clip_norm is not None and not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
-            raise ValueError(f"clip_norm must be a positive finite real, got {self.clip_norm!r}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 1)
+        if self.clip_norm is not None:
+            check_positive_real("clip_norm", self.clip_norm)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -240,12 +238,12 @@ class DifficultyGroups:
     group_means: np.ndarray  # (k, epochs) mean p_true per group per epoch
 
 
-def _check_fits(model: MlpModel, data: Dataset) -> None:
-    """Features and labels of data must match the model's input and output sizes."""
-    if data.dim != model.layer_dims[0]:
+def check_fits(layer_dims, data: Dataset) -> None:
+    """Features and labels of data must fit the input and output sizes in layer_dims."""
+    if data.dim != layer_dims[0]:
         raise ValueError(f"{data.split} features have dimension {data.dim}, "
-                         f"the model takes {model.layer_dims[0]}")
-    outputs = model.layer_dims[-1]
+                         f"the model takes {layer_dims[0]}")
+    outputs = layer_dims[-1]
     if data.n and data.labels.max() >= outputs:
         raise ValueError(f"{data.split} label {int(data.labels.max())} is outside "
                          f"the model's {outputs} outputs")
@@ -277,9 +275,9 @@ def train(
         raise ValueError("training set is empty")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    _check_fits(model, train_set)
+    check_fits(model.layer_dims, train_set)
     if test_set is not None:
-        _check_fits(model, test_set)
+        check_fits(model.layer_dims, test_set)
 
     X, y = train_set.features, train_set.labels
     rng = np.random.default_rng(cfg.seed)
@@ -375,8 +373,7 @@ def difficulty_groups(traces: SampleTraces, k: int = 5) -> DifficultyGroups:
     Group 1 collects the lowest-confidence ("hard") samples, group k the
     easiest; ties break by sample id.  Also fills traces.groups.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    check_int("k", k, 1)
     n = traces.sample_ids.size
     if n < k:
         raise ValueError(f"need at least {k} traced samples, got {n}")

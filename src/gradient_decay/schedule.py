@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+
+from gradient_decay.loss import check_int, check_positive_real
 
 __all__ = ["Granularity", "WarmupSchedule"]
 
@@ -32,17 +33,13 @@ class WarmupSchedule:
     granularity: Granularity = Granularity.PER_ITERATION
 
     def __post_init__(self) -> None:
-        for name in ("beta_initial", "beta_end"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
-        if not (isinstance(self.t_warm, int) and self.t_warm >= 1):
-            raise ValueError(f"t_warm must be an integer >= 1, got {self.t_warm!r}")
+        check_positive_real("beta_initial", self.beta_initial)
+        check_positive_real("beta_end", self.beta_end)
+        check_int("t_warm", self.t_warm, 1)
 
     def beta_at(self, t: int) -> float:
         """The decay factor in effect at step t >= 0."""
-        if t < 0:
-            raise ValueError(f"step counter must be non-negative, got {t!r}")
+        check_int("step counter", t, 0)
         if t >= self.t_warm:
             return self.beta_end
         return self.beta_initial + (self.beta_end - self.beta_initial) * (t / self.t_warm)

@@ -28,6 +28,8 @@ from gradient_decay.loss import (
     batch_losses,
     beta_ce_eval,
     beta_ce_loss,
+    check_int,
+    check_positive_real,
     curvature,
     gradient_magnitude,
     inflection_point,
@@ -65,14 +67,10 @@ class FdConfig:
     seed: int = 20240811
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be a positive finite real, got {self.step!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be a positive finite real, got {self.rel_tol!r}")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        check_positive_real("step", self.step)
+        check_positive_real("rel_tol", self.rel_tol)
+        check_int("trials", self.trials, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -120,8 +118,7 @@ def central_diff_grad(f, z, step: float) -> np.ndarray:
     (f(z + step*e_i) - f(z - step*e_i)) / (2 step).
     """
     z = np.asarray(z, dtype=np.float64)
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    check_positive_real("step", step)
     if z.ndim != 1:
         raise ValueError("z must be a 1-d vector")
     m = z.size
@@ -143,8 +140,7 @@ def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, flo
     """(argmax, max) of g over an equispaced grid on [lo, hi]; g is called once, on the whole grid."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if not (isinstance(points, int) and points >= 3):
-        raise ValueError(f"points must be an integer >= 3, got {points!r}")
+    check_int("points", points, 3)
     grid = np.linspace(lo, hi, points)
     vals = np.asarray(g(grid), dtype=np.float64)
     if vals.shape != grid.shape:
@@ -200,12 +196,12 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     Deterministic given fd.seed; failures become report entries rather than
     exceptions.
     """
-    betas = [float(b) for b in betas]
+    betas = list(betas)
     if not betas:
         raise ValueError("need at least one beta")
     for b in betas:
-        if not (math.isfinite(b) and b > 0):
-            raise ValueError(f"betas must be positive finite reals, got {b!r}")
+        check_positive_real("beta", b)
+    betas = [float(b) for b in betas]
 
     rng = np.random.default_rng(fd.seed)
     trials = _draw_trials(rng, fd.trials)

@@ -65,9 +65,13 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flags, message", [
-        (["--trials", "0"], "trials must be a positive integer, got 0"),
-        (["--betas", "nan"], "--betas must all be positive finite reals"),
-        (["--betas", "1,inf"], "--betas must all be positive finite reals"),
+        # a reworded message keeps its case's old id
+        pytest.param(["--trials", "0"], "trials must be an integer >= 1, got 0",
+                     id="flags0-trials must be a positive integer, got 0"),
+        pytest.param(["--betas", "nan"], "beta must be a positive finite real, got nan",
+                     id="flags1---betas must all be positive finite reals"),
+        pytest.param(["--betas", "1,inf"], "beta must be a positive finite real, got inf",
+                     id="flags2---betas must all be positive finite reals"),
         (["--rel-tol", "inf"], "rel_tol must be a positive finite real, got inf"),
     ])
     def test_invalid_values_are_usage_errors(self, capsys, flags, message):
@@ -162,6 +166,68 @@ class TestSweepCommand:
                           "--epochs", "1", "--out", str(tmp_path / "x")]
         assert_usage_error(argv, capsys, f"{tmp_path / 'train-images-idx3-ubyte'} holds no training images")
         assert not (tmp_path / "x").exists()
+
+
+def _write_mnist(d, test_images=(4, 4, 4), test_labels=(0, 1, 2, 9)):
+    """Twelve 4x4 training images with labels 0..9 plus a test pair; returns the four paths."""
+    rng = np.random.default_rng(0)
+    paths = [d / name for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                                   "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")]
+    write_idx_images(paths[0], rng.integers(0, 256, (12, 4, 4), dtype=np.uint8))
+    write_idx_labels(paths[1], np.arange(12, dtype=np.uint8) % 10)
+    write_idx_images(paths[2], rng.integers(0, 256, test_images, dtype=np.uint8))
+    write_idx_labels(paths[3], np.array(test_labels, dtype=np.uint8))
+    return paths
+
+
+class TestMnistFiles:
+    """Malformed, empty or mismatched MNIST files are usage errors that name the file, before any training."""
+
+    @staticmethod
+    def _bad_label_magic(d):
+        paths = _write_mnist(d)
+        raw = paths[3].read_bytes()
+        paths[3].write_bytes(b"\x00\x00\x08\x03" + raw[4:])
+        return f"{paths[3]} (offset 0): expected label magic 0x00000801, got 0x00000803"
+
+    @staticmethod
+    def _labels_not_gzip(d):
+        paths = _write_mnist(d)
+        paths[3].unlink()
+        gz = paths[3].with_name(paths[3].name + ".gz")
+        gz.write_bytes(b"not gzip data")
+        return f"{gz} (offset 0): unreadable gzip data: Not a gzipped file"
+
+    @staticmethod
+    def _empty_test_set(d):
+        paths = _write_mnist(d, test_images=(0, 4, 4), test_labels=())
+        return f"{paths[2]} holds no test images"
+
+    @staticmethod
+    def _wider_test_images(d):
+        paths = _write_mnist(d, test_images=(4, 5, 5))
+        return f"{paths[2]}, {paths[3]}: test features have dimension 25, the model takes 16"
+
+    @staticmethod
+    def _test_label_beyond_the_outputs(d):
+        paths = _write_mnist(d, test_labels=(0, 1, 12, 3))
+        return f"{paths[2]}, {paths[3]}: test label 12 is outside the model's 10 outputs"
+
+    @pytest.mark.parametrize("case", ["_bad_label_magic", "_labels_not_gzip", "_empty_test_set",
+                                      "_wider_test_images", "_test_label_beyond_the_outputs"])
+    @pytest.mark.parametrize("command", [["sweep", "--betas", "1"], ["trace", "--beta", "1", "--groups", "2"]],
+                             ids=["sweep", "trace"])
+    def test_is_usage_error_before_training(self, tmp_path, capsys, forbid_work, command, case):
+        message = getattr(self, case)(tmp_path)
+        argv = command + ["--dataset", "mnist", "--mnist-dir", str(tmp_path), "--model", "10",
+                          "--epochs", "1", "--batch", "4", "--out", str(tmp_path / "x")]
+        assert_usage_error(argv, capsys, message)
+        assert not (tmp_path / "x").exists()
+
+    def test_well_formed_files_train(self, tmp_path):
+        _write_mnist(tmp_path)
+        assert run(["sweep", "--betas", "1", "--dataset", "mnist", "--mnist-dir", str(tmp_path), "--model", "10",
+                    "--epochs", "1", "--batch", "4", "--out", str(tmp_path / "x")]) == 0
 
 
 class TestTraceCommand:
@@ -259,7 +325,7 @@ class TestCalibCommand:
         logits[7, 2] = bad
         np.savetxt(path, np.column_stack([logits, labels]), delimiter=",")
         assert_usage_error(["calib", "--logits", str(path), "--fit-temperature"], capsys,
-                           f"{path}: logits must be finite")
+                           f"{path}: all logits must be finite")
 
     def test_non_finite_npz_logit_is_usage_error(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -267,7 +333,7 @@ class TestCalibCommand:
         logits[0, 0] = np.nan
         path = tmp_path / "logits.npz"
         np.savez(path, logits=logits, labels=rng.integers(0, 4, 30))
-        assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: logits must be finite")
+        assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: all logits must be finite")
 
     @pytest.mark.parametrize("bad", [5, -1, 1.5])
     def test_label_outside_the_columns_is_usage_error(self, tmp_path, capsys, bad):
@@ -275,8 +341,10 @@ class TestCalibCommand:
         labels = labels.astype(np.float64)
         labels[3] = bad
         np.savetxt(path, np.column_stack([logits, labels]), delimiter=",")
-        assert_usage_error(["calib", "--logits", str(path)], capsys,
-                           f"{path}: labels must be whole numbers in [0, 5)")
+        message = {5: "labels must lie in [0, 5), got range [0, 5]",
+                   -1: "labels must lie in [0, 5), got range [-1, 4]",
+                   1.5: "labels must be whole numbers in the int64 range, got 1.5"}[bad]
+        assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: {message}")
 
     def test_single_class_fit_is_usage_error(self, tmp_path, capsys):
         path, logits, labels = self._logits_csv(tmp_path)
@@ -293,6 +361,11 @@ class TestCalibCommand:
         with pytest.raises(SystemExit) as exc:
             run(["calib", "--logits", str(tmp_path / "none.csv")])
         assert exc.value.code == 2
+
+    def test_npz_without_rows_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.npz"
+        np.savez(path, logits=np.zeros((0, 3)), labels=np.zeros(0, dtype=np.int64))
+        assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: probs must be a non-empty")
 
 
 class TestWarmupDemoCommand:
@@ -396,17 +469,29 @@ class TestUsageErrorsBeforeWork:
         (["trace", "--beta", "nan"], "beta must be a positive finite real, got nan"),
         (["sweep", "--tau", "0"], "tau must be a positive finite real, got 0.0"),
         (["sweep", "--tau", "nan"], "tau must be a positive finite real, got nan"),
-        (["sweep", "--blob-sigma", "-1"], "sigma must be positive, got -1.0"),
-        (["sweep", "--blob-dim", "0"], "need dim >= 2, got 0"),
-        (["sweep", "--blob-classes", "1"], "need at least 2 classes, got 1"),
-        (["sweep", "--blob-per-class", "0"], "n_per_class must be positive, got 0"),
-        (["sweep", "--blob-radius", "nan"], "radius must be positive, got nan"),
-        (["sweep", "--seed", "-1"], "seed must be non-negative, got -1"),
-        (["trace", "--seed", "-1"], "seed must be non-negative, got -1"),
-        (["sweep", "--blob-seed", "-1"], "seed must be non-negative, got -1"),
-        (["trace", "--blob-seed", "-1"], "seed must be non-negative, got -1"),
-        (["sweep", "--epochs", "0"], "epochs must be positive, got 0"),
-        (["trace", "--batch", "0"], "batch_size must be positive, got 0"),
+        # a reworded message keeps its case's old id
+        pytest.param(["sweep", "--blob-sigma", "-1"], "sigma must be a positive finite real, got -1.0",
+                     id="argv5-sigma must be positive, got -1.0"),
+        pytest.param(["sweep", "--blob-dim", "0"], "dim must be an integer >= 2, got 0",
+                     id="argv6-need dim >= 2, got 0"),
+        pytest.param(["sweep", "--blob-classes", "1"], "classes must be an integer >= 2, got 1",
+                     id="argv7-need at least 2 classes, got 1"),
+        pytest.param(["sweep", "--blob-per-class", "0"], "n_per_class must be an integer >= 1, got 0",
+                     id="argv8-n_per_class must be positive, got 0"),
+        pytest.param(["sweep", "--blob-radius", "nan"], "radius must be a positive finite real, got nan",
+                     id="argv9-radius must be positive, got nan"),
+        pytest.param(["sweep", "--seed", "-1"], "seed must be an integer >= 0, got -1",
+                     id="argv10-seed must be non-negative, got -1"),
+        pytest.param(["trace", "--seed", "-1"], "seed must be an integer >= 0, got -1",
+                     id="argv11-seed must be non-negative, got -1"),
+        pytest.param(["sweep", "--blob-seed", "-1"], "seed must be an integer >= 0, got -1",
+                     id="argv12-seed must be non-negative, got -1"),
+        pytest.param(["trace", "--blob-seed", "-1"], "seed must be an integer >= 0, got -1",
+                     id="argv13-seed must be non-negative, got -1"),
+        pytest.param(["sweep", "--epochs", "0"], "epochs must be an integer >= 1, got 0",
+                     id="argv14-epochs must be positive, got 0"),
+        pytest.param(["trace", "--batch", "0"], "batch_size must be an integer >= 1, got 0",
+                     id="argv15-batch_size must be positive, got 0"),
         (["sweep", "--warmup-iters", "0", "--beta-initial", "0.1", "--beta-end", "1"],
          "t_warm must be an integer >= 1, got 0"),
     ])
@@ -417,7 +502,8 @@ class TestUsageErrorsBeforeWork:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["verify", "--seed", "-1"], "seed must be non-negative, got -1"),
+        pytest.param(["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1",
+                     id="argv0-seed must be non-negative, got -1"),  # a reworded message keeps its old id
         (["warmup-demo", "--warmup-iters", "0"], "t_warm must be an integer >= 1, got 0"),
         (["warmup-demo", "--beta-end", "nan"], "beta_end must be a positive finite real, got nan"),
     ])

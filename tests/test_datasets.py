@@ -60,7 +60,7 @@ class TestMakeBlobs:
             BlobsConfig(sigma=0.0)
         with pytest.raises(ValueError):
             BlobsConfig(n_per_class=0)
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             BlobsConfig(seed=-1)
 
 

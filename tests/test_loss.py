@@ -180,6 +180,18 @@ class TestBetaCeEval:
         assert ev.p_true == 1.0 - 1e-12
         assert np.isfinite(ev.grad).all()
 
+    @pytest.mark.parametrize("z, c", [([0.0, 1.0], 1), ([-1e308, 2.0, -3.0], 1), ([5.0, -5.0], 0)])
+    def test_tiny_temperature_gives_finite_probabilities_and_gradient(self, z, c):
+        # z/tau overflows; shifting by z/tau's maximum used to give inf - inf = NaN.  (With c
+        # not the argmax, the loss and gradient are of order 1/tau and overflow for real.)
+        x, p = LabeledLogits(np.array(z), c), LossParams(beta=0.5, tau=1e-320)
+        with np.errstate(over="ignore"):
+            ev = beta_ce_eval(x, p)
+            assert ev.loss == beta_ce_loss(x, p)
+            assert np.array_equal(softmax_probs(z, p.tau), ev.probs)
+        assert np.isfinite(ev.grad).all() and np.isfinite(ev.loss)
+        assert np.array_equal(ev.probs, np.eye(len(z))[int(np.argmax(z))])
+
 
 class TestBatchEval:
     def test_matches_per_sample(self):

@@ -214,5 +214,5 @@ class TestVerifyAll:
             FdConfig(step=float("inf"))
         with pytest.raises(ValueError):
             FdConfig(rel_tol=float("inf"))
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             FdConfig(seed=-1)
