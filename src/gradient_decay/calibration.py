@@ -157,20 +157,65 @@ def confidence_table(p_true, thresholds=DEFAULT_THRESHOLDS) -> np.ndarray:
     return np.bincount(idx, minlength=th.size + 1)
 
 
+# Rows per block of a temperature-fit pass: m x 8192 float64 stays in L2 for m near 10.
+_BLOCK_ROWS = 8192
+
+
+def _column_sums(e: np.ndarray) -> np.ndarray:
+    """Column sums of e (m, b), added in place into e[0], which is returned.
+
+    The class rows are added in numpy's pairwise order for one contiguous row
+    of m values: sequentially below 8, into eight accumulators up to 128, and
+    by halving above 128.  Column j then has the bits of e[:, j] summed as
+    one contiguous row, as (b, m).sum(axis=1) sums it; only a column of
+    -0.0 differs (numpy starts each row from +0.0).
+    """
+    m = e.shape[0]
+    if m < 8:
+        for i in range(1, m):
+            e[0] += e[i]
+    elif m <= 128:
+        tail = m - m % 8
+        for i in range(8, tail, 8):
+            e[:8] += e[i:i + 8]
+        e[0:8:2] += e[1:8:2]  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        e[0:8:4] += e[2:8:4]
+        e[0] += e[4]
+        for i in range(tail, m):
+            e[0] += e[i]
+    else:
+        half = m // 2
+        half -= half % 8
+        _column_sums(e[:half])
+        _column_sums(e[half:])
+        e[0] += e[half]
+    return e[0]
+
+
 class _NllWorkspace:
     """Mean cross-entropy of softmax(z/tau) as a function of tau, for one fit.
 
-    Validates the logits and labels, then keeps the row maxima, the
-    true-class logits and an (n, m) and an (n,) buffer that every pass
-    writes into.  The objective is a pure function of tau, so each distinct
-    tau is computed once and remembered.
+    Validates the logits and labels, then keeps a class-major copy zt (m, n)
+    of the logits, the row maxima, the true-class logits, one (m, 8192)
+    block buffer and an (n,) buffer.  A pass exponentiates 8192 rows at a
+    time on contiguous class rows and sums them with _column_sums, so each
+    row's NLL is bitwise that of a row-major pass over the whole (n, m)
+    matrix, as long as no rowmax/tau overflows (only possible for tau < 1
+    and logits near the float64 limit).  Where one does, shifted_exp takes
+    the fallback exponents for that whole block, which a whole-matrix pass
+    would take for every row, and the row's NLL is
+    log(sum) + (rowmax - ztrue)/tau: possibly +inf, never NaN.
+    The objective is a pure function of tau, so each distinct tau is
+    computed once and remembered.
     """
 
     def __init__(self, logits, labels) -> None:
-        self.z, self.labels = z, y = check_labeled_logits(logits, labels)
-        self.rowmax = z.max(axis=1, keepdims=True)
-        self.ztrue = z[np.arange(z.shape[0]), y]
-        self.buf = np.empty_like(z)
+        z, self.labels = check_labeled_logits(logits, labels)
+        self.zt = np.ascontiguousarray(z.T)
+        self.rowmax = z.max(axis=1)
+        self.absmax = np.abs(self.rowmax).max(initial=0.0)
+        self.ztrue = z[np.arange(z.shape[0]), self.labels]
+        self.buf = np.empty((z.shape[1], min(_BLOCK_ROWS, z.shape[0])))
         self.lse = np.empty(z.shape[0])
         self.nll: dict[float, float] = {}
 
@@ -180,11 +225,26 @@ class _NllWorkspace:
         return self.nll[tau]
 
     def _pass(self, tau: float) -> float:
-        _, s = shifted_exp(self.z, tau, self.rowmax, self.buf)
-        lse = np.log(self.buf.sum(axis=1, out=self.lse), out=self.lse)
-        lse += s[:, 0]
-        lse -= np.divide(self.ztrue, tau, out=s[:, 0])  # s is spent: its memory takes ztrue/tau
-        return float(lse.mean())
+        # z/tau may overflow to -inf, whose exponential is 0; a NaN needs rowmax/tau to
+        # overflow, and _overflowed_rows rewrites each row where it does
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, self.lse.size, _BLOCK_ROWS):
+                rows = slice(lo, lo + _BLOCK_ROWS)
+                zt = self.zt[:, rows]
+                e, s = shifted_exp(zt, tau, self.rowmax[rows], self.buf[:, :zt.shape[1]])
+                lse = np.log(_column_sums(e), out=self.lse[rows])
+                lse += s
+                lse -= np.divide(self.ztrue[rows], tau, out=s)  # s is spent: its memory takes ztrue/tau
+            if np.isinf(self.absmax / tau):
+                self._overflowed_rows(tau)
+            return float(self.lse.mean())
+
+    def _overflowed_rows(self, tau: float) -> None:
+        """Rewrite the NLL of each row whose rowmax/tau overflows as log(sum) + (rowmax - ztrue)/tau."""
+        big = np.isinf(self.rowmax / tau)
+        zmax = self.rowmax[big]
+        e = np.exp((self.zt[:, big] - zmax) / tau)
+        self.lse[big] = np.log(e.sum(axis=0)) + (zmax - self.ztrue[big]) / tau
 
 
 def _mean_nll(logits, labels, tau: float) -> float:
@@ -198,10 +258,15 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: i
     Golden-section search on log(tau) over [log lo, log hi]; the result is
     guaranteed no worse than tau=1 and never changes any predicted class
     (positive scaling preserves the argmax).  Logits must be finite and
-    labels integers in [0, m).
+    labels integers in [0, m); lo < hi are positive reals and iters an integer >= 0.
     """
+    check_positive_real("lo", lo)
+    check_positive_real("hi", hi)
+    if lo >= hi:
+        raise ValueError(f"lo must be below hi, got lo={lo!r}, hi={hi!r}")
+    check_int("iters", iters, 0)
     ws = _NllWorkspace(logits, labels)
-    if ws.z.shape[0] < 2:
+    if ws.lse.size < 2:
         raise ValueError("need a logit matrix with at least two rows")
     if np.unique(ws.labels).size < 2:
         raise ValueError("degenerate labels: need at least two classes present")

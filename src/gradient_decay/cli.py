@@ -24,6 +24,7 @@ import csv
 import json
 import re
 import sys
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -356,12 +357,16 @@ def _load_logits_file(path, parser):
             parser.error(f"{p}: {exc}")
     else:
         try:
-            raw = np.loadtxt(p, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a file without data rows is reported below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                raw = np.loadtxt(p, delimiter=",", ndmin=2)
         except ValueError as exc:
             parser.error(f"{p}: {exc}")
-        if raw.shape[1] < 3:
+        if raw.shape[0] and raw.shape[1] < 3:
             parser.error(f"{p}: need at least two logit columns plus a label column")
         logits, labels = raw[:, :-1], raw[:, -1]
+    if logits.ndim == 2 and logits.shape[0] == 0:
+        parser.error(f"{p}: holds no logit rows")
     if labels.dtype.kind == "f":  # a CSV column, or float labels saved to .npz
         with np.errstate(invalid="ignore"):  # nan, inf and huge values do not survive the cast
             whole = labels.astype(np.int64)
@@ -371,7 +376,7 @@ def _load_logits_file(path, parser):
         labels = whole
     try:
         return logits, labels, PredictionSet.from_logits(logits, labels)
-    except ValueError as exc:  # check_labeled_logits, or no rows at all
+    except ValueError as exc:  # check_labeled_logits
         parser.error(f"{p}: {exc}")
 
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradient_decay.calibration import (
+    _BLOCK_ROWS,
     PredictionSet,
+    _column_sums,
     _mean_nll,
     _NllWorkspace,
     bin_reliability,
@@ -105,6 +108,10 @@ def _fit_cases():
     cases.append(("column_view", np.hstack([z, z])[:, 3:9], y))
     cases.append(("repeated_row", np.tile(np.array([1.0, 0.5, -0.2]), (20, 1)), np.array([0, 1] * 10)))
     cases.append(("constant_rows", np.ones((20, 3)), np.array([0, 1, 2, 1] * 5)))
+    # three row blocks of a pass, the last one ragged; and more than 128 classes
+    for name, (n, m) in (("multi_block", (2 * _BLOCK_ROWS + 5, 10)), ("wide", (300, 200))):
+        z = rng.normal(0.0, 2.0, (n, m))
+        cases.append((name, z, _sampled_labels(z, rng)))
     return cases
 
 
@@ -425,6 +432,41 @@ class TestFitTemperature:
         with pytest.raises(ValueError, match=message):
             _mean_nll(np.asarray(logits), np.asarray(labels), 1.0)
 
+    @pytest.mark.parametrize("lo, hi", [(5.0, 1.0), (2.0, 2.0)])
+    def test_empty_bracket_rejected(self, lo, hi):
+        # lo=5, hi=1 used to return 1.0 without a word
+        logits, labels = self._calibrated_logits(n=50)
+        with pytest.raises(ValueError, match="lo must be below hi"):
+            fit_temperature(logits, labels, lo=lo, hi=hi)
+
+    def test_logits_near_the_float64_limit_give_no_nan_pass(self):
+        # rowmax/tau overflows for small tau: each such row's NLL is finite or +inf, never NaN
+        rng = np.random.default_rng(0)
+        z = rng.normal(0.0, 1.0, (50, 3)) * 1e307
+        y = rng.integers(0, 3, 50)
+        y[:2] = (0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ws = _NllWorkspace(z, y)
+            nll = [ws(float(tau)) for tau in np.geomspace(0.05, 10.0, 41)]
+            tau = fit_temperature(z, y)
+        assert not np.isnan(nll).any()
+        assert 0.05 <= tau <= 10.0
+
+    def test_overflowed_rows_keep_the_other_rows_finite(self):
+        # row 7's rowmax/tau overflows at tau=0.5, its NLL does not; the rest of the block stays finite
+        rng = np.random.default_rng(4)
+        z = rng.normal(0.0, 1.0, (40, 4))
+        z[7] = (1e308, 0.0, -1e308, 5e307)
+        y = rng.integers(0, 4, 40)
+        y[7] = 3
+        ws = _NllWorkspace(z, y)
+        assert np.isfinite(ws(0.5))
+        assert ws.lse[7] == 1e308  # log(1 + 0 + 0 + 0) + (1e308 - 5e307) / 0.5
+        others = np.delete(np.arange(40), 7)
+        assert np.allclose(ws.lse[others], [_reference_mean_nll(z[i:i + 1], y[i:i + 1], 0.5) for i in others],
+                           rtol=1e-13)
+
     def test_scaling_preserves_predictions(self):
         rng = np.random.default_rng(9)
         logits = rng.normal(0, 2, (300, 5))
@@ -433,6 +475,15 @@ class TestFitTemperature:
         before = PredictionSet.from_logits(logits, labels).predicted
         after = PredictionSet.from_logits(logits, labels, tau=tau).predicted
         assert np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 10, 16, 17, 128, 129, 300])
+def test_column_sums_follow_numpys_row_sum_order(m):
+    # _column_sums mirrors numpy's pairwise order for a contiguous row; a new numpy may change that order
+    rows = np.random.default_rng(m).exponential(1.0, (257, m)) ** 3
+    got = _column_sums(np.ascontiguousarray(rows.T)).copy()
+    assert np.array_equal(got, rows.sum(axis=1)), (
+        f"_column_sums differs from (n, {m}).sum(axis=1) under numpy {np.__version__}")
 
 
 class TestReportAndCsv:

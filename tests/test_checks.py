@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from gradient_decay.calibration import PredictionSet, bin_reliability
+from gradient_decay.calibration import PredictionSet, bin_reliability, fit_temperature
 from gradient_decay.datasets import BlobsConfig
 from gradient_decay.loss import (
     LabeledLogits,
@@ -28,7 +28,8 @@ from gradient_decay.mlp import SampleTraces, TrainConfig, difficulty_groups
 from gradient_decay.schedule import WarmupSchedule
 from gradient_decay.verify import FdConfig, central_diff_grad, grid_scan_extremum, verify_all
 
-_PRED = PredictionSet.from_logits([[2.0, 0.0], [0.0, 1.0], [1.0, 3.0]], [0, 1, 0])
+_LOGITS, _LABELS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 3.0]]), np.array([0, 1, 0])
+_PRED = PredictionSet.from_logits(_LOGITS, _LABELS)
 _TRACES = np.linspace(0.1, 0.9, 12).reshape(2, 6)
 
 # call site -> (call with the value in place, least integer or None for a positive real)
@@ -65,6 +66,9 @@ SITES = {
     "BlobsConfig.radius": (lambda v: BlobsConfig(radius=v), None),
     "BlobsConfig.seed": (lambda v: BlobsConfig(seed=v), 0),
     "bin_reliability.bins": (lambda v: bin_reliability(_PRED, v), 1),
+    "fit_temperature.lo": (lambda v: fit_temperature(_LOGITS, _LABELS, lo=v), None),
+    "fit_temperature.hi": (lambda v: fit_temperature(_LOGITS, _LABELS, hi=v), None),
+    "fit_temperature.iters": (lambda v: fit_temperature(_LOGITS, _LABELS, iters=v), 0),
     "difficulty_groups.k": (lambda v: difficulty_groups(SampleTraces(_TRACES, np.arange(6)), v), 1),
 }
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -365,7 +366,20 @@ class TestCalibCommand:
     def test_npz_without_rows_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "empty.npz"
         np.savez(path, logits=np.zeros((0, 3)), labels=np.zeros(0, dtype=np.int64))
-        assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: probs must be a non-empty")
+        assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: holds no logit rows")
+
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comments_only"])
+    def test_csv_without_rows_is_usage_error_without_a_warning(self, tmp_path, capsys, text):
+        # numpy's loadtxt warns "input contained no data" with a source line on stderr
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            warnings.simplefilter("error", UserWarning)
+            run(["calib", "--logits", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: holds no logit rows" in err
+        assert "Warning" not in err and "Traceback" not in err
 
 
 class TestWarmupDemoCommand:
