@@ -8,7 +8,6 @@ confidence| over non-empty bins only (the gap is undefined on empty ones).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -28,15 +27,14 @@ __all__ = [
     "ReliabilityBin",
     "CalibrationReport",
     "bin_reliability",
-    "ece",
-    "mce",
     "confidence_table",
     "fit_temperature",
     "calibration_report",
-    "write_reliability_csv",
+    "THRESHOLDS",
 ]
 
-DEFAULT_THRESHOLDS = (0.2, 0.4, 0.6, 0.8)
+# upper edges of the confidence intervals below 1: (<=0.2], (0.2,0.4], ..., (0.8,1]
+THRESHOLDS = (0.2, 0.4, 0.6, 0.8)
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ class CalibrationReport:
     bins: tuple[ReliabilityBin, ...]
     ece: float
     mce: float
-    interval_counts: tuple[int, ...]  # (<=t1], (t1,t2], ..., (tk, 1]
+    interval_counts: tuple[int, ...]  # one count per THRESHOLDS interval, as confidence_table
 
 
 def _bin_index(confidences: np.ndarray, bins: int) -> np.ndarray:
@@ -135,26 +133,12 @@ def _ece_mce(bins: list[ReliabilityBin], n: int) -> tuple[float, float]:
     return float(e), float(max(gap for _, gap in gaps))
 
 
-def ece(pred: PredictionSet, bins: int = 10) -> float:
-    """Count-weighted mean of |accuracy - confidence| over the bins."""
-    return _ece_mce(bin_reliability(pred, bins), pred.n)[0]
-
-
-def mce(pred: PredictionSet, bins: int = 10) -> float:
-    """Largest |accuracy - confidence| over the non-empty bins."""
-    return _ece_mce(bin_reliability(pred, bins), pred.n)[1]
-
-
-def confidence_table(p_true, thresholds=DEFAULT_THRESHOLDS) -> np.ndarray:
-    """Counts of values per right-closed interval (<=t1], (t1,t2], ..., (tk,1]."""
+def confidence_table(p_true) -> np.ndarray:
+    """Counts of values per right-closed interval of THRESHOLDS: (<=0.2], (0.2,0.4], ..., (0.8,1]."""
     p = np.asarray(p_true, dtype=np.float64)
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValueError("values must lie in [0, 1]")
-    th = np.asarray(thresholds, dtype=np.float64)
-    if np.any(np.diff(th) <= 0) or th.size == 0 or th[0] <= 0.0 or th[-1] >= 1.0:
-        raise ValueError("thresholds must be strictly increasing inside (0, 1)")
-    idx = np.searchsorted(th, p, side="left")
-    return np.bincount(idx, minlength=th.size + 1)
+    return np.bincount(np.searchsorted(THRESHOLDS, p, side="left"), minlength=len(THRESHOLDS) + 1)
 
 
 # Rows per block of a temperature-fit pass: m x 8192 float64 stays in L2 for m near 10.
@@ -247,11 +231,6 @@ class _NllWorkspace:
         self.lse[big] = np.log(e.sum(axis=0)) + (zmax - self.ztrue[big]) / tau
 
 
-def _mean_nll(logits, labels, tau: float) -> float:
-    """Mean cross-entropy of softmax(logits/tau) against labels."""
-    return _NllWorkspace(logits, labels)(tau)
-
-
 def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: int = 200) -> float:
     """Temperature minimizing mean cross-entropy of softmax(z/tau).
 
@@ -293,19 +272,9 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: i
     return tau_star
 
 
-def calibration_report(pred: PredictionSet, bins: int = 10,
-                       thresholds=DEFAULT_THRESHOLDS) -> CalibrationReport:
+def calibration_report(pred: PredictionSet, bins: int = 10) -> CalibrationReport:
     """Bins, ECE, MCE and true-class confidence interval counts in one shot."""
     rel = bin_reliability(pred, bins)
     e, m = _ece_mce(rel, pred.n)
-    counts = confidence_table(pred.p_true, thresholds)
+    counts = confidence_table(pred.p_true)
     return CalibrationReport(tuple(rel), e, m, tuple(int(c) for c in counts))
-
-
-def write_reliability_csv(path, bins: list[ReliabilityBin]) -> None:
-    """bin_lo, bin_hi, count, mean_conf, accuracy per row."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"])
-        for b in bins:
-            w.writerow([repr(b.lo), repr(b.hi), b.count, repr(b.mean_conf), repr(b.accuracy)])

@@ -31,12 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from gradient_decay.calibration import (
+    THRESHOLDS,
     PredictionSet,
     bin_reliability,  # noqa: F401  (bench/spans.py wraps this binding)
     calibration_report,
     confidence_table,
     fit_temperature,
-    write_reliability_csv,
 )
 from gradient_decay.datasets import BlobsConfig, IdxFormatError, load_mnist_idx, make_blobs, mnist_paths
 from gradient_decay.loss import LossParams, beta_ce_batch  # noqa: F401  (bench/spans.py wraps this binding)
@@ -48,13 +48,14 @@ from gradient_decay.mlp import (
     check_fits,
     difficulty_groups,
     train,
-    write_metrics_csv,
-    write_trace_csv,
 )
 from gradient_decay.schedule import Granularity, WarmupSchedule
 from gradient_decay.verify import DEFAULT_BETAS, FdConfig, verify_all
 
 __all__ = ["main", "entry", "build_parser"]
+
+# confidence_table's interval labels: p<=t1, t1<p<=t2, ..., tk<p<=1 for THRESHOLDS t1..tk
+_INTERVALS = [f"p<={THRESHOLDS[0]}"] + [f"{lo}<p<={hi}" for lo, hi in zip(THRESHOLDS, THRESHOLDS[1:] + (1,))]
 
 
 def _float_list(text: str) -> list[float]:
@@ -127,6 +128,40 @@ def _check_bins(args, parser) -> None:
 
 def _beta_tag(beta) -> str:
     return "warmup" if beta == "warmup" else repr(float(beta))
+
+
+# ---------------------------------------------------------------- artifacts
+#
+# Every file and report the commands produce is written here.  A cell that
+# is not already a string or an integer is converted explicitly (repr of a
+# float), because csv.writer writes str() of anything else.
+
+
+def _write_csv(path, header, rows) -> None:
+    """header then rows, in the csv module's default dialect: every row ends in CRLF."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _emit(text: str, out) -> None:
+    """text to the file out, or to stdout without one."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_metrics(path, metrics) -> None:
+    _write_csv(path, ["epoch", "beta", "train_loss", "train_acc", "test_acc", "mean_conf"],
+               ([m.epoch, repr(m.beta), repr(m.train_loss), repr(m.train_acc), repr(m.test_acc), repr(m.mean_conf)]
+                for m in metrics))
+
+
+def _write_reliability(path, bins) -> None:
+    _write_csv(path, ["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"],
+               ([repr(b.lo), repr(b.hi), b.count, repr(b.mean_conf), repr(b.accuracy)] for b in bins))
 
 
 # ---------------------------------------------------------------- datasets
@@ -231,11 +266,9 @@ def cmd_verify(args, parser) -> int:
         _build(parser, LossParams, {"beta": "--betas"}, beta=b)
     fd = _build(parser, FdConfig, step=args.step, rel_tol=args.rel_tol, trials=args.trials, seed=args.seed)
     report = verify_all(fd, args.betas)
-    text = report.to_json_lines() + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit("".join(json.dumps({"property": c.property, "beta": c.beta, "tolerance": c.tolerance,
+                              "worst_error": c.worst_error, "pass": c.passed}) + "\n" for c in report.checks),
+          args.out)
     if not report.all_pass:
         failing = ", ".join(sorted({c.property for c in report.failures()}))
         print(f"FAILED properties: {failing}", file=sys.stderr)
@@ -267,15 +300,6 @@ def _diverged(exc: TrainingDiverged) -> str:
     return f"diverged:epoch={exc.epoch},batch={exc.batch}"
 
 
-def _write_conftable_csv(path, counts) -> None:
-    intervals = ["p<=0.2", "0.2<p<=0.4", "0.4<p<=0.6", "0.6<p<=0.8", "0.8<p<=1"]
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["interval", "count"])
-        for name, count in zip(intervals, counts):
-            w.writerow([name, int(count)])
-
-
 def cmd_sweep(args, parser) -> int:
     _check_bins(args, parser)
     warmup = _warmup_from_args(args, parser)
@@ -300,16 +324,14 @@ def cmd_sweep(args, parser) -> int:
             rows.append([tag, "", "", "", "", "", _diverged(exc)])
             continue
         ev = _evaluate_run(result, test_set, args.bins)
-        write_metrics_csv(out / f"metrics_beta_{tag}.csv", result.metrics)
-        write_reliability_csv(out / f"reliability_beta_{tag}.csv", list(ev["report"].bins))
-        _write_conftable_csv(out / f"conftable_beta_{tag}.csv", ev["train_conf_table"])
+        _write_metrics(out / f"metrics_beta_{tag}.csv", result.metrics)
+        _write_reliability(out / f"reliability_beta_{tag}.csv", ev["report"].bins)
+        _write_csv(out / f"conftable_beta_{tag}.csv", ["interval", "count"],
+                   ([name, int(count)] for name, count in zip(_INTERVALS, ev["train_conf_table"])))
         rows.append([tag, repr(ev["top1_acc"]), repr(ev["train_acc"]),
                      repr(ev["ece"]), repr(ev["mce"]), repr(ev["mean_conf"]), "ok"])
 
-    with open(out / "summary.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["beta", "top1_acc", "train_acc", "ece", "mce", "mean_conf", "status"])
-        w.writerows(rows)
+    _write_csv(out / "summary.csv", ["beta", "top1_acc", "train_acc", "ece", "mce", "mean_conf", "status"], rows)
     return 0
 
 
@@ -329,16 +351,16 @@ def cmd_trace(args, parser) -> int:
     except TrainingDiverged as exc:
         print(_diverged(exc), file=sys.stderr)
         return 2
-    groups = difficulty_groups(result.traces, k=args.groups)
+    traces = result.traces
+    groups = difficulty_groups(traces, k=args.groups)
 
-    write_metrics_csv(out / "metrics.csv", result.metrics)
-    write_trace_csv(out / "trace.csv", result.traces)
-    with open(out / "group_means.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "group", "mean_conf"])
-        for epoch in range(result.traces.epochs):
-            for g in range(args.groups):
-                w.writerow([epoch, g + 1, repr(float(groups.group_means[g, epoch]))])
+    _write_metrics(out / "metrics.csv", result.metrics)
+    _write_csv(out / "trace.csv", ["epoch", "sample_id", "p_true", "group"],
+               ([epoch, sid, repr(float(traces.p_true[epoch, j])), int(groups.assignment[j])]
+                for epoch in range(traces.epochs) for j, sid in enumerate(traces.sample_ids)))
+    _write_csv(out / "group_means.csv", ["epoch", "group", "mean_conf"],
+               ([epoch, g + 1, repr(float(groups.group_means[g, epoch]))]
+                for epoch in range(traces.epochs) for g in range(args.groups)))
     return 0
 
 
@@ -350,8 +372,11 @@ def _load_logits_file(path, parser):
     if p.suffix == ".npz":
         try:
             data = np.load(p)  # allow_pickle stays off: pickled content is a ValueError
-            logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
-        except (KeyError, IndexError):  # not a member of the archive, or not an archive of arrays
+            if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy file behind an .npz name
+                parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
+            with data:
+                logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
+        except KeyError:  # not a member of the archive
             parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
             parser.error(f"{p}: {exc}")
@@ -403,13 +428,9 @@ def cmd_calib(args, parser) -> int:
         payload["tau_star"] = tau
         payload["ece_scaled"] = scaled_report.ece
         payload["mce_scaled"] = scaled_report.mce
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if args.reliability_out:
-        write_reliability_csv(args.reliability_out, list(report.bins))
+        _write_reliability(args.reliability_out, report.bins)
     return 0
 
 

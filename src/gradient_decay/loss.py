@@ -78,6 +78,12 @@ def check_positive_real(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive finite real, got {value!r}")
 
 
+def check_real_in(name: str, value, lo: float, hi: float) -> None:
+    """Raise ValueError unless value is a finite real number in [lo, hi): numpy scalars pass, a bool does not."""
+    if isinstance(value, bool) or not (isinstance(value, _REALS) and math.isfinite(value) and lo <= value < hi):
+        raise ValueError(f"{name} must be a finite real in [{lo}, {hi}), got {value!r}")
+
+
 def check_int(name: str, value, least: int) -> None:
     """Raise ValueError unless value is an integer >= least: numpy integers pass, a bool or float does not."""
     if isinstance(value, bool) or not (isinstance(value, _INTS) and value >= least):

@@ -13,13 +13,12 @@ quantile groups by early-training confidence, hardest group first.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch, check_int, check_positive_real
+from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch, check_int, check_positive_real, check_real_in
 from gradient_decay.schedule import Granularity, WarmupSchedule
 from gradient_decay.datasets import Dataset
 
@@ -35,8 +34,6 @@ __all__ = [
     "check_fits",
     "difficulty_groups",
     "clip_global_norm",
-    "write_metrics_csv",
-    "write_trace_csv",
 ]
 
 # trace every sample by default up to this dataset size
@@ -187,12 +184,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be a non-negative finite real, got {self.lr!r}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ValueError(f"weight_decay must be a non-negative finite real, got {self.weight_decay!r}")
+        check_real_in("lr", self.lr, 0, math.inf)
+        check_real_in("momentum", self.momentum, 0, 1)
+        check_real_in("weight_decay", self.weight_decay, 0, math.inf)
         check_int("batch_size", self.batch_size, 1)
         check_int("epochs", self.epochs, 1)
         if self.clip_norm is not None:
@@ -216,7 +210,6 @@ class SampleTraces:
 
     p_true: np.ndarray      # (epochs, n_traced)
     sample_ids: np.ndarray  # (n_traced,)
-    groups: np.ndarray | None = None  # 1 = hardest .. k = easiest
 
     @property
     def epochs(self) -> int:
@@ -371,7 +364,7 @@ def difficulty_groups(traces: SampleTraces, k: int = 5) -> DifficultyGroups:
     """Quantile groups by mean confidence over the first 20% of epochs.
 
     Group 1 collects the lowest-confidence ("hard") samples, group k the
-    easiest; ties break by sample id.  Also fills traces.groups.
+    easiest; ties break by sample id.
     """
     check_int("k", k, 1)
     n = traces.sample_ids.size
@@ -385,27 +378,4 @@ def difficulty_groups(traces: SampleTraces, k: int = 5) -> DifficultyGroups:
     for j, chunk in enumerate(np.array_split(order, k)):
         assignment[chunk] = j + 1
         group_means[j] = traces.p_true[:, chunk].mean(axis=1)
-    traces.groups = assignment
     return DifficultyGroups(assignment=assignment, group_means=group_means)
-
-
-def write_metrics_csv(path, metrics: list[EpochMetrics]) -> None:
-    """epoch, beta, train_loss, train_acc, test_acc, mean_conf per row."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "beta", "train_loss", "train_acc", "test_acc", "mean_conf"])
-        for m in metrics:
-            w.writerow([m.epoch, repr(m.beta), repr(m.train_loss), repr(m.train_acc),
-                        repr(m.test_acc), repr(m.mean_conf)])
-
-
-def write_trace_csv(path, traces: SampleTraces) -> None:
-    """epoch, sample_id, p_true, group per row (group blank if unassigned)."""
-    groups = traces.groups
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "sample_id", "p_true", "group"])
-        for epoch in range(traces.epochs):
-            for j, sid in enumerate(traces.sample_ids):
-                w.writerow([epoch, sid, repr(float(traces.p_true[epoch, j])),
-                            "" if groups is None else int(groups[j])])

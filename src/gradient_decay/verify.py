@@ -16,7 +16,6 @@ difference noise floor (~1e-10 at step 1e-5 in float64).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -83,17 +82,6 @@ class PropertyCheck:
     worst_error: float
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "property": self.property,
-                "beta": self.beta,
-                "tolerance": self.tolerance,
-                "worst_error": self.worst_error,
-                "pass": self.passed,
-            }
-        )
-
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -105,9 +93,6 @@ class VerifyReport:
 
     def failures(self) -> list[PropertyCheck]:
         return [c for c in self.checks if not c.passed]
-
-    def to_json_lines(self) -> str:
-        return "\n".join(c.to_json() for c in self.checks)
 
 
 def central_diff_grad(f, z, step: float) -> np.ndarray:

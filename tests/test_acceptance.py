@@ -15,11 +15,11 @@ import pytest
 from conftest import mnist_dir, requires_mnist
 from gradient_decay.calibration import (
     PredictionSet,
+    _NllWorkspace,
+    calibration_report,
     confidence_table,
-    ece,
     fit_temperature,
 )
-from gradient_decay.calibration import _mean_nll
 from gradient_decay.datasets import BlobsConfig, load_mnist_idx, make_blobs, mnist_paths
 from gradient_decay.loss import (
     LossParams,
@@ -210,7 +210,7 @@ def blobs_sweep():
         runs[beta] = {
             "test_acc": res.metrics[-1].test_acc,
             "mean_conf": float(pred.confidences.mean()),
-            "ece": ece(pred, 10),
+            "ece": calibration_report(pred, 10).ece,
             "logits": logits,
             "labels": test_set.labels,
         }
@@ -236,8 +236,8 @@ def test_c9_temperature_scaling(blobs_sweep):
     logits = blobs_sweep[1.0]["logits"]
     labels = blobs_sweep[1.0]["labels"]
     tau = fit_temperature(logits, labels)
-    nll_1 = _mean_nll(logits, labels, 1.0)
-    nll_t = _mean_nll(logits, labels, tau)
+    nll = _NllWorkspace(logits, labels)
+    nll_1, nll_t = nll(1.0), nll(tau)
     before = PredictionSet.from_logits(logits, labels).predicted
     after = PredictionSet.from_logits(logits, labels, tau=tau).predicted
     ok = nll_t <= nll_1 + 1e-12

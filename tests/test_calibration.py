@@ -13,15 +13,11 @@ from gradient_decay.calibration import (
     _BLOCK_ROWS,
     PredictionSet,
     _column_sums,
-    _mean_nll,
     _NllWorkspace,
     bin_reliability,
     calibration_report,
     confidence_table,
-    ece,
     fit_temperature,
-    mce,
-    write_reliability_csv,
 )
 from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_eval, softmax_probs
 
@@ -248,8 +244,9 @@ class TestBinReliability:
     def test_mixed_hand_case(self):
         # two samples at confidence 0.9, one correct: bin gap |0.5 - 0.9|
         pred = _single_conf_rows([0.9, 0.9], [True, False], m=2)
-        assert ece(pred, 10) == pytest.approx(0.4, abs=1e-12)
-        assert mce(pred, 10) == pytest.approx(0.4, abs=1e-12)
+        report = calibration_report(pred, 10)
+        assert report.ece == pytest.approx(0.4, abs=1e-12)
+        assert report.mce == pytest.approx(0.4, abs=1e-12)
 
     def test_empty_bins_marked_nan(self):
         pred = _single_conf_rows([0.95], [True])
@@ -267,27 +264,32 @@ class TestEceMce:
     def test_perfectly_calibrated_set(self):
         # bin (0.7, 0.8]: ten samples at confidence 0.8, eight correct
         pred = _single_conf_rows([0.8] * 10, [True] * 8 + [False] * 2, m=2)
-        assert ece(pred, 10) == pytest.approx(0.0, abs=1e-12)
-        assert mce(pred, 10) == pytest.approx(0.0, abs=1e-12)
+        report = calibration_report(pred, 10)
+        assert report.ece == pytest.approx(0.0, abs=1e-12)
+        assert report.mce == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_overconfidence(self):
         pred = _single_conf_rows([0.9] * 10, [True] * 8 + [False] * 2, m=2)
-        assert ece(pred, 10) == pytest.approx(0.1, abs=1e-9)
-        assert mce(pred, 10) == pytest.approx(0.1, abs=1e-9)
+        report = calibration_report(pred, 10)
+        assert report.ece == pytest.approx(0.1, abs=1e-9)
+        assert report.mce == pytest.approx(0.1, abs=1e-9)
 
     @given(prediction_sets())
     @settings(max_examples=150)
     def test_mce_dominates_ece(self, pred):
-        assert mce(pred, 10) >= ece(pred, 10) - 1e-15
-        assert 0.0 <= ece(pred, 10) <= 1.0
-        assert 0.0 <= mce(pred, 10) <= 1.0
+        report = calibration_report(pred, 10)
+        assert report.mce >= report.ece - 1e-15
+        assert 0.0 <= report.ece <= 1.0
+        assert 0.0 <= report.mce <= 1.0
 
     @given(prediction_sets(), st.integers(1, 20))
     @settings(max_examples=100)
     def test_report_fields_are_ece_and_mce(self, pred, bins):
+        # ECE: count-weighted mean of |accuracy - confidence|; MCE: its largest value on a non-empty bin
+        gaps = [(b.count, abs(b.accuracy - b.mean_conf)) for b in bin_reliability(pred, bins) if b.count]
         report = calibration_report(pred, bins=bins)
-        assert report.ece == ece(pred, bins)
-        assert report.mce == mce(pred, bins)
+        assert report.ece == sum((count / pred.n) * gap for count, gap in gaps)
+        assert report.mce == max(gap for _, gap in gaps)
 
     @given(prediction_sets(), st.randoms())
     @settings(max_examples=60)
@@ -295,8 +297,9 @@ class TestEceMce:
         order = list(range(pred.n))
         rnd.shuffle(order)
         shuffled = PredictionSet(pred.probs[order], pred.labels[order])
-        assert ece(shuffled, 10) == pytest.approx(ece(pred, 10), abs=1e-12)
-        assert mce(shuffled, 10) == pytest.approx(mce(pred, 10), abs=1e-12)
+        before, after = calibration_report(pred, 10), calibration_report(shuffled, 10)
+        assert after.ece == pytest.approx(before.ece, abs=1e-12)
+        assert after.mce == pytest.approx(before.mce, abs=1e-12)
 
 
 class TestConfidenceTable:
@@ -320,8 +323,6 @@ class TestConfidenceTable:
     def test_validation(self):
         with pytest.raises(ValueError):
             confidence_table(np.array([1.5]))
-        with pytest.raises(ValueError):
-            confidence_table(np.array([0.5]), thresholds=(0.4, 0.4))
 
 
 class TestFitTemperature:
@@ -346,7 +347,8 @@ class TestFitTemperature:
         logits = rng.normal(0, 3, (500, 6))
         labels = rng.integers(0, 6, 500)
         tau = fit_temperature(logits, labels)
-        assert _mean_nll(logits, labels, tau) <= _mean_nll(logits, labels, 1.0) + 1e-12
+        nll = _NllWorkspace(logits, labels)
+        assert nll(tau) <= nll(1.0) + 1e-12
 
     def test_repeated_row_returns_finite_tau_in_range(self):
         logits = np.tile(np.array([1.0, 0.5, -0.2]), (20, 1))
@@ -367,7 +369,7 @@ class TestFitTemperature:
         _, z, y = case
         assert fit_temperature(z, y) == _reference_fit_temperature(z, y)
         for tau in (0.05, 1.0, 3.7):
-            assert _mean_nll(z, y, tau) == _reference_mean_nll(z, y, tau)
+            assert _NllWorkspace(z, y)(tau) == _reference_mean_nll(z, y, tau)
 
     def test_clamps_at_lo(self):
         # every label is its row's strict argmax: NLL falls all the way to tau -> 0
@@ -392,7 +394,8 @@ class TestFitTemperature:
         # is worse than tau = 1 on calibrated logits
         logits, labels = self._calibrated_logits(n=2000)
         midpoint = math.exp((math.log(0.05) + math.log(10.0)) / 2.0)
-        assert _mean_nll(logits, labels, midpoint) > _mean_nll(logits, labels, 1.0)
+        nll = _NllWorkspace(logits, labels)
+        assert nll(midpoint) > nll(1.0)
         assert fit_temperature(logits, labels, iters=0) == 1.0
         assert _reference_fit_temperature(logits, labels, iters=0) == 1.0
 
@@ -430,7 +433,7 @@ class TestFitTemperature:
         with pytest.raises(ValueError, match=message):
             fit_temperature(np.asarray(logits), np.asarray(labels))
         with pytest.raises(ValueError, match=message):
-            _mean_nll(np.asarray(logits), np.asarray(labels), 1.0)
+            _NllWorkspace(np.asarray(logits), np.asarray(labels))(1.0)
 
     @pytest.mark.parametrize("lo, hi", [(5.0, 1.0), (2.0, 2.0)])
     def test_empty_bracket_rejected(self, lo, hi):
@@ -493,11 +496,3 @@ class TestReportAndCsv:
         assert len(rep.bins) == 10
         assert rep.mce >= rep.ece
         assert sum(rep.interval_counts) == 3
-
-    def test_reliability_csv(self, tmp_path):
-        pred = _single_conf_rows([0.9] * 3, [True, True, False], m=2)
-        p = tmp_path / "rel.csv"
-        write_reliability_csv(p, bin_reliability(pred, 10))
-        lines = p.read_text().splitlines()
-        assert lines[0] == "bin_lo,bin_hi,count,mean_conf,accuracy"
-        assert len(lines) == 11

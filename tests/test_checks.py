@@ -1,12 +1,14 @@
-"""Every scalar parameter goes through one of loss's two checkers, with one rule per kind.
+"""Every scalar parameter goes through one of loss's three checkers, with one rule per kind.
 
-A real parameter (check_positive_real) is a finite number > 0; an integer
-parameter (check_int) is an integer at or above its least value.  Each rule
-rejects bool, strings, NaN and infinities the same way at every call site
-and accepts numpy scalars.
+A real parameter (check_positive_real) is a finite number > 0; a bounded
+real (check_real_in) is a finite number in [lo, hi); an integer parameter
+(check_int) is an integer at or above its least value.  Each rule rejects
+bool, strings, NaN and infinities the same way at every call site and
+accepts numpy scalars.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +34,8 @@ _LOGITS, _LABELS = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 3.0]]), np.array([0, 
 _PRED = PredictionSet.from_logits(_LOGITS, _LABELS)
 _TRACES = np.linspace(0.1, 0.9, 12).reshape(2, 6)
 
-# call site -> (call with the value in place, least integer or None for a positive real)
+# call site -> (call with the value in place, rule): the rule is None for a positive real,
+# an (lo, hi) pair for a real in [lo, hi), and the least value for an integer
 SITES = {
     "LossParams.beta": (lambda v: LossParams(beta=v), None),
     "LossParams.tau": (lambda v: LossParams(beta=1.0, tau=v), None),
@@ -55,6 +58,9 @@ SITES = {
     "central_diff_grad.step": (lambda v: central_diff_grad(lambda Z: Z.sum(axis=1), [0.0, 1.0], v), None),
     "grid_scan_extremum.points": (lambda v: grid_scan_extremum(lambda g: -g * g, -1.0, 1.0, v), 3),
     "verify_all.betas": (lambda v: verify_all(FdConfig(trials=2), [v]), None),
+    "TrainConfig.lr": (lambda v: TrainConfig(lr=v), (0, math.inf)),
+    "TrainConfig.momentum": (lambda v: TrainConfig(lr=0.1, momentum=v), (0, 1)),
+    "TrainConfig.weight_decay": (lambda v: TrainConfig(lr=0.1, weight_decay=v), (0, math.inf)),
     "TrainConfig.batch_size": (lambda v: TrainConfig(lr=0.1, batch_size=v), 1),
     "TrainConfig.epochs": (lambda v: TrainConfig(lr=0.1, epochs=v), 1),
     "TrainConfig.clip_norm": (lambda v: TrainConfig(lr=0.1, clip_norm=v), None),
@@ -77,28 +83,39 @@ def _distinct(values):
     return list({(type(v), repr(v)): v for v in values}.values())
 
 
-def _rejected(least):
+def _rejected(rule):
     bad = [True, np.bool_(True), math.nan, math.inf, -math.inf, -1, "a"]
-    if least is None:
+    if rule is None:
         return _distinct(bad + [0, 0.0, np.float64(-0.5)])
-    return _distinct(bad + [least - 1, 2.5, float(least), np.float64(least)])
+    if isinstance(rule, tuple):
+        return _distinct(bad + [float(rule[1])])
+    return _distinct(bad + [rule - 1, 2.5, float(rule), np.float64(rule)])
 
 
-def _accepted(least):
-    if least is None:
+def _accepted(rule):
+    if rule is None:
         return [np.float32(0.5), np.int64(2), 2, 0.25]
-    return [np.int64(least + 1), np.int32(least), least]
+    if isinstance(rule, tuple):
+        return [0, 0.0, np.int64(0), np.float32(0.5)]
+    return [np.int64(rule + 1), np.int32(rule), rule]
 
 
-REJECT = [(site, v) for site, (_, least) in SITES.items() for v in _rejected(least)]
-ACCEPT = [(site, v) for site, (_, least) in SITES.items() for v in _accepted(least)]
+def _message(rule):
+    if rule is None:
+        return "must be a positive finite real"
+    if isinstance(rule, tuple):
+        return re.escape(f"must be a finite real in [{rule[0]}, {rule[1]})")
+    return f"must be an integer >= {rule}"
+
+
+REJECT = [(site, v) for site, (_, rule) in SITES.items() for v in _rejected(rule)]
+ACCEPT = [(site, v) for site, (_, rule) in SITES.items() for v in _accepted(rule)]
 
 
 @pytest.mark.parametrize("site, value", REJECT, ids=[f"{s}-{type(v).__name__}-{v!r}" for s, v in REJECT])
 def test_bad_value_is_a_value_error_naming_the_rule(site, value):
-    call, least = SITES[site]
-    rule = "must be a positive finite real" if least is None else f"must be an integer >= {least}"
-    with pytest.raises(ValueError, match=rule):
+    call, rule = SITES[site]
+    with pytest.raises(ValueError, match=_message(rule)):
         call(value)
 
 

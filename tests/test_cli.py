@@ -11,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gradient_decay import calibration, cli
-from gradient_decay.calibration import PredictionSet, calibration_report, write_reliability_csv
+from gradient_decay.calibration import PredictionSet, calibration_report
 from gradient_decay.cli import main
 from gradient_decay.datasets import write_idx_images, write_idx_labels
+from gradient_decay.mlp import TrainingDiverged
 
 FAST_SWEEP = [
     "--dataset", "blobs", "--epochs", "3", "--lr", "0.05", "--batch", "50",
@@ -27,6 +28,22 @@ def run(argv):
 
 def no_work(*args, **kwargs):
     raise AssertionError("work started before the arguments were checked")
+
+
+def recorded(monkeypatch, name):
+    """A list that collects what cli.<name> returns, or the TrainingDiverged it raises, on each call."""
+    calls, fn = [], getattr(cli, name)
+
+    def recording(*args, **kwargs):
+        try:
+            calls.append(fn(*args, **kwargs))
+        except TrainingDiverged as exc:
+            calls.append(exc)
+            raise
+        return calls[-1]
+
+    monkeypatch.setattr(cli, name, recording)
+    return calls
 
 
 @pytest.fixture
@@ -88,12 +105,17 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "fd_gradient_agreement" in err
 
-    def test_out_file(self, tmp_path):
+    def test_out_file(self, tmp_path, monkeypatch):
+        # one JSON object per check, in report order, each line ending in \n
+        reports = recorded(monkeypatch, "verify_all")
         out = tmp_path / "report.jsonl"
         assert run(["verify", "--trials", "5", "--betas", "1", "--out", str(out)]) == 0
-        assert out.exists()
-        for line in out.read_text().strip().splitlines():
-            assert set(json.loads(line)) == {"property", "beta", "tolerance", "worst_error", "pass"}
+        want = "".join(
+            f'{{"property": "{c.property}", "beta": {"null" if c.beta is None else repr(c.beta)}, '
+            f'"tolerance": {c.tolerance!r}, "worst_error": {c.worst_error!r}, "pass": {str(c.passed).lower()}}}\n'
+            for c in reports[0].checks)
+        assert {c.beta for c in reports[0].checks} == {None, 1.0}
+        assert out.read_bytes() == want.encode()
 
 
 class TestSweepCommand:
@@ -125,6 +147,16 @@ class TestSweepCommand:
         assert run(argv + [str(b)] + FAST_SWEEP) == 0
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_diverged_rows(self, tmp_path, monkeypatch):
+        runs = recorded(monkeypatch, "train")
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--betas", "1,0.1", "--lr", "1e6", "--epochs", "1", "--out", str(out)]) == 0
+        assert all(isinstance(exc, TrainingDiverged) for exc in runs)
+        want = "beta,top1_acc,train_acc,ece,mce,mean_conf,status\r\n" + "".join(
+            f'{tag},,,,,,"diverged:epoch={exc.epoch},batch={exc.batch}"\r\n' for tag, exc in zip(("1.0", "0.1"), runs))
+        assert (out / "summary.csv").read_bytes() == want.encode()
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
     def test_model_class_mismatch_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -245,6 +277,35 @@ class TestTraceCommand:
         assert gm_header == "epoch,group,mean_conf"
         assert len(gm_rows) == 3 * 5
 
+    @pytest.fixture
+    def trace_run(self, tmp_path, monkeypatch):
+        """The trace command's output directory, with the TrainResult and DifficultyGroups it wrote out."""
+        results, groups = recorded(monkeypatch, "train"), recorded(monkeypatch, "difficulty_groups")
+        out = tmp_path / "trace"
+        assert run(["trace", "--beta", "0.1", "--groups", "5", "--out", str(out)] + FAST_SWEEP) == 0
+        return out, results[0], groups[0]
+
+    def test_metrics_csv_bytes(self, trace_run):
+        out, result, _ = trace_run
+        want = "epoch,beta,train_loss,train_acc,test_acc,mean_conf\r\n" + "".join(
+            f"{m.epoch},{m.beta!r},{m.train_loss!r},{m.train_acc!r},{m.test_acc!r},{m.mean_conf!r}\r\n"
+            for m in result.metrics)
+        assert (out / "metrics.csv").read_bytes() == want.encode()
+
+    def test_trace_csv_bytes(self, trace_run):
+        out, result, groups = trace_run
+        traces = result.traces
+        want = "epoch,sample_id,p_true,group\r\n" + "".join(
+            f"{e},{sid},{float(traces.p_true[e, j])!r},{groups.assignment[j]}\r\n"
+            for e in range(traces.epochs) for j, sid in enumerate(traces.sample_ids))
+        assert (out / "trace.csv").read_bytes() == want.encode()
+
+    def test_group_means_csv_bytes(self, trace_run):
+        out, result, groups = trace_run
+        want = "epoch,group,mean_conf\r\n" + "".join(
+            f"{e},{g + 1},{float(groups.group_means[g, e])!r}\r\n"
+            for e in range(result.traces.epochs) for g in range(5))
+        assert (out / "group_means.csv").read_bytes() == want.encode()
 
     def test_bins_is_not_a_trace_flag(self, tmp_path, capsys, forbid_work):
         assert_usage_error(["trace", "--bins", "3", "--out", str(tmp_path / "x")] + FAST_SWEEP, capsys,
@@ -293,9 +354,10 @@ class TestCalibCommand:
         assert run(["calib", "--logits", str(path), "--bins", str(bins), "--reliability-out", str(rel)]) == 0
         raw = np.loadtxt(path, delimiter=",", ndmin=2)
         pred = PredictionSet.from_logits(raw[:, :-1], raw[:, -1].astype(np.int64))
-        want = tmp_path / "want.csv"
-        write_reliability_csv(want, calibration_report(pred, bins=bins).bins)
-        assert rel.read_bytes() == want.read_bytes()
+        want = "bin_lo,bin_hi,count,mean_conf,accuracy\r\n" + "".join(
+            f"{b.lo!r},{b.hi!r},{b.count},{b.mean_conf!r},{b.accuracy!r}\r\n"
+            for b in calibration_report(pred, bins=bins).bins)
+        assert rel.read_bytes() == want.encode()
 
     @pytest.mark.parametrize("fit, reports", [([], 1), (["--fit-temperature"], 2)])
     def test_bins_built_once_per_report(self, tmp_path, monkeypatch, fit, reports):
@@ -362,6 +424,23 @@ class TestCalibCommand:
         with pytest.raises(SystemExit) as exc:
             run(["calib", "--logits", str(tmp_path / "none.csv")])
         assert exc.value.code == 2
+
+    def test_npz_archive_is_closed_on_every_exit(self, tmp_path, monkeypatch):
+        loaded, load = [], np.load
+        monkeypatch.setattr(np, "load", lambda *args, **kwargs: loaded.append(load(*args, **kwargs)) or loaded[-1])
+        rng = np.random.default_rng(1)
+        cases = {"good": (0, {"logits": rng.normal(0, 1, (30, 4)), "labels": rng.integers(0, 4, 30)}),
+                 "rowless": (2, {"logits": np.zeros((0, 3)), "labels": np.zeros(0, dtype=np.int64)}),
+                 "unlabeled": (2, {"logits": rng.normal(0, 1, (30, 4))})}
+        for name, (code, arrays) in cases.items():
+            path = tmp_path / f"{name}.npz"
+            np.savez(path, **arrays)
+            try:
+                assert run(["calib", "--logits", str(path)]) == code
+            except SystemExit as exc:
+                assert exc.code == code
+        assert len(loaded) == 3
+        assert all(isinstance(data, np.lib.npyio.NpzFile) and data.zip is None for data in loaded)
 
     def test_npz_without_rows_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "empty.npz"

@@ -18,8 +18,6 @@ from gradient_decay.mlp import (
     clip_global_norm,
     difficulty_groups,
     train,
-    write_metrics_csv,
-    write_trace_csv,
 )
 from gradient_decay.schedule import Granularity, WarmupSchedule
 
@@ -490,7 +488,6 @@ class TestDifficultyGroups:
         g = difficulty_groups(traces, k=5)
         # sample ranked by confidence: 0.1 < 0.3 < 0.5 < 0.7 < 0.9
         assert list(g.assignment) == [3, 1, 5, 2, 4]
-        assert traces.groups is not None
 
     def test_ties_break_by_sample_id(self):
         traces = self._const_traces([0.5, 0.5, 0.5, 0.5])
@@ -510,25 +507,3 @@ class TestDifficultyGroups:
         with pytest.raises(ValueError):
             difficulty_groups(traces, k=5)
 
-
-class TestCsvWriters:
-    def test_metrics_csv(self, tmp_path):
-        train_set, test_set = _tiny_blobs()
-        model = MlpModel.init((2, 8, 4), seed=0)
-        res = train(model, train_set, TrainConfig(lr=0.05, epochs=2, batch_size=32, seed=0),
-                    LossParams(beta=1.0), test_set=test_set, trace=False)
-        p = tmp_path / "metrics.csv"
-        write_metrics_csv(p, res.metrics)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "epoch,beta,train_loss,train_acc,test_acc,mean_conf"
-        assert len(lines) == 3
-
-    def test_trace_csv(self, tmp_path):
-        traces = SampleTraces(np.array([[0.25, 0.75]]), np.array([0, 1]))
-        difficulty_groups(traces, k=2)
-        p = tmp_path / "trace.csv"
-        write_trace_csv(p, traces)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "epoch,sample_id,p_true,group"
-        assert lines[1] == "0,0,0.25,1"
-        assert lines[2] == "0,1,0.75,2"

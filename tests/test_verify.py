@@ -1,7 +1,5 @@
 """Tests for the finite-difference / grid-scan verification machinery."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -174,15 +172,15 @@ class TestVerifyAll:
 
     def test_report_matches_the_per_coordinate_reference(self, monkeypatch):
         # The row-batched finite differences must reproduce the report of the
-        # per-coordinate loop over scalar beta_ce_loss calls line for line.
+        # per-coordinate loop over scalar beta_ce_loss calls check for check.
         fd = FdConfig(trials=50)
-        batched = verify_all(fd).to_json_lines()
+        batched = verify_all(fd).checks
 
         def per_coordinate(z, c, params, step):
             return old_central_diff_grad(lambda zz: beta_ce_loss(LabeledLogits(zz, c), params), z, step)
 
         monkeypatch.setattr(gradient_decay.verify, "_fd_loss_grad", per_coordinate)
-        assert verify_all(fd).to_json_lines() == batched
+        assert verify_all(fd).checks == batched
 
     def test_deterministic_given_seed(self):
         a = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
@@ -194,14 +192,6 @@ class TestVerifyAll:
         failing = {c.property for c in report.failures()}
         assert "fd_gradient_agreement" in failing
         assert not report.all_pass
-
-    def test_json_lines_schema(self):
-        report = verify_all(FdConfig(trials=5), [1.0])
-        lines = report.to_json_lines().splitlines()
-        assert len(lines) == len(report.checks)
-        for line in lines:
-            rec = json.loads(line)
-            assert set(rec) == {"property", "beta", "tolerance", "worst_error", "pass"}
 
     def test_fd_config_validation(self):
         with pytest.raises(ValueError):
