@@ -19,6 +19,7 @@ from gradient_decay.calibration import (
     confidence_table,
     fit_temperature,
 )
+from gradient_decay.cli import _write_reliability
 from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_eval, softmax_probs
 
 
@@ -496,3 +497,12 @@ class TestReportAndCsv:
         assert len(rep.bins) == 10
         assert rep.mce >= rep.ece
         assert sum(rep.interval_counts) == 3
+
+    def test_reliability_csv(self, tmp_path):
+        # the CLI's reliability writer: header plus one row per bin
+        pred = _single_conf_rows([0.9] * 3, [True, True, False], m=2)
+        p = tmp_path / "rel.csv"
+        _write_reliability(p, bin_reliability(pred, 10))
+        lines = p.read_text().splitlines()
+        assert lines[0] == "bin_lo,bin_hi,count,mean_conf,accuracy"
+        assert len(lines) == 11

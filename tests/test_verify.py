@@ -1,10 +1,13 @@
 """Tests for the finite-difference / grid-scan verification machinery."""
 
+import json
+
 import numpy as np
 import pytest
 
 import gradient_decay.loss
 import gradient_decay.verify
+from gradient_decay.cli import main
 from gradient_decay.loss import (
     LabeledLogits,
     LossParams,
@@ -192,6 +195,17 @@ class TestVerifyAll:
         failing = {c.property for c in report.failures()}
         assert "fd_gradient_agreement" in failing
         assert not report.all_pass
+
+    def test_json_lines_schema(self, tmp_path):
+        # the verify command writes one JSON object per check
+        report = verify_all(FdConfig(trials=5), [1.0])
+        out = tmp_path / "report.jsonl"
+        assert main(["verify", "--trials", "5", "--betas", "1", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(report.checks)
+        for line in lines:
+            rec = json.loads(line)
+            assert set(rec) == {"property", "beta", "tolerance", "worst_error", "pass"}
 
     def test_fd_config_validation(self):
         with pytest.raises(ValueError):
