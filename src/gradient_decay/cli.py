@@ -126,6 +126,20 @@ def _check_bins(args, parser) -> None:
         parser.error(f"--bins must be at least 1, got {args.bins}")
 
 
+def _check_out(parser, flag, path, directory=False) -> None:
+    """Before any work, a usage error naming flag unless path can be written.
+
+    A file needs its parent to be a directory.  A directory is made with its
+    parents, so the nearest of it and them that exists must be a directory.
+    """
+    p = Path(path)
+    where = next(d for d in (p, *p.parents) if d.exists()) if directory else p.parent
+    if not where.is_dir():
+        parser.error(f"argument {flag}: cannot write {p}: {where} is not a directory")
+    if not directory and p.is_dir():
+        parser.error(f"argument {flag}: cannot write {p}: it is a directory")
+
+
 def _beta_tag(beta) -> str:
     return "warmup" if beta == "warmup" else repr(float(beta))
 
@@ -265,6 +279,8 @@ def cmd_verify(args, parser) -> int:
     for b in args.betas:
         _build(parser, LossParams, {"beta": "--betas"}, beta=b)
     fd = _build(parser, FdConfig, step=args.step, rel_tol=args.rel_tol, trials=args.trials, seed=args.seed)
+    if args.out:
+        _check_out(parser, "--out", args.out)
     report = verify_all(fd, args.betas)
     _emit("".join(json.dumps({"property": c.property, "beta": c.beta, "tolerance": c.tolerance,
                               "worst_error": c.worst_error, "pass": c.passed}) + "\n" for c in report.checks),
@@ -308,6 +324,7 @@ def cmd_sweep(args, parser) -> int:
     ]
     if warmup is not None:
         runs.append(("warmup", LossParams(beta=warmup.beta_initial, tau=args.tau), warmup))
+    _check_out(parser, "--out", args.out, directory=True)
     train_set, test_set, dims = _load_datasets(args, parser)
     cfg = _train_config(args, train_set, parser)
     out = Path(args.out)
@@ -337,13 +354,12 @@ def cmd_sweep(args, parser) -> int:
 
 def cmd_trace(args, parser) -> int:
     params = _build(parser, LossParams, beta=args.beta, tau=args.tau)
+    _check_out(parser, "--out", args.out, directory=True)
     train_set, test_set, dims = _load_datasets(args, parser)
     traced = min(train_set.n, TRACE_LIMIT)
     if not 1 <= args.groups <= traced:
         parser.error(f"--groups must lie between 1 and the {traced} traced samples, got {args.groups}")
     cfg = _train_config(args, train_set, parser)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     model = MlpModel.init(dims, seed=args.seed)
     try:
@@ -353,6 +369,8 @@ def cmd_trace(args, parser) -> int:
         return 2
     traces = result.traces
     groups = difficulty_groups(traces, k=args.groups)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
 
     _write_metrics(out / "metrics.csv", result.metrics)
     _write_csv(out / "trace.csv", ["epoch", "sample_id", "p_true", "group"],
@@ -409,6 +427,9 @@ def cmd_calib(args, parser) -> int:
     _check_bins(args, parser)
     if args.beta is not None:
         _build(parser, LossParams, beta=args.beta)
+    for flag, path in (("--out", args.out), ("--reliability-out", args.reliability_out)):
+        if path:
+            _check_out(parser, flag, path)
     logits, labels, pred = _load_logits_file(args.logits, parser)
     report = calibration_report(pred, bins=args.bins)
     payload = {

@@ -201,31 +201,16 @@ def softmax_probs(z, tau: float = 1.0) -> np.ndarray:
 def beta_ce_loss(x: LabeledLogits, p: LossParams) -> float:
     """Loss J = log(sum_{i != c} e^{(z_i-u)/tau} + beta e^{(z_c-u)/tau}) - (z_c-u)/tau, u = max(z).
 
-    Shift-invariant: adding a constant to every logit moves the result by
-    less than 1e-10.  At beta=1 this is the standard softmax cross-entropy.
+    The one-row view of batch_losses.  At beta=1 this is the standard
+    softmax cross-entropy.
     """
-    w = (x.z - x.z.max()) / p.tau
-    e = np.exp(w)
-    total = e.sum() - e[x.c] + p.beta * e[x.c]
-    return float(np.log(total) - w[x.c])
+    return float(batch_losses(x.z[None], np.array([x.c]), p)[0])
 
 
 def beta_ce_eval(x: LabeledLogits, p: LossParams) -> LossEval:
-    """Loss together with its analytic gradient.
-
-    grad[c] = -(1 - p_c) / (tau (1 + (beta-1) p_c)) and
-    grad[i] =      p_i   / (tau (1 + (beta-1) p_c)) for i != c,
-    with p = softmax_probs(z, tau).  p_c is clamped to [1e-12, 1 - 1e-12]
-    before the division (denominator only; clamping the numerators would
-    break the exact zero sum of the gradient at saturated probabilities).
-    """
-    probs = stable_softmax(x.z, p.tau)
-    pc_raw = float(probs[x.c])
-    pc = min(max(pc_raw, P_CLAMP), 1.0 - P_CLAMP)
-    denom = p.tau * (1.0 + (p.beta - 1.0) * pc)
-    grad = probs / denom
-    grad[x.c] = -(1.0 - pc_raw) / denom
-    return LossEval(loss=beta_ce_loss(x, p), grad=grad, probs=probs, p_true=pc)
+    """Loss together with its analytic gradient: the one-row view of beta_ce_batch."""
+    be = beta_ce_batch(x.z[None], np.array([x.c]), p)
+    return LossEval(loss=float(be.losses[0]), grad=be.grads[0], probs=be.probs[0], p_true=float(be.p_true[0]))
 
 
 def _batch_exps(Z, y, p: LossParams):
@@ -248,11 +233,14 @@ def _batch_exps(Z, y, p: LossParams):
 
 
 def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
-    """Vectorized beta_ce_eval over the rows of a logit matrix.
+    """Loss, gradient grad[i] = (p_i - [i == c]) / (tau (1 + (beta-1) p_c)) and p = softmax(z/tau) per row.
 
     Z is (n, m), y an integer label vector of length n with entries in
-    [0, m).  Row k of the result matches beta_ce_eval(LabeledLogits(Z[k],
-    y[k]), p); batch reduction (an unweighted mean) is left to the caller.
+    [0, m).  p_c is clamped to [1e-12, 1 - 1e-12] in the denominator only,
+    which keeps the exact zero sum of a saturated gradient.  Each row of a
+    C-ordered Z is bitwise the one-row call on it.  The exponent is shifted
+    then divided, (z - max z)/tau; softmax_probs divides first, which moves
+    the last bit at tau != 1.  Batch reduction is left to the caller.
     """
     rows, y, W, E, sums, ec, total = _batch_exps(Z, y, p)
     losses = np.log(total) - W[rows, y]
@@ -269,9 +257,9 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
 def batch_losses(Z, y, p: LossParams) -> np.ndarray:
     """The losses column of beta_ce_batch(Z, y, p), bitwise, without probs or gradients.
 
-    Row k equals beta_ce_loss(LabeledLogits(Z[k], y[k]), p) bitwise: the
-    same float operations in the same order.  Validates exactly as
-    beta_ce_batch does.
+    Rows are independent as in beta_ce_batch, so verify's finite
+    differences can stack every perturbed row of a group of samples into one
+    call.  Validates exactly as beta_ce_batch does.
     """
     rows, y, W, _, _, _, total = _batch_exps(Z, y, p)
     return np.log(total) - W[rows, y]

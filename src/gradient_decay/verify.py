@@ -4,9 +4,11 @@ Central finite differences and dense grid scans act as the reference for
 every analytic claim in :mod:`gradient_decay.loss`.  Reference values are
 computed from loss *values* only (or from closed forms written out locally);
 they never reuse the analytic derivative code paths they are checking.  The
-finite-difference gradient takes all 2m perturbed rows of a sample as one
-matrix and reads their loss values from one ``batch_losses`` call, which
-returns the same bits as 2m scalar ``beta_ce_loss`` calls.
+suite runs on the kernels training runs, with the trials stacked per logit
+width m: a property makes one batch call per width group and per beta, tau
+or shift, and one ``batch_losses`` call on all 2m*k perturbed rows gives a
+group's finite differences.  Kernel rows are computed independently, so the
+grouping changes no bit of the report; the references are vectorised too.
 
 Error convention: differences are scaled by max(1, |reference|), i.e. they
 are relative for O(1) quantities and absolute below that.  A pure relative
@@ -22,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradient_decay.loss import (
-    LabeledLogits,
     LossParams,
     batch_losses,
-    beta_ce_eval,
-    beta_ce_loss,
+    beta_ce_batch,
+    beta_ce_eval,  # noqa: F401  (bench/spans.py wraps this binding)
+    beta_ce_loss,  # noqa: F401  (bench/spans.py wraps this binding)
     check_int,
     check_positive_real,
     curvature,
@@ -96,29 +98,32 @@ class VerifyReport:
 
 
 def central_diff_grad(f, z, step: float) -> np.ndarray:
-    """Central-difference gradient from one call of f on all 2m perturbed rows.
+    """Central-difference gradients of k samples from one call of f on all 2m*k perturbed rows.
 
-    f maps a (k, m) matrix to its k row values and is called once, on rows
-    z + step*e_i (row i) and z - step*e_i (row m + i).  Component i is
+    z is one (m,) sample or a (k, m) stack of samples; the result has its
+    shape.  f maps an (r, m) matrix to its r row values.  It is called once,
+    on rows in sample-major order: rows 2m*j + i and 2m*j + m + i hold
+    sample j's z + step*e_i and z - step*e_i.  Component i of sample j is
     (f(z + step*e_i) - f(z - step*e_i)) / (2 step).
     """
     z = np.asarray(z, dtype=np.float64)
     check_positive_real("step", step)
-    if z.ndim != 1:
-        raise ValueError("z must be a 1-d vector")
-    m = z.size
-    Z = np.tile(z, (2 * m, 1))
+    if z.ndim not in (1, 2):
+        raise ValueError("z must be an (m,) vector or a (k, m) stack of them")
+    k, m = np.atleast_2d(z).shape
     i = np.arange(m)
-    Z[i, i] += step
-    Z[m + i, i] -= step
-    vals = np.asarray(f(Z), dtype=np.float64)
-    if vals.shape != (2 * m,):
-        raise ValueError(f"f must return one value per row, {2 * m} in all; got shape {vals.shape}")
-    fp, fm = vals[:m], vals[m:]
+    rows = np.repeat(np.atleast_2d(z), 2 * m, axis=0).reshape(k, 2, m, m)
+    rows[:, 0, i, i] += step
+    rows[:, 1, i, i] -= step
+    vals = np.asarray(f(rows.reshape(2 * m * k, m)), dtype=np.float64)
+    if vals.shape != (2 * m * k,):
+        raise ValueError(f"f must return one value per row, {2 * m * k} in all; got shape {vals.shape}")
+    fp, fm = vals.reshape(k, 2, m).transpose(1, 0, 2)
     bad = ~(np.isfinite(fp) & np.isfinite(fm))
     if bad.any():
-        raise ValueError(f"non-finite evaluation while differencing coordinate {int(np.argmax(bad))}")
-    return (fp - fm) / (2.0 * step)
+        j, c = np.argwhere(bad)[0]
+        raise ValueError(f"non-finite evaluation while differencing sample {j}, coordinate {c}")
+    return ((fp - fm) / (2.0 * step)).reshape(z.shape)
 
 
 def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, float]:
@@ -134,45 +139,45 @@ def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, flo
     return float(grid[i]), float(vals[i])
 
 
-# --- local closed forms used as beta=1 references (kept independent of loss.py) ---
+# --- local closed forms used as references (kept independent of loss.py) ---
 
 
-def _standard_ce_loss(z: np.ndarray, c: int, tau: float = 1.0) -> float:
-    y = z / tau
-    s = y.max()
-    return float(np.log(np.exp(y - s).sum()) + s - y[c])
+def _standard_ce(Z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(losses, gradients) of the standard softmax cross-entropy for the rows of Z, labels c."""
+    rows = np.arange(len(Z))
+    s = Z.max(axis=1)
+    e = np.exp(Z - s[:, None])
+    total = e.sum(axis=1)
+    g = e / total[:, None]
+    g[rows, c] -= 1.0
+    return np.log(total) + s - Z[rows, c], g
 
 
-def _standard_ce_grad(z: np.ndarray, c: int, tau: float = 1.0) -> np.ndarray:
-    y = z / tau
-    e = np.exp(y - y.max())
-    p = e / e.sum()
-    g = p / tau
-    g[c] = (p[c] - 1.0) / tau
-    return g
+def _p_true(Z: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Softmax probability of the true class for the rows of Z, labels c."""
+    s = Z.max(axis=1)
+    return np.exp(Z[np.arange(len(Z)), c] - s) / np.exp(Z - s[:, None]).sum(axis=1)
 
 
-def _fd_loss_grad(z: np.ndarray, c: int, params: LossParams, step: float) -> np.ndarray:
-    """Central-difference gradient of the loss at (z, c), from batch_losses values only."""
-    labels = np.full(2 * z.size, c)
-    return central_diff_grad(lambda Z: batch_losses(Z, labels, params), z, step)
+def _per_point(f, p: np.ndarray, beta: float) -> np.ndarray:
+    # f(x, beta) for each x in p, one scalar call each.  numpy squares a scalar
+    # d2J denominator with C pow and an array one exactly; the two differ in the
+    # last bit for ~1 point in 1000, and the report would move with them.
+    return np.array([f(x, beta) for x in p.tolist()])
 
 
-def _scaled_err(candidate: np.ndarray, reference: np.ndarray) -> float:
-    ref = np.asarray(reference, dtype=np.float64)
-    return float(np.abs(np.asarray(candidate) - ref).max() / max(1.0, np.abs(ref).max()))
-
-
-def _draw_trials(rng: np.random.Generator, trials: int) -> list[tuple[np.ndarray, int]]:
+def _draw_trials(rng: np.random.Generator, trials: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The trials as (Z, c) stacks, one per logit width m in increasing m, rows in draw order."""
     # Uniform logits on [-5, 5] keep probabilities away from hard saturation,
     # where finite differences are ill-conditioned.
-    out = []
+    by_width: dict[int, list[tuple[np.ndarray, int]]] = {}
     for _ in range(trials):
         m = int(rng.integers(2, 21))
         z = rng.uniform(-5.0, 5.0, m)
         c = int(rng.integers(0, m))
-        out.append((z, c))
-    return out
+        by_width.setdefault(m, []).append((z, c))
+    return [(np.array([z for z, _ in group]), np.array([c for _, c in group]))
+            for _, group in sorted(by_width.items())]
 
 
 def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
@@ -189,7 +194,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     betas = [float(b) for b in betas]
 
     rng = np.random.default_rng(fd.seed)
-    trials = _draw_trials(rng, fd.trials)
+    groups = _draw_trials(rng, fd.trials)
     checks: list[PropertyCheck] = []
 
     def add(prop: str, beta: float | None, tol: float, err: float) -> None:
@@ -197,12 +202,10 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
 
     # beta=1 must reproduce the standard softmax cross-entropy bit-for-bit
     # up to summation order.
-    one = LossParams(beta=1.0)
     worst = 0.0
-    for z, c in trials:
-        ev = beta_ce_eval(LabeledLogits(z, c), one)
-        worst = max(worst, abs(ev.loss - _standard_ce_loss(z, c)))
-        worst = max(worst, float(np.abs(ev.grad - _standard_ce_grad(z, c)).max()))
+    for Z, c in groups:
+        ev, (losses, grads) = beta_ce_batch(Z, c, LossParams(beta=1.0)), _standard_ce(Z, c)
+        worst = max(worst, float(np.abs(ev.losses - losses).max()), float(np.abs(ev.grads - grads).max()))
     add("beta1_equivalence", None, 1e-12, worst)
 
     # G -> 1 as beta -> 0+ and G -> 0 as beta -> +inf, evaluated at p=0.5.
@@ -216,14 +219,13 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     # Sandwich between the loss and the max function it smooths (beta=1):
     # max(z) - z_c <= tau*J <= max(z) - z_c + tau*log(m).
     worst = 0.0
-    for tau in _SANDWICH_TAUS:
-        params = LossParams(beta=1.0, tau=tau)
-        for z, c in trials:
-            tj = tau * beta_ce_loss(LabeledLogits(z, c), params)
-            lo_bound = float(z.max() - z[c])
-            up_bound = lo_bound + tau * math.log(z.size)
-            worst = max(worst, lo_bound - tj, tj - up_bound)
-    add("temperature_sandwich", None, 1e-12, max(worst, 0.0))
+    for Z, c in groups:
+        lo_bound = Z.max(axis=1) - Z[np.arange(len(Z)), c]
+        for tau in _SANDWICH_TAUS:
+            tj = tau * batch_losses(Z, c, LossParams(beta=1.0, tau=tau))
+            up_bound = lo_bound + tau * math.log(Z.shape[1])
+            worst = max(worst, float((lo_bound - tj).max()), float((tj - up_bound).max()))
+    add("temperature_sandwich", None, 1e-12, worst)
 
     for b in betas:
         params = LossParams(beta=b)
@@ -231,27 +233,24 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         # Analytic gradient vs central differences of the loss value.
         worst_fd = 0.0
         worst_sum = 0.0
-        for z, c in trials:
-            x = LabeledLogits(z, c)
-            fd_grad = _fd_loss_grad(z, c, params, fd.step)
-            ev = beta_ce_eval(x, params)
-            worst_fd = max(worst_fd, _scaled_err(ev.grad, fd_grad))
-            worst_sum = max(worst_sum, abs(float(ev.grad.sum())))
+        for Z, c in groups:
+            labels = np.repeat(c, 2 * Z.shape[1])
+            fd_grads = central_diff_grad(lambda R: batch_losses(R, labels, params), Z, fd.step)
+            grads = beta_ce_batch(Z, c, params).grads
+            scale = np.maximum(1.0, np.abs(fd_grads).max(axis=1))
+            worst_fd = max(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
+            worst_sum = max(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
         add("fd_gradient_agreement", b, fd.rel_tol, worst_fd)
         add("gradient_null_sum", b, 1e-12, worst_sum)
 
         # Adding a constant to every logit must not move loss/grad/probs.
         worst = 0.0
-        for z, c in trials:
-            base = beta_ce_eval(LabeledLogits(z, c), params)
+        for Z, c in groups:
+            base = beta_ce_batch(Z, c, params)
             for k in _SHIFTS:
-                shifted = beta_ce_eval(LabeledLogits(z + k, c), params)
-                worst = max(
-                    worst,
-                    abs(shifted.loss - base.loss),
-                    float(np.abs(shifted.grad - base.grad).max()),
-                    float(np.abs(shifted.probs - base.probs).max()),
-                )
+                shifted = beta_ce_batch(Z + k, c, params)
+                worst = max([worst] + [float(np.abs(getattr(shifted, f) - getattr(base, f)).max())
+                                       for f in ("losses", "grads", "probs")])
         add("shift_invariance", b, 1e-10, worst)
 
         # G strictly decreasing on (0, 1), with the stated endpoint limits.
@@ -285,38 +284,30 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         worst2 = 0.0
         worst3 = 0.0
         h = fd.step
-        for z, c in trials:
-            pc = float(np.exp(z[c] - z.max()) / np.exp(z - z.max()).sum())
-
-            def grad_c(t: float) -> float:
-                z2 = z.copy()
-                z2[c] = t
-                return float(beta_ce_eval(LabeledLogits(z2, c), params).grad[c])
-
-            def curv(t: float) -> float:
-                z2 = z.copy()
-                z2[c] = t
-                p2 = float(np.exp(z2[c] - z2.max()) / np.exp(z2 - z2.max()).sum())
-                return float(curvature(p2, b))
-
-            fd2 = (grad_c(z[c] + h) - grad_c(z[c] - h)) / (2.0 * h)
-            fd3 = (curv(z[c] + h) - curv(z[c] - h)) / (2.0 * h)
-            d2, d3 = logit_curvature(pc, b)
-            worst2 = max(worst2, abs(float(d2) - fd2) / max(1.0, abs(fd2)))
-            worst3 = max(worst3, abs(float(d3) - fd3) / max(1.0, abs(fd3)))
+        for Z, c in groups:
+            rows = np.arange(len(Z))
+            Zp, Zm = Z.copy(), Z.copy()
+            Zp[rows, c] += h
+            Zm[rows, c] -= h
+            grads = beta_ce_batch(np.vstack([Zp, Zm]), np.tile(c, 2), params).grads
+            fd2 = (grads[rows, c] - grads[len(Z) + rows, c]) / (2.0 * h)
+            fd3 = (_per_point(curvature, _p_true(Zp, c), b) - _per_point(curvature, _p_true(Zm, c), b)) / (2.0 * h)
+            d2, d3 = _per_point(logit_curvature, _p_true(Z, c), b).T
+            worst2 = max(worst2, float((np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))).max()))
+            worst3 = max(worst3, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max()))
         add("derivative_consistency_d2", b, 1e-5, worst2)
         add("derivative_consistency_d3", b, 1e-5, worst3)
 
         # J is sandwiched between the margin max-term and max-term + log(m).
         worst = 0.0
-        for tau in (1.0, 0.1):
-            p_tau = LossParams(beta=b, tau=tau)
-            for z, c in trials:
-                j = beta_ce_loss(LabeledLogits(z, c), p_tau)
-                zc = z[c]
-                margin = max(np.delete(z, c).max() - zc, -np.inf) / tau
-                m_term = max(math.log(b), margin)
-                worst = max(worst, m_term - j, j - (m_term + math.log(z.size)))
-        add("margin_sandwich", b, 1e-12, max(worst, 0.0))
+        for Z, c in groups:
+            rows = np.arange(len(Z))
+            others = Z.copy()
+            others[rows, c] = -np.inf
+            for tau in (1.0, 0.1):
+                j = batch_losses(Z, c, LossParams(beta=b, tau=tau))
+                m_term = np.maximum(math.log(b), (others.max(axis=1) - Z[rows, c]) / tau)
+                worst = max(worst, float((m_term - j).max()), float((j - (m_term + math.log(Z.shape[1]))).max()))
+        add("margin_sandwich", b, 1e-12, worst)
 
     return VerifyReport(tuple(checks))

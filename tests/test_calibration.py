@@ -20,7 +20,7 @@ from gradient_decay.calibration import (
     fit_temperature,
 )
 from gradient_decay.cli import _write_reliability
-from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_eval, softmax_probs
+from gradient_decay.loss import softmax_probs
 
 
 def _single_conf_rows(confidences, correct, m=20):
@@ -198,19 +198,21 @@ def _old_softmax(z, tau):
 
 
 class TestOneSoftmax:
-    """softmax_probs, beta_ce_eval and PredictionSet.from_logits share one softmax."""
+    """softmax_probs and PredictionSet.from_logits share one softmax, which divides by tau, then shifts.
+
+    The loss kernels shift, then divide (see beta_ce_batch); the two orders
+    differ in the last bit at tau != 1.
+    """
 
     @pytest.mark.parametrize("tau", [1.0, 0.3, 2.392596809686705, 0.05, 40.0])
     def test_every_softmax_gives_the_same_bits(self, tau):
         rng = np.random.default_rng(17)
-        params = LossParams(beta=0.5, tau=tau)
         for m in (2, 3, 10, 50):
             for scale in (0.01, 1.0, 30.0):
                 z = rng.normal(0.0, scale, m)
                 c = int(rng.integers(m))
                 probs = softmax_probs(z, tau)
                 assert np.array_equal(probs, _old_softmax(z, tau))
-                assert np.array_equal(beta_ce_eval(LabeledLogits(z, c), params).probs, probs)
                 assert np.array_equal(PredictionSet.from_logits(z[None], [c], tau=tau).probs[0], probs)
 
 

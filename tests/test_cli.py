@@ -316,6 +316,7 @@ class TestTraceCommand:
         out = tmp_path / "trace"
         assert run(["trace", "--lr", "1e6", "--epochs", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "diverged:epoch=0,batch=5\n"
+        assert not out.exists()  # the directory is made only once there is something to write
 
 
 class TestCalibCommand:
@@ -617,6 +618,34 @@ class TestUsageErrorsBeforeWork:
             save(f)
         assert_usage_error(["calib", "--logits", str(path)], capsys,
                            f"{path}: expected arrays named 'logits' and 'labels'")
+
+
+class TestUnwritableOutputPaths:
+    """An output path that cannot be written exits 2 naming its flag, before any data is read, creating nothing."""
+
+    @pytest.mark.parametrize("argv, flag, message", [
+        (["verify", "--trials", "1", "--betas", "1", "--out", "nodir/x.jsonl"], "--out",
+         "cannot write nodir/x.jsonl: nodir is not a directory"),
+        (["verify", "--out", "."], "--out", "cannot write .: it is a directory"),
+        (["sweep", "--epochs", "1", "--out", "afile"], "--out", "cannot write afile: afile is not a directory"),
+        (["sweep", "--out", "afile/sub"], "--out", "cannot write afile/sub: afile is not a directory"),
+        (["trace", "--epochs", "1", "--out", "afile"], "--out", "cannot write afile: afile is not a directory"),
+        (["calib", "--logits", "l.csv", "--fit-temperature", "--out", "nodir/c.json"], "--out",
+         "cannot write nodir/c.json: nodir is not a directory"),
+        (["calib", "--logits", "l.csv", "--reliability-out", "nodir/r.csv"], "--reliability-out",
+         "cannot write nodir/r.csv: nodir is not a directory"),
+        (["calib", "--logits", "l.csv", "--out", "c.json", "--reliability-out", "afile/r.csv"], "--reliability-out",
+         "cannot write afile/r.csv: afile is not a directory"),
+    ], ids=["verify_missing_dir", "verify_dir", "sweep_file", "sweep_under_file", "trace_file",
+            "calib_missing_dir", "calib_reliability_missing_dir", "calib_reliability_under_file"])
+    def test_is_usage_error_before_work(self, tmp_path, capsys, monkeypatch, forbid_work, argv, flag, message):
+        monkeypatch.chdir(tmp_path)
+        for loader in ("_load_datasets", "_load_logits_file"):
+            monkeypatch.setattr(cli, loader, no_work)
+        (tmp_path / "afile").write_text("kept\n")
+        assert assert_usage_error(argv, capsys, f"argument {flag}: {message}") == ""
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 # One valid invocation per subcommand; each contract case replaces one of its

@@ -195,6 +195,7 @@ class TestBetaCeEval:
 
 class TestBatchEval:
     def test_matches_per_sample(self):
+        # beta_ce_eval is the one-row view of beta_ce_batch: every field of every row, bitwise, at any tau
         rng = np.random.default_rng(3)
         Z = rng.uniform(-6, 6, (40, 7))
         y = rng.integers(0, 7, 40)
@@ -202,9 +203,28 @@ class TestBatchEval:
             be = beta_ce_batch(Z, y, params)
             for k in range(Z.shape[0]):
                 ev = beta_ce_eval(LabeledLogits(Z[k], int(y[k])), params)
-                assert be.losses[k] == pytest.approx(ev.loss, rel=1e-12)
-                assert np.allclose(be.grads[k], ev.grad, rtol=1e-12, atol=1e-15)
-                assert np.allclose(be.probs[k], ev.probs, rtol=1e-12, atol=1e-15)
+                assert be.losses[k] == ev.loss
+                assert np.array_equal(be.grads[k], ev.grad)
+                assert np.array_equal(be.probs[k], ev.probs)
+                assert be.p_true[k] == ev.p_true
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0], ids=["max", "large"])
+    @pytest.mark.parametrize("tau", [1.0, 0.1, 0.01])
+    def test_stacked_rows_are_bitwise_the_one_row_calls(self, offset, tau):
+        # verify stacks its trials per logit width into one kernel call; its
+        # report stays byte-identical only if no row depends on the others
+        rng = np.random.default_rng(8)
+        for m in range(2, 21):
+            Z = offset + rng.uniform(-5.0, 5.0, (12, m))
+            y = rng.integers(0, m, 12)
+            for beta in (0.01, 1.0, 20.0):
+                params = LossParams(beta=beta, tau=tau)
+                be, losses = beta_ce_batch(Z, y, params), batch_losses(Z, y, params)
+                for k in range(len(Z)):
+                    one = beta_ce_batch(Z[k:k + 1], y[k:k + 1], params)
+                    for field in ("losses", "grads", "probs", "p_true"):
+                        assert np.array_equal(getattr(be, field)[k], getattr(one, field)[0]), (m, beta, k, field)
+                    assert losses[k] == batch_losses(Z[k:k + 1], y[k:k + 1], params)[0]
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
