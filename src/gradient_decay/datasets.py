@@ -168,26 +168,25 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     rows = _read_be32(raw, 8, images_path)
     cols = _read_be32(raw, 12, images_path)
     expected = count * rows * cols
-    body = raw[16:]
-    if len(body) != expected:
+    if len(raw) - 16 != expected:
         raise IdxTruncated(
-            images_path, 16, f"expected {expected} pixel bytes for {count}x{rows}x{cols}, found {len(body)}"
+            images_path, 16, f"expected {expected} pixel bytes for {count}x{rows}x{cols}, found {len(raw) - 16}"
         )
-    images = np.frombuffer(body, dtype=np.uint8).reshape(count, rows * cols)
+    # decoded in place: a slice of raw would copy the whole pixel body first
+    images = np.frombuffer(raw, np.uint8, count=expected, offset=16).reshape(count, rows * cols)
 
     raw = _read_bytes(labels_path)
     magic = _read_be32(raw, 0, labels_path)
     if magic != LABELS_MAGIC:
         raise IdxBadMagic(labels_path, 0, f"expected label magic 0x{LABELS_MAGIC:08x}, got 0x{magic:08x}")
     lcount = _read_be32(raw, 4, labels_path)
-    lbody = raw[8:]
-    if len(lbody) != lcount:
-        raise IdxTruncated(labels_path, 8, f"expected {lcount} label bytes, found {len(lbody)}")
+    if len(raw) - 8 != lcount:
+        raise IdxTruncated(labels_path, 8, f"expected {lcount} label bytes, found {len(raw) - 8}")
     if lcount != count:
         raise IdxCountMismatch(
             labels_path, 4, f"label count {lcount} does not match image count {count} in {images_path}"
         )
-    labels = np.frombuffer(lbody, dtype=np.uint8).astype(np.int64)
+    labels = np.frombuffer(raw, np.uint8, count=lcount, offset=8).astype(np.int64)
     return Dataset(images.astype(np.float64) / 255.0, labels, split)
 
 

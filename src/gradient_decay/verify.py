@@ -5,10 +5,14 @@ every analytic claim in :mod:`gradient_decay.loss`.  Reference values are
 computed from loss *values* only (or from closed forms written out locally);
 they never reuse the analytic derivative code paths they are checking.  The
 suite runs on the kernels training runs, with the trials stacked per logit
-width m: a property makes one batch call per width group and per beta, tau
-or shift, and one ``batch_losses`` call on all 2m*k perturbed rows gives a
-group's finite differences.  Kernel rows are computed independently, so the
-grouping changes no bit of the report; the references are vectorised too.
+width m.  For each beta, one ``beta_ce_batch`` call per width group covers
+the group's logits, every shifted copy of them and the z_c +- h copies of
+the curvature checks, and one ``batch_losses`` call on all 2m*k perturbed
+rows gives its finite differences.  Kernel rows are computed independently,
+so the stacking changes no bit of the report.  What no beta changes (the
+stacks, the p_c references, the margin term) is computed once per group.
+Grid scans evaluate their function block by block, so a 1M-point scan's
+temporaries stay cache-sized.
 
 Error convention: differences are scaled by max(1, |reference|), i.e. they
 are relative for O(1) quantities and absolute below that.  A pure relative
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from gradient_decay.loss import (
     beta_ce_loss,  # noqa: F401  (bench/spans.py wraps this binding)
     check_int,
     check_positive_real,
+    check_real_in,
     curvature,
     gradient_magnitude,
     inflection_point,
@@ -56,6 +62,10 @@ _PEAK_GRID_POINTS = 1_000_000
 _PROB_EPS = 1e-6
 _SHIFTS = (-50.0, -7.3, 13.7, 50.0)
 _SANDWICH_TAUS = (1.0, 0.1, 0.01)
+
+# Grid points per call of a scan's g: 128 KiB of float64, so a pointwise g's
+# temporaries stay in L2 (as calibration._BLOCK_ROWS does for the NLL passes).
+_SCAN_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -127,16 +137,31 @@ def central_diff_grad(f, z, step: float) -> np.ndarray:
 
 
 def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, float]:
-    """(argmax, max) of g over an equispaced grid on [lo, hi]; g is called once, on the whole grid."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
+    """(argmax, max) of g over an equispaced grid of points on [lo, hi], lo < hi both finite.
+
+    g must be pointwise: it maps an array of grid points to the array of
+    their values, each value depending on its own point only.  It is called
+    once per block of _SCAN_BLOCK consecutive grid points, in order, so its
+    temporaries stay small however fine the grid.  Blocks are merged by
+    np.argmax's rule (the first maximum wins, and the first NaN beats any
+    number), which makes the result bitwise that of one call on the whole grid.
+    """
+    check_real_in("lo", lo, -math.inf, math.inf)
+    check_real_in("hi", hi, -math.inf, math.inf)
+    check_positive_real("hi - lo", float(hi) - float(lo))  # inf where the span overflows
     check_int("points", points, 3)
     grid = np.linspace(lo, hi, points)
-    vals = np.asarray(g(grid), dtype=np.float64)
-    if vals.shape != grid.shape:
-        raise ValueError(f"g returned shape {vals.shape} for a grid of shape {grid.shape}")
-    i = int(np.argmax(vals))
-    return float(grid[i]), float(vals[i])
+    best = 0
+    best_val = -math.inf
+    for start in range(0, points, _SCAN_BLOCK):
+        block = grid[start:start + _SCAN_BLOCK]
+        vals = np.asarray(g(block), dtype=np.float64)
+        if vals.shape != block.shape:
+            raise ValueError(f"g returned shape {vals.shape} for a block of shape {block.shape}")
+        i = int(np.argmax(vals))
+        if vals[i] > best_val or (math.isnan(vals[i]) and not math.isnan(best_val)):
+            best, best_val = start + i, float(vals[i])
+    return float(grid[best]), best_val
 
 
 # --- local closed forms used as references (kept independent of loss.py) ---
@@ -180,6 +205,38 @@ def _draw_trials(rng: np.random.Generator, trials: int) -> list[tuple[np.ndarray
             for _, group in sorted(by_width.items())]
 
 
+class _Group(NamedTuple):
+    """One width group's trials with the inputs of its checks that no beta changes."""
+
+    Z: np.ndarray            # (k, m) logits
+    c: np.ndarray            # (k,) labels
+    fd_labels: np.ndarray    # labels of central_diff_grad's 2m*k rows
+    stack: np.ndarray        # Z, then Z + s for each of _SHIFTS, then Z with z_c + h and z_c - h
+    stack_labels: np.ndarray
+    p: np.ndarray            # reference p_c of Z, of z_c + h and of z_c - h
+    p_plus: np.ndarray
+    p_minus: np.ndarray
+    margin: np.ndarray       # max_{i != c} z_i - z_c
+
+    def blocks(self, a: np.ndarray) -> np.ndarray:
+        """The rows of a kernel column on stack, as one (k, ...) block per stacked copy of Z."""
+        return a.reshape(-1, len(self.Z), *a.shape[1:])
+
+
+def _group(Z: np.ndarray, c: np.ndarray, h: float) -> _Group:
+    rows = np.arange(len(Z))
+    Zp, Zm = Z.copy(), Z.copy()
+    Zp[rows, c] += h
+    Zm[rows, c] -= h
+    others = Z.copy()
+    others[rows, c] = -np.inf
+    copies = [Z] + [Z + s for s in _SHIFTS] + [Zp, Zm]
+    return _Group(
+        Z, c, np.repeat(c, 2 * Z.shape[1]), np.vstack(copies), np.tile(c, len(copies)),
+        _p_true(Z, c), _p_true(Zp, c), _p_true(Zm, c), others.max(axis=1) - Z[rows, c],
+    )
+
+
 def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     """Run every verified property and collect a pass/fail report.
 
@@ -194,7 +251,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     betas = [float(b) for b in betas]
 
     rng = np.random.default_rng(fd.seed)
-    groups = _draw_trials(rng, fd.trials)
+    groups = [_group(Z, c, fd.step) for Z, c in _draw_trials(rng, fd.trials)]
     checks: list[PropertyCheck] = []
 
     def add(prop: str, beta: float | None, tol: float, err: float) -> None:
@@ -203,8 +260,8 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     # beta=1 must reproduce the standard softmax cross-entropy bit-for-bit
     # up to summation order.
     worst = 0.0
-    for Z, c in groups:
-        ev, (losses, grads) = beta_ce_batch(Z, c, LossParams(beta=1.0)), _standard_ce(Z, c)
+    for g in groups:
+        ev, (losses, grads) = beta_ce_batch(g.Z, g.c, LossParams(beta=1.0)), _standard_ce(g.Z, g.c)
         worst = max(worst, float(np.abs(ev.losses - losses).max()), float(np.abs(ev.grads - grads).max()))
     add("beta1_equivalence", None, 1e-12, worst)
 
@@ -219,24 +276,27 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     # Sandwich between the loss and the max function it smooths (beta=1):
     # max(z) - z_c <= tau*J <= max(z) - z_c + tau*log(m).
     worst = 0.0
-    for Z, c in groups:
-        lo_bound = Z.max(axis=1) - Z[np.arange(len(Z)), c]
+    for g in groups:
+        lo_bound = g.Z.max(axis=1) - g.Z[np.arange(len(g.Z)), g.c]
         for tau in _SANDWICH_TAUS:
-            tj = tau * batch_losses(Z, c, LossParams(beta=1.0, tau=tau))
-            up_bound = lo_bound + tau * math.log(Z.shape[1])
+            tj = tau * batch_losses(g.Z, g.c, LossParams(beta=1.0, tau=tau))
+            up_bound = lo_bound + tau * math.log(g.Z.shape[1])
             worst = max(worst, float((lo_bound - tj).max()), float((tj - up_bound).max()))
     add("temperature_sandwich", None, 1e-12, worst)
 
+    grid = np.linspace(_PROB_EPS, 1.0 - _PROB_EPS, _DECAY_GRID_POINTS)
+    h = fd.step
     for b in betas:
         params = LossParams(beta=b)
+        # One kernel call per group on the whole stack; blocks[0] is Z itself.
+        evs = [beta_ce_batch(g.stack, g.stack_labels, params) for g in groups]
 
         # Analytic gradient vs central differences of the loss value.
         worst_fd = 0.0
         worst_sum = 0.0
-        for Z, c in groups:
-            labels = np.repeat(c, 2 * Z.shape[1])
-            fd_grads = central_diff_grad(lambda R: batch_losses(R, labels, params), Z, fd.step)
-            grads = beta_ce_batch(Z, c, params).grads
+        for g, ev in zip(groups, evs):
+            fd_grads = central_diff_grad(lambda R: batch_losses(R, g.fd_labels, params), g.Z, h)
+            grads = g.blocks(ev.grads)[0]
             scale = np.maximum(1.0, np.abs(fd_grads).max(axis=1))
             worst_fd = max(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
             worst_sum = max(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
@@ -245,16 +305,13 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
 
         # Adding a constant to every logit must not move loss/grad/probs.
         worst = 0.0
-        for Z, c in groups:
-            base = beta_ce_batch(Z, c, params)
-            for k in _SHIFTS:
-                shifted = beta_ce_batch(Z + k, c, params)
-                worst = max([worst] + [float(np.abs(getattr(shifted, f) - getattr(base, f)).max())
-                                       for f in ("losses", "grads", "probs")])
+        for g, ev in zip(groups, evs):
+            fields = [g.blocks(getattr(ev, f)) for f in ("losses", "grads", "probs")]
+            for j in range(1, 1 + len(_SHIFTS)):
+                worst = max([worst] + [float(np.abs(a[j] - a[0]).max()) for a in fields])
         add("shift_invariance", b, 1e-10, worst)
 
         # G strictly decreasing on (0, 1), with the stated endpoint limits.
-        grid = np.linspace(_PROB_EPS, 1.0 - _PROB_EPS, _DECAY_GRID_POINTS)
         G = gradient_magnitude(grid, b)
         err = max(0.0, float(np.diff(G).max()))
         lo_tol = 1e-8 if b == 1.0 else 1e-6 * max(1.0, 1.0 / b)
@@ -283,16 +340,12 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         # d2J must match differences of grad_c in z_c, and d3J differences of d2J.
         worst2 = 0.0
         worst3 = 0.0
-        h = fd.step
-        for Z, c in groups:
-            rows = np.arange(len(Z))
-            Zp, Zm = Z.copy(), Z.copy()
-            Zp[rows, c] += h
-            Zm[rows, c] -= h
-            grads = beta_ce_batch(np.vstack([Zp, Zm]), np.tile(c, 2), params).grads
-            fd2 = (grads[rows, c] - grads[len(Z) + rows, c]) / (2.0 * h)
-            fd3 = (_per_point(curvature, _p_true(Zp, c), b) - _per_point(curvature, _p_true(Zm, c), b)) / (2.0 * h)
-            d2, d3 = _per_point(logit_curvature, _p_true(Z, c), b).T
+        for g, ev in zip(groups, evs):
+            rows = np.arange(len(g.Z))
+            grads = g.blocks(ev.grads)
+            fd2 = (grads[-2][rows, g.c] - grads[-1][rows, g.c]) / (2.0 * h)
+            fd3 = (_per_point(curvature, g.p_plus, b) - _per_point(curvature, g.p_minus, b)) / (2.0 * h)
+            d2, d3 = _per_point(logit_curvature, g.p, b).T
             worst2 = max(worst2, float((np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))).max()))
             worst3 = max(worst3, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max()))
         add("derivative_consistency_d2", b, 1e-5, worst2)
@@ -300,14 +353,11 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
 
         # J is sandwiched between the margin max-term and max-term + log(m).
         worst = 0.0
-        for Z, c in groups:
-            rows = np.arange(len(Z))
-            others = Z.copy()
-            others[rows, c] = -np.inf
+        for g in groups:
             for tau in (1.0, 0.1):
-                j = batch_losses(Z, c, LossParams(beta=b, tau=tau))
-                m_term = np.maximum(math.log(b), (others.max(axis=1) - Z[rows, c]) / tau)
-                worst = max(worst, float((m_term - j).max()), float((j - (m_term + math.log(Z.shape[1]))).max()))
+                j = batch_losses(g.Z, g.c, LossParams(beta=b, tau=tau))
+                m_term = np.maximum(math.log(b), g.margin / tau)
+                worst = max(worst, float((m_term - j).max()), float((j - (m_term + math.log(g.Z.shape[1]))).max()))
         add("margin_sandwich", b, 1e-12, worst)
 
     return VerifyReport(tuple(checks))

@@ -56,6 +56,8 @@ SITES = {
     "FdConfig.trials": (lambda v: FdConfig(trials=v), 1),
     "FdConfig.seed": (lambda v: FdConfig(seed=v), 0),
     "central_diff_grad.step": (lambda v: central_diff_grad(lambda Z: Z.sum(axis=1), [0.0, 1.0], v), None),
+    "grid_scan_extremum.lo": (lambda v: grid_scan_extremum(lambda g: -g * g, v, 1.0, 3), (-math.inf, math.inf)),
+    "grid_scan_extremum.hi": (lambda v: grid_scan_extremum(lambda g: -g * g, -1.0, v, 3), (-math.inf, math.inf)),
     "grid_scan_extremum.points": (lambda v: grid_scan_extremum(lambda g: -g * g, -1.0, 1.0, v), 3),
     "verify_all.betas": (lambda v: verify_all(FdConfig(trials=2), [v]), None),
     "TrainConfig.lr": (lambda v: TrainConfig(lr=v), (0, math.inf)),
@@ -88,7 +90,8 @@ def _rejected(rule):
     if rule is None:
         return _distinct(bad + [0, 0.0, np.float64(-0.5)])
     if isinstance(rule, tuple):
-        return _distinct(bad + [float(rule[1])])
+        # -1 is a good value of a real whose interval reaches below it
+        return _distinct([v for v in bad if not (v == -1 and rule[0] <= -1)] + [float(rule[1])])
     return _distinct(bad + [rule - 1, 2.5, float(rule), np.float64(rule)])
 
 

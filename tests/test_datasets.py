@@ -1,5 +1,6 @@
 """Blob generation and IDX parsing tests."""
 
+import gzip
 import struct
 
 import numpy as np
@@ -88,6 +89,19 @@ class TestDataset:
         assert d.n == 4 and d.dim == 3 and d.num_classes == 3
 
 
+def old_load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
+    """load_mnist_idx's decode before it read the bodies in place: slice the bytes, then convert."""
+    opener = gzip.open if str(images_path).endswith(".gz") else open
+    with opener(images_path, "rb") as f:
+        raw = f.read()
+    count, rows, cols = struct.unpack_from(">III", raw, 4)
+    images = np.frombuffer(raw[16:], dtype=np.uint8).reshape(count, rows * cols)
+    with opener(labels_path, "rb") as f:
+        raw = f.read()
+    labels = np.frombuffer(raw[8:], dtype=np.uint8).astype(np.int64)
+    return Dataset(images.astype(np.float64) / 255.0, labels, split)
+
+
 class TestIdxFormat:
     def _roundtrip(self, tmp_path, suffix=""):
         rng = np.random.default_rng(0)
@@ -110,6 +124,26 @@ class TestIdxFormat:
         images, labels, ip, lp = self._roundtrip(tmp_path, suffix=".gz")
         ds = load_mnist_idx(ip, lp)
         assert np.array_equal(ds.features * 255.0, images.reshape(12, 20).astype(float))
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    def test_decode_is_bitwise_the_sliced_decode(self, tmp_path, suffix):
+        _, _, ip, lp = self._roundtrip(tmp_path, suffix)
+        new, old = load_mnist_idx(ip, lp, split="test"), old_load_mnist_idx(ip, lp, split="test")
+        assert new.features.dtype == old.features.dtype and new.features.shape == old.features.shape
+        assert new.features.tobytes() == old.features.tobytes()
+        assert new.labels.dtype == old.labels.dtype and new.labels.tobytes() == old.labels.tobytes()
+        assert new.split == old.split
+
+    @pytest.mark.parametrize("which, offset", [("images", 16), ("labels", 8)])
+    @pytest.mark.parametrize("extra", [b"", b"\x00\x00"], ids=["one_short", "one_over"])
+    def test_body_of_the_wrong_length(self, tmp_path, which, offset, extra):
+        _, _, ip, lp = self._roundtrip(tmp_path)
+        path = ip if which == "images" else lp
+        body = path.read_bytes()
+        path.write_bytes(body[:-1] + extra)
+        with pytest.raises(IdxTruncated) as exc:
+            load_mnist_idx(ip, lp)
+        assert exc.value.offset == offset and exc.value.path == str(path)
 
     def test_bad_magic_at_offset_zero(self, tmp_path):
         p = tmp_path / "bad-idx3-ubyte"

@@ -1,6 +1,10 @@
 """Tests for the finite-difference / grid-scan verification machinery."""
 
 import json
+import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +16,19 @@ from gradient_decay.loss import (
     LabeledLogits,
     LossParams,
     batch_losses,
+    beta_ce_batch,
     beta_ce_eval,
     beta_ce_loss,
     curvature,
+    gradient_magnitude,
     logit_curvature,
+    magnitude_derivatives,
 )
 from gradient_decay.verify import (
+    _PEAK_GRID_POINTS,
+    _PROB_EPS,
+    _SCAN_BLOCK,
+    _SHIFTS,
     DEFAULT_BETAS,
     FdConfig,
     central_diff_grad,
@@ -69,6 +80,86 @@ def old_derivative_consistency(fd: FdConfig, beta: float) -> tuple[float, float]
         worst2 = max(worst2, abs(float(d2) - fd2) / max(1.0, abs(fd2)))
         worst3 = max(worst3, abs(float(d3) - fd3) / max(1.0, abs(fd3)))
     return worst2, worst3
+
+
+def whole_grid_scan(g, lo: float, hi: float, points: int) -> tuple[float, float]:
+    """grid_scan_extremum as it was before the grid was scanned in blocks: one call of g, one np.argmax."""
+    grid = np.linspace(lo, hi, points)
+    vals = np.asarray(g(grid), dtype=np.float64)
+    i = int(np.argmax(vals))
+    return float(grid[i]), float(vals[i])
+
+
+def old_beta_checks(fd: FdConfig, betas) -> list[tuple[str, float, float]]:
+    """verify_all's per-beta properties as (property, beta, worst_error), as they ran before the
+    beta-free work was hoisted out of the beta loop: one kernel call per group, beta and shift,
+    and the references, fd labels and margin terms recomputed for every beta."""
+    groups = gradient_decay.verify._draw_trials(np.random.default_rng(fd.seed), fd.trials)
+    p_true, per_point = gradient_decay.verify._p_true, gradient_decay.verify._per_point
+    out = []
+    for b in betas:
+        params, h = LossParams(beta=b), fd.step
+        worst_fd = worst_sum = 0.0
+        for Z, c in groups:
+            labels = np.repeat(c, 2 * Z.shape[1])
+            fd_grads = central_diff_grad(lambda R: batch_losses(R, labels, params), Z, h)
+            grads = beta_ce_batch(Z, c, params).grads
+            scale = np.maximum(1.0, np.abs(fd_grads).max(axis=1))
+            worst_fd = max(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
+            worst_sum = max(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
+        out += [("fd_gradient_agreement", b, worst_fd), ("gradient_null_sum", b, worst_sum)]
+
+        worst = 0.0
+        for Z, c in groups:
+            base = beta_ce_batch(Z, c, params)
+            for k in _SHIFTS:
+                shifted = beta_ce_batch(Z + k, c, params)
+                worst = max([worst] + [float(np.abs(getattr(shifted, f) - getattr(base, f)).max())
+                                       for f in ("losses", "grads", "probs")])
+        out.append(("shift_invariance", b, worst))
+
+        grid = np.linspace(_PROB_EPS, 1.0 - _PROB_EPS, 10_000)
+        G = gradient_magnitude(grid, b)
+        lo_tol = 1e-8 if b == 1.0 else 1e-6 * max(1.0, 1.0 / b)
+        hi_tol = 1e-8 if b == 1.0 else 1e-6 * max(1.0, b)
+        err = max(max(0.0, float(np.diff(G).max())), (1.0 - lo_tol) - float(gradient_magnitude(1e-9, b)))
+        out.append(("monotone_decay", b, max(err, float(gradient_magnitude(1.0 - 1e-9, b)) - hi_tol)))
+        d2g = magnitude_derivatives(grid, b)[1]
+        err = max(0.0, -float(d2g.min())) if b > 1.0 else max(0.0, float(d2g.max())) if b < 1.0 else float(np.abs(d2g).max())
+        out.append(("convexity_flip", b, err))
+
+        arg, val = whole_grid_scan(lambda p: curvature(p, b), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
+        out += [("curvature_peak_location", b, abs(arg - 1.0 / (1.0 + b))), ("curvature_peak_value", b, abs(val - 0.25))]
+
+        worst2 = worst3 = 0.0
+        for Z, c in groups:
+            rows = np.arange(len(Z))
+            Zp, Zm = Z.copy(), Z.copy()
+            Zp[rows, c] += h
+            Zm[rows, c] -= h
+            grads = beta_ce_batch(np.vstack([Zp, Zm]), np.tile(c, 2), params).grads
+            fd2 = (grads[rows, c] - grads[len(Z) + rows, c]) / (2.0 * h)
+            fd3 = (per_point(curvature, p_true(Zp, c), b) - per_point(curvature, p_true(Zm, c), b)) / (2.0 * h)
+            d2, d3 = per_point(logit_curvature, p_true(Z, c), b).T
+            worst2 = max(worst2, float((np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))).max()))
+            worst3 = max(worst3, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max()))
+        out += [("derivative_consistency_d2", b, worst2), ("derivative_consistency_d3", b, worst3)]
+
+        worst = 0.0
+        for Z, c in groups:
+            rows = np.arange(len(Z))
+            others = Z.copy()
+            others[rows, c] = -np.inf
+            for tau in (1.0, 0.1):
+                j = batch_losses(Z, c, LossParams(beta=b, tau=tau))
+                m_term = np.maximum(math.log(b), (others.max(axis=1) - Z[rows, c]) / tau)
+                worst = max(worst, float((m_term - j).max()), float((j - (m_term + math.log(Z.shape[1]))).max()))
+        out.append(("margin_sandwich", b, worst))
+    return out
+
+
+def bits(*xs) -> bytes:
+    return np.array(xs, dtype=np.float64).tobytes()
 
 
 class TestCentralDiffGrad:
@@ -193,14 +284,18 @@ class TestGridScanExtremum:
         assert arg == pytest.approx(1.0 / 11.0, abs=1e-5)
         assert val == pytest.approx(0.25, abs=1e-9)
 
-    @pytest.mark.parametrize("g, error", [
-        (lambda x: -abs(float(x) - 0.25), TypeError),  # float() of the grid array raises
-        (lambda x: logit_curvature(x, 1.0)[0], ValueError),  # the grid's 0 is outside (0, 1)
-        (lambda x: x[:-1], ValueError),
-        (lambda x: np.ones(()), ValueError),
-    ], ids=["scalar_only", "raises_value_error", "one_value_short", "one_value_in_all"])
-    def test_function_must_evaluate_the_grid(self, g, error):
-        # the error comes back after one call, not after a per-point retry
+    @pytest.mark.parametrize("g, error, points", [
+        pytest.param(g, error, points, id=name + suffix)
+        for points, suffix in [(101, ""), (2 * _SCAN_BLOCK + 3, "-three_blocks")]
+        for name, g, error in [
+            ("scalar_only", lambda x: -abs(float(x) - 0.25), TypeError),  # float() of the grid array raises
+            ("raises_value_error", lambda x: logit_curvature(x, 1.0)[0], ValueError),  # the grid's 0 is outside (0, 1)
+            ("one_value_short", lambda x: x[:-1], ValueError),
+            ("one_value_in_all", lambda x: np.ones(()), ValueError),
+        ]
+    ])
+    def test_function_must_evaluate_the_grid(self, g, error, points):
+        # the error comes back after one call, not after a per-point retry or a call per block
         calls = []
 
         def counted(x):
@@ -208,14 +303,67 @@ class TestGridScanExtremum:
             return g(x)
 
         with pytest.raises(error):
-            grid_scan_extremum(counted, 0.0, 1.0, 101)
+            grid_scan_extremum(counted, 0.0, 1.0, points)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("points", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK + 3])
+    @pytest.mark.parametrize("g", [
+        lambda x: -((x - 7000.5) ** 2),
+        lambda x: np.where((x == _SCAN_BLOCK - 1) | (x == _SCAN_BLOCK) | (x == 3), 1.0, 0.0),
+        lambda x: np.where(x == _SCAN_BLOCK + 2, np.nan, np.where(x == 5, 2.0, 0.0)),
+        lambda x: np.where((x == 9) | (x >= _SCAN_BLOCK), np.nan, 1.0),
+        lambda x: np.full_like(x, -np.inf),
+        lambda x: x,
+    ], ids=["parabola", "tie_across_boundary", "nan_in_later_block", "first_nan_wins", "all_minus_inf", "increasing"])
+    def test_blocks_give_the_whole_grid_result(self, g, points):
+        # the grid 0, 1, ..., points-1 is exact, so g can pick points by value; a value past
+        # the grid's end (the tie at _SCAN_BLOCK on the shortest grid) is simply absent
+        calls = []
+
+        def counted(x):
+            calls.append(x.copy())
+            return g(x)
+
+        result = grid_scan_extremum(counted, 0.0, points - 1.0, points)
+        assert bits(*result) == bits(*whole_grid_scan(g, 0.0, points - 1.0, points))
+        assert [len(x) for x in calls] == [min(_SCAN_BLOCK, points - i) for i in range(0, points, _SCAN_BLOCK)]
+        assert np.array_equal(np.concatenate(calls), np.linspace(0.0, points - 1.0, points))
+
+    @pytest.mark.parametrize("beta", DEFAULT_BETAS)
+    def test_default_curvature_scans_match_the_whole_grid(self, beta):
+        args = (lambda p: curvature(p, beta), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
+        assert bits(*grid_scan_extremum(*args)) == bits(*whole_grid_scan(*args))
+
+    def test_curvature_scan_memory_stays_near_the_grid(self):
+        # the 8 MB grid itself, plus at most 2 MB for the temporaries of the blocks
+        tracemalloc.start()
+        try:
+            grid_scan_extremum(lambda p: curvature(p, 5.0), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * _PEAK_GRID_POINTS + 2 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):
             grid_scan_extremum(lambda x: x, 1.0, 0.0, 100)
         with pytest.raises(ValueError):
             grid_scan_extremum(lambda x: x, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (-math.inf, 1.0, "lo must be a finite real"),
+        (0.0, math.inf, "hi must be a finite real"),
+        (math.nan, 1.0, "lo must be a finite real"),
+        (-1e308, 1e308, "hi - lo must be a positive finite real, got inf"),
+        (np.float64(-1e308), np.float64(1e308), "hi - lo must be a positive finite real, got inf"),
+        (1.0, 1.0, "hi - lo must be a positive finite real, got 0.0"),
+    ])
+    def test_unscannable_interval_is_a_value_error_without_warnings(self, lo, hi, message):
+        # these used to return (nan, nan) after numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                grid_scan_extremum(lambda x: -x * x, lo, hi, 101)
 
 
 class TestVerifyAll:
@@ -261,6 +409,16 @@ class TestVerifyAll:
         worst = {c.property: c.worst_error for c in verify_all(fd, [0.01]).checks}
         assert (worst["derivative_consistency_d2"], worst["derivative_consistency_d3"]) == \
             old_derivative_consistency(fd, 0.01)
+
+    @pytest.mark.parametrize("seed", [20240811, 154])
+    def test_report_matches_the_per_shift_per_beta_loop(self, seed):
+        # one kernel call per group on all shifts, and the beta-free work done once per group,
+        # must leave every per-beta check of the old loop as it was, bit for bit
+        fd, betas = FdConfig(seed=seed), [0.001, 0.3, 2.0, 100.0]
+        per_beta = [c for c in verify_all(fd, betas).checks if c.beta is not None]
+        reference = old_beta_checks(fd, betas)
+        assert [(c.property, c.beta) for c in per_beta] == [(prop, beta) for prop, beta, _ in reference]
+        assert bits(*[c.worst_error for c in per_beta]) == bits(*[worst for _, _, worst in reference])
 
     def test_deterministic_given_seed(self):
         a = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
