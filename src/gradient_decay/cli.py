@@ -439,6 +439,7 @@ def cmd_calib(args, parser) -> int:
         "mean_conf": float(pred.confidences.mean()),
         "interval_counts": list(report.interval_counts),
     }
+    del pred  # its probabilities need not live through the fit
     if args.fit_temperature:
         try:
             tau = fit_temperature(logits, labels)

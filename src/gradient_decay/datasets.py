@@ -2,7 +2,8 @@
 
 Blobs give a fast, fully deterministic stand-in for property tests and
 calibration experiments; the IDX loader reads the canonical MNIST
-distribution files (optionally gzip-compressed, detected by extension).
+distribution files (optionally gzip-compressed, detected by extension) and
+keeps their pixels as uint8 codes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from gradient_decay.loss import check_int, check_positive_real, integer_labels
 __all__ = [
     "BlobsConfig",
     "Dataset",
+    "decode",
     "IdxFormatError",
     "IdxBadMagic",
     "IdxTruncated",
@@ -64,37 +66,67 @@ class BlobsConfig:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer labels and a split tag."""
+    """Stored features with integer labels and a split tag.
 
-    features: np.ndarray  # (n, dim) float64
+    raw holds either float64 features or uint8 codes; the features are
+    raw / scale in float64 (see decode).  IDX pixels stay uint8 codes with
+    scale 255, an eighth of the memory of their float64 values; trainers
+    decode them a batch or a row block at a time.  Any other dtype becomes
+    float64, and a scale other than 1 is for uint8 codes only.
+    """
+
+    raw: np.ndarray       # (n, dim) float64 features or uint8 codes
     labels: np.ndarray    # (n,) int64
     split: str            # "train" or "test"
+    scale: float = 1.0    # the features are raw / scale
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.features, dtype=np.float64)
+        check_positive_real("scale", self.scale)
+        r = np.asarray(self.raw)
+        if r.dtype != np.uint8:
+            r = r.astype(np.float64, copy=False)
+            if self.scale != 1:
+                raise ValueError(f"scale {self.scale!r} applies to uint8 codes only, not {r.dtype} features")
         l = integer_labels(self.labels).astype(np.int64, copy=False)
-        object.__setattr__(self, "features", f)
+        object.__setattr__(self, "raw", r)
         object.__setattr__(self, "labels", l)
-        if f.ndim != 2:
+        object.__setattr__(self, "scale", float(self.scale))
+        if r.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
-        if l.shape != (f.shape[0],):
+        if l.shape != (r.shape[0],):
             raise ValueError("labels must be a vector with one entry per row")
         if l.size and l.min() < 0:
             raise ValueError("labels must be non-negative")
-        if not np.all(np.isfinite(f)):
+        # a code decodes to at most 255 / scale, so uint8 needs no pass over the data
+        if not (math.isfinite(255 / self.scale) if r.dtype == np.uint8 else np.all(np.isfinite(r))):
             raise ValueError("features must be finite")
 
     @property
+    def features(self) -> np.ndarray:
+        """The (n, dim) float64 features: raw itself, or a decoded copy of uint8 codes."""
+        return self.raw if self.raw.dtype == np.float64 else decode(self.raw, self.scale)
+
+    @property
     def n(self) -> int:
-        return self.features.shape[0]
+        return self.raw.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.raw.shape[1]
 
     @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if self.labels.size else 0
+
+
+def decode(raw: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Model inputs raw / scale in float64, into out when given.
+
+    The one decode rule: each value is converted exactly to float64 and then
+    divided, so uint8 codes at scale 255 give bitwise the values of
+    raw.astype(np.float64) / 255.0.
+    """
+    return np.divide(raw, scale, out=out, dtype=np.float64)
 
 
 def make_blobs(cfg: BlobsConfig) -> tuple[Dataset, Dataset]:
@@ -158,7 +190,9 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
 
     Big-endian headers: images carry magic 0x00000803 then count/rows/cols
     and row-major unsigned bytes; labels carry magic 0x00000801 then count
-    and bytes.  Pixels are scaled to [0, 1] by division by 255.
+    and bytes.  The pixels stay uint8 codes, a read-only view of the file's
+    bytes, with scale 255: the features are the pixels divided by 255, in
+    [0, 1], decoded only where a batch or an evaluation block needs them.
     """
     raw = _read_bytes(images_path)
     magic = _read_be32(raw, 0, images_path)
@@ -187,7 +221,7 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
             labels_path, 4, f"label count {lcount} does not match image count {count} in {images_path}"
         )
     labels = np.frombuffer(raw, np.uint8, count=lcount, offset=8).astype(np.int64)
-    return Dataset(images.astype(np.float64) / 255.0, labels, split)
+    return Dataset(images, labels, split, scale=255)
 
 
 def _write_bytes(path, payload: bytes) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 
 from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch, check_int, check_positive_real, check_real_in
 from gradient_decay.schedule import Granularity, WarmupSchedule
-from gradient_decay.datasets import Dataset
+from gradient_decay.datasets import Dataset, decode
 
 __all__ = [
     "MlpModel",
@@ -38,6 +38,11 @@ __all__ = [
 
 # trace every sample by default up to this dataset size
 TRACE_LIMIT = 100_000
+
+# rows of coded inputs decoded at a time for layer 1 of a forward pass (3.2 MB at
+# 784 inputs).  With OpenBLAS, the product of 512 rows and 784x50 weights has
+# bitwise the rows of the whole-matrix product; products of under ~50 rows do not.
+_BLOCK_ROWS = 512
 
 
 class TrainingDiverged(RuntimeError):
@@ -70,27 +75,64 @@ class MlpModel:
             biases.append(np.zeros(fan_out))
         return cls(dims, weights, biases)
 
-    def forward(self, x, acts=None) -> np.ndarray:
-        """Logits for a single sample (dim,) or a batch (n, dim).
+    def forward(self, x, acts=None, scale: float = 1.0) -> np.ndarray:
+        """Logits for the inputs x / scale: a single sample (dim,) or a batch (n, dim).
 
         acts, when given, holds one output array per layer (shape
         x.shape[:-1] + (fan_out,)); each layer's post-activation output is
         written into it, and the last one, the logits, is returned.
+
+        Unless x is float64 at scale 1, it holds codes (a Dataset's raw and
+        scale) that datasets.decode turns into inputs.  A batch of more than
+        _BLOCK_ROWS rows is decoded for layer 1 only, _BLOCK_ROWS rows at a
+        time through one small buffer, so no (n, dim) float64 matrix is made.
+        Every block has exactly _BLOCK_ROWS rows (the last one overlaps the
+        one before), so no block is short enough to take another BLAS path
+        than the whole matrix would; the later layers are whole-matrix
+        products, in the same loop.
         """
-        a = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         expect = self.layer_dims[0]
-        if a.shape[-1] != expect:
-            raise ValueError(f"input dimension {a.shape[-1]} does not match model ({expect})")
+        if x.shape[-1] != expect:
+            raise ValueError(f"input dimension {x.shape[-1]} does not match model ({expect})")
+        coded = not (x.dtype == np.float64 and scale == 1)
+        blocked = coded and x.ndim == 2 and x.shape[0] > _BLOCK_ROWS
+        a = decode(x, scale) if coded and not blocked else x
         if acts is None:
-            acts = [np.empty(a.shape[:-1] + (d,)) for d in self.layer_dims[1:]]
+            acts = [np.empty(x.shape[:-1] + (d,)) for d in self.layer_dims[1:]]
         hidden = len(self.weights) - 1
         for layer, (W, b, out) in enumerate(zip(self.weights, self.biases, acts)):
-            np.matmul(a, W, out=out)
+            if blocked and layer == 0:
+                _decoded_matmul(x, scale, W, out)
+            else:
+                np.matmul(a, W, out=out)
             np.add(out, b, out=out)
             if layer < hidden:
                 np.maximum(out, 0.0, out=out)
             a = out
         return a
+
+
+def _decoded_matmul(codes: np.ndarray, scale: float, W: np.ndarray, out: np.ndarray) -> None:
+    """out = decode(codes, scale) @ W, _BLOCK_ROWS rows of codes at a time."""
+    n = codes.shape[0]
+    buf = np.empty((_BLOCK_ROWS, codes.shape[1]))
+    for lo in range(0, n, _BLOCK_ROWS):
+        lo = min(lo, n - _BLOCK_ROWS)  # a short last block could take another BLAS path
+        hi = lo + _BLOCK_ROWS
+        np.matmul(decode(codes[lo:hi], scale, out=buf), W, out=out[lo:hi])
+
+
+def _flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A flat float64 vector holding the values of arrays, and views of it shaped like them."""
+    flat = np.empty(sum(a.size for a in arrays))
+    views, at = [], 0
+    for a in arrays:
+        view = flat[at : at + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+        at += a.size
+    return flat, views
 
 
 @dataclass
@@ -261,7 +303,15 @@ def train(
     momentum, update temporaries and the evaluation activations) is
     allocated once before the first step; the steps then work in place, in
     the same order of operations as an allocating loop, so the results are
-    bitwise identical to it.
+    bitwise identical to it.  Parameters, gradients, momentum and update
+    temporaries are four flat vectors, so an update is six numpy calls;
+    model.weights and model.biases are re-pointed to views of the flat
+    parameters, holding the same values.
+
+    A dataset of uint8 codes is decoded where it is read: each batch's rows
+    are gathered as codes and decoded into the batch, and each evaluation
+    decodes layer 1's input a block at a time into a buffer of its own
+    (MlpModel.forward), so the run never holds the (n, dim) float64 features.
     """
     n = train_set.n
     if n == 0:
@@ -272,14 +322,16 @@ def train(
     if test_set is not None:
         check_fits(model.layer_dims, test_set)
 
-    X, y = train_set.features, train_set.labels
+    X, y, scale = train_set.raw, train_set.labels, train_set.scale
     rng = np.random.default_rng(cfg.seed)
-    params = model.weights + model.biases  # the model's own arrays, updated in place
-    grads = [np.empty_like(p) for p in params]
-    vel = [np.zeros_like(p) for p in params]
-    tmp = [np.empty_like(p) for p in params]
     layers = len(model.weights)
+    theta, params = _flat_copy(model.weights + model.biases)
+    model.weights[:], model.biases[:] = params[:layers], params[layers:]  # updated in place from here
+    grad, grads = _flat_copy(params)  # every step overwrites them
+    vel, tmp = np.zeros_like(theta), np.empty_like(theta)
     full = _Rows.alloc(model.layer_dims, cfg.batch_size)
+    # uint8 codes are gathered here, then decoded into the batch
+    stage = None if X.dtype == np.float64 else np.empty((cfg.batch_size, train_set.dim), X.dtype)
     ragged = full.head(n % cfg.batch_size)
     train_acts = [np.empty((n, d)) for d in model.layer_dims[1:]]
     test_acts = None if test_set is None else [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
@@ -302,7 +354,10 @@ def train(
                 idx = perm[start : start + cfg.batch_size]
                 batch = full if idx.size == cfg.batch_size else ragged
                 # perm holds valid indices; "clip" lets take write straight into out
-                np.take(X, idx, axis=0, out=batch.x, mode="clip")
+                rows = batch.x if stage is None else stage[: idx.size]
+                np.take(X, idx, axis=0, out=rows, mode="clip")
+                if stage is not None:
+                    decode(rows, scale, out=batch.x)
                 np.take(y, idx, out=batch.y, mode="clip")
                 if warmup is not None:
                     t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
@@ -320,16 +375,15 @@ def train(
                 loss_sum += batch_loss * idx.size
                 if cfg.clip_norm is not None:
                     clip_global_norm(grads[:layers], grads[layers:], cfg.clip_norm)
-                for p, g, v, t in zip(params, grads, vel, tmp):
-                    np.multiply(v, cfg.momentum, out=v)
-                    np.add(v, g, out=v)
-                    np.multiply(p, cfg.weight_decay, out=t)
-                    np.add(v, t, out=t)
-                    np.multiply(t, cfg.lr, out=t)
-                    np.subtract(p, t, out=p)
+                np.multiply(vel, cfg.momentum, out=vel)
+                np.add(vel, grad, out=vel)
+                np.multiply(theta, cfg.weight_decay, out=tmp)
+                np.add(vel, tmp, out=tmp)
+                np.multiply(tmp, cfg.lr, out=tmp)
+                np.subtract(theta, tmp, out=theta)
                 step += 1
 
-            train_logits = model.forward(X, train_acts)
+            train_logits = model.forward(X, train_acts, scale)
             try:
                 p_true = batch_p_true(train_logits, y, loss)  # depends on tau, not on beta
             except ValueError as exc:
@@ -339,7 +393,7 @@ def train(
             if trace_mat is not None:
                 trace_mat[epoch] = p_true[traced_ids]
             if test_set is not None:
-                test_logits = model.forward(test_set.features, test_acts)
+                test_logits = model.forward(test_set.raw, test_acts, test_set.scale)
                 test_acc = float((test_logits.argmax(axis=1) == test_set.labels).mean())
             else:
                 test_logits = None

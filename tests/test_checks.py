@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gradient_decay.calibration import PredictionSet, bin_reliability, fit_temperature
-from gradient_decay.datasets import BlobsConfig
+from gradient_decay.datasets import BlobsConfig, Dataset
 from gradient_decay.loss import (
     LabeledLogits,
     LossParams,
@@ -73,6 +73,7 @@ SITES = {
     "BlobsConfig.sigma": (lambda v: BlobsConfig(sigma=v), None),
     "BlobsConfig.radius": (lambda v: BlobsConfig(radius=v), None),
     "BlobsConfig.seed": (lambda v: BlobsConfig(seed=v), 0),
+    "Dataset.scale": (lambda v: Dataset(np.zeros((2, 3), np.uint8), [0, 1], "train", scale=v), None),
     "bin_reliability.bins": (lambda v: bin_reliability(_PRED, v), 1),
     "fit_temperature.lo": (lambda v: fit_temperature(_LOGITS, _LABELS, lo=v), None),
     "fit_temperature.hi": (lambda v: fit_temperature(_LOGITS, _LABELS, hi=v), None),

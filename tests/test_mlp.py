@@ -1,13 +1,23 @@
 """Trainer tests: forward/backward correctness, update rule, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gradient_decay.datasets import BlobsConfig, Dataset, make_blobs
+from gradient_decay.datasets import (
+    BlobsConfig,
+    Dataset,
+    decode,
+    load_mnist_idx,
+    make_blobs,
+    write_idx_images,
+    write_idx_labels,
+)
 from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_batch, beta_ce_loss
 from gradient_decay.mlp import (
+    _BLOCK_ROWS,
     DifficultyGroups,
     EpochMetrics,
     MlpModel,
@@ -470,6 +480,76 @@ class TestTrain:
         model = MlpModel.init((2, 4, 4), seed=0)
         with pytest.raises(ValueError):
             train(model, train_set, TrainConfig(lr=0.1, batch_size=10_000), LossParams(beta=1.0))
+
+
+def _idx_pair(tmp_path, prefix, n, seed):
+    """A 28x28 IDX image/label pair of n rows: class prototypes plus noise, ten classes."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, n)
+    prototypes = rng.integers(0, 256, (10, 784))
+    images = np.clip(prototypes[labels] * rng.uniform(0.2, 1.0, (n, 1)) + rng.normal(0, 60, (n, 784)), 0, 255)
+    ip, lp = tmp_path / f"{prefix}-images-idx3-ubyte", tmp_path / f"{prefix}-labels-idx1-ubyte"
+    write_idx_images(ip, images.astype(np.uint8).reshape(n, 28, 28))
+    write_idx_labels(lp, labels)
+    return ip, lp
+
+
+class TestCodedInputs:
+    """uint8 codes decoded per batch and per block give the run of their float64 decode."""
+
+    @pytest.mark.parametrize("rows", [_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 7, 3 * _BLOCK_ROWS - 100])
+    def test_blocked_forward_equals_the_decoded_forward(self, rows):
+        codes = np.random.default_rng(rows).integers(0, 256, (rows, 784), dtype=np.uint8)
+        model = MlpModel.init((784, 50, 20, 10), seed=1)
+        want = model.forward(decode(codes, 255.0))
+        assert want.tobytes() == model.forward(codes.astype(np.float64) / 255.0).tobytes()
+        assert model.forward(codes, scale=255.0).tobytes() == want.tobytes()
+        acts = [np.empty((rows, d)) for d in (50, 20, 10)]
+        assert model.forward(codes, acts, 255.0) is acts[-1] and acts[-1].tobytes() == want.tobytes()
+
+    def test_short_coded_inputs_are_decoded_whole(self):
+        codes = np.random.default_rng(0).integers(0, 256, (7, 784), dtype=np.uint8)
+        model = MlpModel.init((784, 16, 10), seed=2)
+        assert model.forward(codes, scale=255).tobytes() == model.forward(codes / 255.0).tobytes()
+        assert model.forward(codes[3], scale=255).tobytes() == model.forward(codes[3] / 255.0).tobytes()
+
+    def test_uint8_run_is_bitwise_its_float64_twin(self, tmp_path):
+        n_train, n_test = 2 * _BLOCK_ROWS + 10, _BLOCK_ROWS + 20  # a short last eval block each
+        train_set = load_mnist_idx(*_idx_pair(tmp_path, "train", n_train, 0), "train")
+        test_set = load_mnist_idx(*_idx_pair(tmp_path, "t10k", n_test, 1), "test")
+        assert train_set.raw.dtype == np.uint8 and test_set.raw.dtype == np.uint8
+        twins = [Dataset(d.features, d.labels, d.split) for d in (train_set, test_set)]
+        assert twins[0].raw.dtype == np.float64
+        cfg = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, batch_size=64, epochs=3,
+                          clip_norm=1.0, seed=4)
+        assert n_train % cfg.batch_size != 0
+        sched = WarmupSchedule(0.05, 1.0, 40)
+        runs = []
+        for train_data, test_data in ((train_set, test_set), twins):
+            model = MlpModel.init((784, 32, 16, 10), seed=4)
+            res = train(model, train_data, cfg, LossParams(beta=1.0), warmup=sched, test_set=test_data)
+            runs.append((model, res))
+        (model, res), (twin, want) = runs
+        assert res.metrics == want.metrics
+        assert res.test_logits.tobytes() == want.test_logits.tobytes()
+        assert res.train_p_true.tobytes() == want.train_p_true.tobytes()
+        assert res.traces.p_true.tobytes() == want.traces.p_true.tobytes()
+        for got, ref in zip(model.weights + model.biases, twin.weights + twin.biases):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_no_float64_feature_matrix_is_allocated(self, tmp_path):
+        n, dim = 4000, 784
+        paths = _idx_pair(tmp_path, "train", n, 3)
+        model = MlpModel.init((dim, 16, 10), seed=0)
+        tracemalloc.start()
+        try:
+            train_set = load_mnist_idx(*paths)
+            train(model, train_set, TrainConfig(lr=0.01, batch_size=100, epochs=1), LossParams(beta=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the file's bytes (n * dim), one decode block and the (n, 26) activations stay far below
+        assert peak < n * dim * 8
 
 
 class TestDifficultyGroups:
