@@ -11,8 +11,8 @@ the curvature checks, and one ``batch_losses`` call on all 2m*k perturbed
 rows gives its finite differences.  Kernel rows are computed independently,
 so the stacking changes no bit of the report.  What no beta changes (the
 stacks, the p_c references, the margin term) is computed once per group.
-Grid scans evaluate their function block by block, so a 1M-point scan's
-temporaries stay cache-sized.
+Grid scans build and evaluate their grid block by block, so a 1M-point
+scan never holds the grid and its temporaries stay cache-sized.
 
 Error convention: differences are scaled by max(1, |reference|), i.e. they
 are relative for O(1) quantities and absolute below that.  A pure relative
@@ -136,32 +136,53 @@ def central_diff_grad(f, z, step: float) -> np.ndarray:
     return ((fp - fm) / (2.0 * step)).reshape(z.shape)
 
 
+def _grid_block(lo: float, hi: float, points: int, start: int, stop: int) -> np.ndarray:
+    """np.linspace(lo, hi, points)[start:stop], bitwise, as a fresh array: numpy's own arithmetic.
+
+    numpy scales arange(points) by step = (hi - lo) / (points - 1) and adds lo,
+    then sets the last point to hi.  Where the step underflows to 0 (a span of a
+    few subnormals) it divides by points - 1 first and multiplies by the span.
+    """
+    block = np.arange(start, stop, dtype=np.float64)
+    step = (hi - lo) / (points - 1)
+    if step == 0:
+        block /= points - 1
+        block *= hi - lo
+    else:
+        block *= step
+    block += lo
+    if stop == points:
+        block[-1] = hi
+    return block
+
+
 def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, float]:
-    """(argmax, max) of g over an equispaced grid of points on [lo, hi], lo < hi both finite.
+    """(argmax, max) of g over the grid np.linspace(lo, hi, points), lo < hi both finite.
 
     g must be pointwise: it maps an array of grid points to the array of
     their values, each value depending on its own point only.  It is called
-    once per block of _SCAN_BLOCK consecutive grid points, in order, so its
-    temporaries stay small however fine the grid.  Blocks are merged by
-    np.argmax's rule (the first maximum wins, and the first NaN beats any
-    number), which makes the result bitwise that of one call on the whole grid.
+    once per block of _SCAN_BLOCK consecutive grid points, in order, on a
+    fresh array holding just those points, so neither the grid nor g's
+    temporaries grow with the grid.  Blocks are merged by np.argmax's rule
+    (the first maximum wins, and the first NaN beats any number), which makes
+    the result bitwise that of one call on the whole grid.
     """
     check_real_in("lo", lo, -math.inf, math.inf)
     check_real_in("hi", hi, -math.inf, math.inf)
-    check_positive_real("hi - lo", float(hi) - float(lo))  # inf where the span overflows
+    lo, hi = float(lo), float(hi)
+    check_positive_real("hi - lo", hi - lo)  # inf where the span overflows
     check_int("points", points, 3)
-    grid = np.linspace(lo, hi, points)
-    best = 0
-    best_val = -math.inf
+    best_arg = best_val = -math.inf
     for start in range(0, points, _SCAN_BLOCK):
-        block = grid[start:start + _SCAN_BLOCK]
+        block = _grid_block(lo, hi, points, start, min(start + _SCAN_BLOCK, points))
         vals = np.asarray(g(block), dtype=np.float64)
         if vals.shape != block.shape:
             raise ValueError(f"g returned shape {vals.shape} for a block of shape {block.shape}")
         i = int(np.argmax(vals))
-        if vals[i] > best_val or (math.isnan(vals[i]) and not math.isnan(best_val)):
-            best, best_val = start + i, float(vals[i])
-    return float(grid[best]), best_val
+        # the first block's argmax stands even at -inf: np.argmax of an all -inf grid is 0
+        if start == 0 or vals[i] > best_val or (math.isnan(vals[i]) and not math.isnan(best_val)):
+            best_arg, best_val = float(block[i]), float(vals[i])
+    return best_arg, best_val
 
 
 # --- local closed forms used as references (kept independent of loss.py) ---

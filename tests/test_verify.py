@@ -1,10 +1,14 @@
 """Tests for the finite-difference / grid-scan verification machinery."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,19 @@ def old_beta_checks(fd: FdConfig, betas) -> list[tuple[str, float, float]]:
     return out
 
 
+def _bench_gate():
+    """bench/gate.py, loaded without writing bytecode under bench/."""
+    spec = importlib.util.spec_from_file_location("_bench_gate", Path(__file__).resolve().parents[1] / "bench" / "gate.py")
+    module = importlib.util.module_from_spec(spec)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return module
+
+
 def bits(*xs) -> bytes:
     return np.array(xs, dtype=np.float64).tobytes()
 
@@ -264,6 +281,10 @@ class TestCentralDiffGrad:
                 assert np.array_equal(stacked[j], new)
 
 
+# Spans of a few subnormals, whose linspace step underflows to 0.
+SUBNORMAL_SPANS = [(0.0, 50 * 5e-324, 101), (0.0, 5e-324, 3), (-1000 * 5e-324, 1000 * 5e-324, 2 * _SCAN_BLOCK + 3)]
+
+
 class TestGridScanExtremum:
     def test_parabola(self):
         arg, val = grid_scan_extremum(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 100_001)
@@ -334,8 +355,53 @@ class TestGridScanExtremum:
         args = (lambda p: curvature(p, beta), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
         assert bits(*grid_scan_extremum(*args)) == bits(*whole_grid_scan(*args))
 
+    @pytest.mark.parametrize("lo, hi, points", [
+        (-3.7, 2.9, 2 * _SCAN_BLOCK + 3),                 # negative lo
+        (-1.3, 1.3, _SCAN_BLOCK + 1),                     # lo = -hi
+        (-8.9e307, 8.9e307, _SCAN_BLOCK),                 # a span of 1.78e308, still finite
+        (_PROB_EPS, 1.0 - _PROB_EPS, _SCAN_BLOCK - 1),
+        (0.1, 0.7, 3),
+    ] + SUBNORMAL_SPANS)
+    def test_blocks_are_bitwise_linspace(self, lo, hi, points):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return -x
+
+        grid_scan_extremum(counted, lo, hi, points)
+        assert np.concatenate(calls).tobytes() == np.linspace(lo, hi, points).tobytes()
+        assert len({id(x) for x in calls}) == len(calls)
+
+    @pytest.mark.parametrize("lo, hi, points", SUBNORMAL_SPANS)
+    def test_subnormal_spans_take_numpys_divide_first_branch(self, lo, hi, points):
+        # the table above would not test that branch if these steps did not underflow
+        assert (hi - lo) / (points - 1) == 0.0
+
+    @pytest.mark.parametrize("lo, hi, points", [
+        (-3.7, 2.9, 2 * _SCAN_BLOCK + 3),  # here and on the next grid, (points - 1) * step + lo != hi:
+        (0.3, 0.9, _SCAN_BLOCK + 1),       # the last point is hi only because linspace sets it
+        (-0.0, 1.0, 101),                  # linspace's first point is 0.0, not lo
+        (0.0, 50 * 5e-324, 101),
+    ])
+    @pytest.mark.parametrize("g", [lambda x: -x, lambda x: x, lambda x: np.full_like(x, -np.inf)],
+                             ids=["max_at_first_point", "max_at_last_point", "all_minus_inf"])
+    def test_argmax_is_the_whole_grid_point(self, g, lo, hi, points):
+        assert bits(*grid_scan_extremum(g, lo, hi, points)) == bits(*whole_grid_scan(g, lo, hi, points))
+
+    def test_curvature_scan_allocates_no_grid(self):
+        # the blocks' points and the temporaries of g on them, never the 8 MB grid
+        tracemalloc.start()
+        try:
+            grid_scan_extremum(lambda p: curvature(p, 5.0), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_curvature_scan_memory_stays_near_the_grid(self):
-        # the 8 MB grid itself, plus at most 2 MB for the temporaries of the blocks
+        # the bound from when the scan held the 8 MB grid, plus at most 2 MB for the temporaries
+        # of the blocks; test_curvature_scan_allocates_no_grid holds the scan to 1 MiB
         tracemalloc.start()
         try:
             grid_scan_extremum(lambda p: curvature(p, 5.0), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
@@ -441,6 +507,23 @@ class TestVerifyAll:
         for line in lines:
             rec = json.loads(line)
             assert set(rec) == {"property", "beta", "tolerance", "worst_error", "pass"}
+
+    def test_default_output_matches_the_bench_digests(self, capsys):
+        # bench/digests.json records the sha256 of every line `verify` prints with its defaults,
+        # keyed property@beta as bench/workloads.py names them; a refactor must not move a byte
+        gate = _bench_gate()
+        recorded = json.loads(gate.DIGESTS_PATH.read_text())
+        here = gate.fingerprint(gate.platform_info())
+        if here != recorded["fingerprint"]:
+            pytest.skip(f"verify digests were recorded on platform {recorded['fingerprint']}, this one is {here}")
+        assert main(["verify"]) == 0
+        digests = {}
+        for line in capsys.readouterr().out.splitlines(keepends=True):
+            rec = json.loads(line)
+            digests[f"{rec['property']}@{rec['beta']}"] = hashlib.sha256(line.encode()).hexdigest()
+        expected = recorded["workloads"]["verify_default"]
+        assert sorted(digests) == sorted(expected)
+        assert [name for name in expected if digests[name] != expected[name]] == []
 
     def test_fd_config_validation(self):
         with pytest.raises(ValueError):
