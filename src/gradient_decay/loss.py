@@ -15,7 +15,9 @@ denominator is finite and at least min(beta, 1), and nothing overflows.
 
 Everything here is a pure function of its inputs (no shared state), in 64-bit
 floating point.  The scalar curvature functions accept numpy arrays as well
-and broadcast elementwise.
+and broadcast elementwise; curvature, logit_curvature and
+local_lipschitz_bound give a scalar input the same bits as the matching
+element of an array input.
 """
 
 from __future__ import annotations
@@ -307,9 +309,17 @@ def magnitude_derivatives(p_c, beta):
 
 def _d2j(p, beta):
     # (d2J, d): d2J = beta p (1-p) / d^2 with d = 1 + (beta-1) p, unchecked;
-    # finite on the closed interval [0, 1]
-    d = 1.0 + (beta - 1.0) * p
-    return beta * p * (1.0 - p) / d**2, d
+    # finite on the closed interval [0, 1].  The square is d * d, not d**2: a
+    # numpy scalar takes d**2 through C pow, which misses the exact square in
+    # the last bit for ~1 input in 1000, so a scalar p gets the same bits as an
+    # array element.  The in-place ops act only on d and num, allocated here,
+    # never on the caller's p: 4 block-sized allocations per array call.
+    d = (beta - 1.0) * p
+    d += 1.0
+    num = beta * p
+    num *= 1.0 - p
+    num /= d * d
+    return num, d
 
 
 def curvature(p_c, beta):

@@ -10,7 +10,8 @@ the group's logits, every shifted copy of them and the z_c +- h copies of
 the curvature checks, and one ``batch_losses`` call on all 2m*k perturbed
 rows gives its finite differences.  Kernel rows are computed independently,
 so the stacking changes no bit of the report.  What no beta changes (the
-stacks, the p_c references, the margin term) is computed once per group.
+stacks, the p_c references, the margin term) is computed once per group, and
+the d2J/d3J closed forms run once per group and beta on its p_c arrays.
 Grid scans build and evaluate their grid block by block, so a 1M-point
 scan never holds the grid and its temporaries stay cache-sized.
 
@@ -205,13 +206,6 @@ def _p_true(Z: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.exp(Z[np.arange(len(Z)), c] - s) / np.exp(Z - s[:, None]).sum(axis=1)
 
 
-def _per_point(f, p: np.ndarray, beta: float) -> np.ndarray:
-    # f(x, beta) for each x in p, one scalar call each.  numpy squares a scalar
-    # d2J denominator with C pow and an array one exactly; the two differ in the
-    # last bit for ~1 point in 1000, and the report would move with them.
-    return np.array([f(x, beta) for x in p.tolist()])
-
-
 def _draw_trials(rng: np.random.Generator, trials: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The trials as (Z, c) stacks, one per logit width m in increasing m, rows in draw order."""
     # Uniform logits on [-5, 5] keep probabilities away from hard saturation,
@@ -365,8 +359,8 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
             rows = np.arange(len(g.Z))
             grads = g.blocks(ev.grads)
             fd2 = (grads[-2][rows, g.c] - grads[-1][rows, g.c]) / (2.0 * h)
-            fd3 = (_per_point(curvature, g.p_plus, b) - _per_point(curvature, g.p_minus, b)) / (2.0 * h)
-            d2, d3 = _per_point(logit_curvature, g.p, b).T
+            fd3 = (curvature(g.p_plus, b) - curvature(g.p_minus, b)) / (2.0 * h)
+            d2, d3 = logit_curvature(g.p, b)
             worst2 = max(worst2, float((np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))).max()))
             worst3 = max(worst3, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max()))
         add("derivative_consistency_d2", b, 1e-5, worst2)

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,16 @@ requires_mnist = pytest.mark.skipif(
     reason=f"MNIST IDX files not found (set {MNIST_ENV} or place them under data/mnist); "
     "they cannot be fetched in an offline environment",
 )
+
+
+def bench_gate():
+    """bench/gate.py (platform fingerprint, recorded digests), loaded without writing bytecode under bench/."""
+    spec = importlib.util.spec_from_file_location("_bench_gate", Path(__file__).resolve().parents[1] / "bench" / "gate.py")
+    module = importlib.util.module_from_spec(spec)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return module

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gradient_decay.loss import (
     softmax_probs,
     suggested_learning_rate,
 )
+from gradient_decay.verify import _SCAN_BLOCK, _grid_block
 
 UNIFORM10 = LabeledLogits(np.zeros(10), 0)
 
@@ -406,6 +408,40 @@ class TestCurvature:
         assert np.array_equal(curvature(p, beta), logit_curvature(p, beta)[0])
         for q in p[::500]:
             assert curvature(float(q), beta) == logit_curvature(float(q), beta)[0]
+
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 5.0, 20.0])
+    def test_scalar_gets_the_bits_of_the_array_element(self, beta):
+        # verify calls the closed forms on arrays; a scalar call must give the same bits,
+        # also where C pow's square of the denominator misses the exact one
+        p = np.random.default_rng(20240811).uniform(0.0, 1.0, 20_000)
+        xs = p.tolist()
+        d = [1.0 + (beta - 1.0) * x for x in xs]
+        # at beta = 1 the denominator is exactly 1, elsewhere ~1 input in 1000 squares differently
+        assert beta == 1.0 or any(math.pow(v, 2.0) != v * v for v in d)
+        d2, d3 = logit_curvature(p, beta)
+        assert np.array([curvature(x, beta) for x in xs]).tobytes() == curvature(p, beta).tobytes()
+        scalar = np.array([logit_curvature(x, beta) for x in xs])
+        assert scalar[:, 0].tobytes() == d2.tobytes()
+        assert scalar[:, 1].tobytes() == d3.tobytes()
+
+    def test_block_call_is_allocation_lean(self):
+        # one grid-scan block: d2J and its denominator plus one temporary at a time
+        block = _grid_block(1e-6, 1 - 1e-6, 1_000_000, 0, _SCAN_BLOCK)
+        tracemalloc.start()
+        try:
+            curvature(block, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * block.nbytes + 4096
+
+    def test_never_writes_into_the_callers_array(self):
+        block = _grid_block(1e-6, 1 - 1e-6, 1_000_000, 0, _SCAN_BLOCK)
+        block.flags.writeable = False
+        before = block.tobytes()
+        curvature(block, 5.0)
+        logit_curvature(block, 5.0)
+        assert block.tobytes() == before
 
     def test_domain(self):
         for p in (0.0, 1.0, np.array([0.5, np.nan])):

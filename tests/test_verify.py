@@ -1,17 +1,15 @@
 """Tests for the finite-difference / grid-scan verification machinery."""
 
 import hashlib
-import importlib.util
 import json
 import math
 import re
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import bench_gate
 
 import gradient_decay.loss
 import gradient_decay.verify
@@ -99,7 +97,12 @@ def old_beta_checks(fd: FdConfig, betas) -> list[tuple[str, float, float]]:
     beta-free work was hoisted out of the beta loop: one kernel call per group, beta and shift,
     and the references, fd labels and margin terms recomputed for every beta."""
     groups = gradient_decay.verify._draw_trials(np.random.default_rng(fd.seed), fd.trials)
-    p_true, per_point = gradient_decay.verify._p_true, gradient_decay.verify._per_point
+    p_true = gradient_decay.verify._p_true
+
+    def per_point(f, p, beta):
+        # f(x, beta) for each x in p, one scalar call each
+        return np.array([f(x, beta) for x in p.tolist()])
+
     out = []
     for b in betas:
         params, h = LossParams(beta=b), fd.step
@@ -160,19 +163,6 @@ def old_beta_checks(fd: FdConfig, betas) -> list[tuple[str, float, float]]:
                 worst = max(worst, float((m_term - j).max()), float((j - (m_term + math.log(Z.shape[1]))).max()))
         out.append(("margin_sandwich", b, worst))
     return out
-
-
-def _bench_gate():
-    """bench/gate.py, loaded without writing bytecode under bench/."""
-    spec = importlib.util.spec_from_file_location("_bench_gate", Path(__file__).resolve().parents[1] / "bench" / "gate.py")
-    module = importlib.util.module_from_spec(spec)
-    writes_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-    return module
 
 
 def bits(*xs) -> bytes:
@@ -469,8 +459,9 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("seed", [154, 20240811])
     def test_derivative_consistency_matches_the_per_trial_loop(self, seed):
-        # numpy squares d2J's denominator with C pow for a scalar and exactly for an
-        # array; on x86-64 glibc, vectorising the closed forms moves seed 154's d3 report
+        # verify calls the d2J/d3J closed forms once per width group on arrays, the old
+        # loop once per trial on scalars; both must give the same report, which holds
+        # because a scalar gets the bits of the matching array element (d * d, not d**2)
         fd = FdConfig(seed=seed)
         worst = {c.property: c.worst_error for c in verify_all(fd, [0.01]).checks}
         assert (worst["derivative_consistency_d2"], worst["derivative_consistency_d3"]) == \
@@ -511,7 +502,7 @@ class TestVerifyAll:
     def test_default_output_matches_the_bench_digests(self, capsys):
         # bench/digests.json records the sha256 of every line `verify` prints with its defaults,
         # keyed property@beta as bench/workloads.py names them; a refactor must not move a byte
-        gate = _bench_gate()
+        gate = bench_gate()
         recorded = json.loads(gate.DIGESTS_PATH.read_text())
         here = gate.fingerprint(gate.platform_info())
         if here != recorded["fingerprint"]:
