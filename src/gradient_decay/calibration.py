@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,8 +19,10 @@ from gradient_decay.loss import (
     check_int,
     check_labels,
     check_positive_real,
+    class_max,
     shifted_exp,
     stable_softmax,
+    zero_maxima,
 )
 
 __all__ = [
@@ -64,9 +67,10 @@ class PredictionSet:
     def n(self) -> int:
         return self.probs.shape[0]
 
-    @property
+    @cached_property
     def confidences(self) -> np.ndarray:
-        return self.probs.max(axis=1)
+        # reduced once per set: a cached_property writes the instance __dict__, which frozen allows
+        return class_max(self.probs)
 
     @property
     def predicted(self) -> np.ndarray:
@@ -196,7 +200,7 @@ class _NllWorkspace:
     def __init__(self, logits, labels) -> None:
         z, self.labels = check_labeled_logits(logits, labels)
         self.zt = np.ascontiguousarray(z.T)
-        self.rowmax = z.max(axis=1)
+        self.rowmax = zero_maxima(np.maximum.reduce(self.zt, axis=0), z)
         self.absmax = np.abs(self.rowmax).max(initial=0.0)
         self.ztrue = z[np.arange(z.shape[0]), self.labels]
         self.buf = np.empty((z.shape[1], min(_BLOCK_ROWS, z.shape[0])))

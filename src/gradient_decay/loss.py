@@ -15,9 +15,9 @@ denominator is finite and at least min(beta, 1), and nothing overflows.
 
 Everything here is a pure function of its inputs (no shared state), in 64-bit
 floating point.  The scalar curvature functions accept numpy arrays as well
-and broadcast elementwise; curvature, logit_curvature and
-local_lipschitz_bound give a scalar input the same bits as the matching
-element of an array input.
+and broadcast elementwise; magnitude_derivatives, curvature,
+logit_curvature and local_lipschitz_bound give a scalar input the same bits
+as the matching element of an array input.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def check_logits(z, ndim: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != ndim or z.shape[-1] < 2:
         raise ValueError(f"logits must be an {'(m,) vector' if ndim == 1 else '(n, m) matrix'} with m >= 2")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("all logits must be finite")
     return z
 
@@ -124,6 +124,41 @@ def check_labeled_logits(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """(z, y): z a finite float64 (n, m) matrix, m >= 2; y integer labels, one per row, in [0, m)."""
     z = check_logits(logits, 2)
     return z, check_labels(labels, *z.shape)
+
+
+# Rows per block of class_max: an m x 4096 float64 block stays in L2 for m near 10.
+_MAX_BLOCK_ROWS = 4096
+
+
+def class_max(Z: np.ndarray) -> np.ndarray:
+    """Z.max(axis=1) of a float64 (n, m) matrix, bitwise, reduced on class-major blocks.
+
+    numpy reduces the short rows of Z one at a time.  Here up to 4096 rows
+    at a time are copied to class-major order and reduced together, along
+    contiguous class rows.  Max is exact, so every maximum has the same
+    value; only the sign of a zero maximum (a tie of -0.0 and +0.0) depends
+    on the order of the reduction, so zero_maxima takes those rows from
+    Z.max(axis=1) itself.
+    """
+    n, m = Z.shape
+    if n <= _MAX_BLOCK_ROWS:
+        zmax = np.maximum.reduce(Z.T.copy(), axis=0)
+    else:
+        zmax, buf = np.empty(n), np.empty((m, _MAX_BLOCK_ROWS))
+        for lo in range(0, n, _MAX_BLOCK_ROWS):
+            block = Z[lo : lo + _MAX_BLOCK_ROWS]
+            zt = buf[:, : block.shape[0]]
+            np.copyto(zt, block.T)
+            np.maximum.reduce(zt, axis=0, out=zmax[lo : lo + block.shape[0]])
+    return zero_maxima(zmax, Z)
+
+
+def zero_maxima(zmax: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """zmax, a class-major maximum of each row of Z, with every zero entry replaced by Z.max(axis=1)'s."""
+    if np.count_nonzero(zmax) < zmax.size:
+        zero = zmax == 0.0
+        zmax[zero] = Z[zero].max(axis=1)
+    return zmax
 
 
 def shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None):
@@ -147,7 +182,7 @@ def shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None):
 def stable_softmax(z: np.ndarray, tau: float) -> np.ndarray:
     """softmax(z/tau) of a checked logit vector, or of each row of a checked logit matrix."""
     rows = z.ndim > 1
-    e, _ = shifted_exp(z, tau, z.max(axis=-1, keepdims=rows))
+    e, _ = shifted_exp(z, tau, class_max(z)[:, None] if rows else z.max())
     e /= e.sum(axis=-1, keepdims=rows)
     return e
 
@@ -226,7 +261,7 @@ def _batch_exps(Z, y, p: LossParams):
     """
     Z, y = check_labeled_logits(Z, y)
     rows = np.arange(Z.shape[0])
-    W = (Z - Z.max(axis=1, keepdims=True)) / p.tau
+    W = (Z - class_max(Z)[:, None]) / p.tau
     E = np.exp(W)
     sums = E.sum(axis=1)
     ec = E[rows, y]
@@ -249,7 +284,7 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
 
     probs = E / sums[:, None]
     pc_raw = probs[rows, y]
-    pc = np.clip(pc_raw, P_CLAMP, 1.0 - P_CLAMP)
+    pc = np.minimum(np.maximum(pc_raw, P_CLAMP), 1.0 - P_CLAMP)
     denom = p.tau * (1.0 + (p.beta - 1.0) * pc)
     grads = probs / denom[:, None]
     grads[rows, y] = -(1.0 - pc_raw) / denom
@@ -274,7 +309,7 @@ def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
     so a logit matrix that beta_ce_batch rejects is rejected here too.
     """
     _, _, _, _, sums, ec, _ = _batch_exps(Z, y, p)
-    return np.clip(ec / sums, P_CLAMP, 1.0 - P_CLAMP)
+    return np.minimum(np.maximum(ec / sums, P_CLAMP), 1.0 - P_CLAMP)
 
 
 def _check_prob_open(p_c):
@@ -304,7 +339,8 @@ def magnitude_derivatives(p_c, beta):
     check_positive_real("beta", beta)
     p = _check_prob_open(p_c)
     d = 1.0 + (beta - 1.0) * p
-    return -beta / d**2, 2.0 * beta * (beta - 1.0) / d**3
+    d2 = d * d  # not d**2 or d**3: a scalar then has the bits of the array element, as in _d2j
+    return -beta / d2, 2.0 * beta * (beta - 1.0) / (d2 * d)
 
 
 def _d2j(p, beta):

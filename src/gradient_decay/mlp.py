@@ -177,14 +177,14 @@ def _gradients(model: MlpModel, batch: _Rows, grads, params: LossParams) -> floa
     for layer in range(layers - 1, -1, -1):
         below = batch.x if layer == 0 else batch.acts[layer - 1]
         np.matmul(below.T, delta, out=grads[layer])
-        np.sum(delta, axis=0, out=grads[layers + layer])
+        np.add.reduce(delta, axis=0, out=grads[layers + layer])
         if layer > 0:
             nxt, mask = batch.deltas[layer - 1], batch.masks[layer - 1]
             np.matmul(delta, model.weights[layer].T, out=nxt)
             np.greater(below, 0.0, out=mask)
             np.multiply(nxt, mask, out=nxt)
             delta = nxt
-    return float(be.losses.mean())
+    return float(np.add.reduce(be.losses)) / batch.rows
 
 
 def backward(model: MlpModel, x, c: int, params: LossParams):
@@ -355,10 +355,10 @@ def train(
                 batch = full if idx.size == cfg.batch_size else ragged
                 # perm holds valid indices; "clip" lets take write straight into out
                 rows = batch.x if stage is None else stage[: idx.size]
-                np.take(X, idx, axis=0, out=rows, mode="clip")
+                X.take(idx, axis=0, out=rows, mode="clip")
                 if stage is not None:
                     decode(rows, scale, out=batch.x)
-                np.take(y, idx, out=batch.y, mode="clip")
+                y.take(idx, out=batch.y, mode="clip")
                 if warmup is not None:
                     t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
                     beta_now = warmup.beta_at(t)
@@ -388,13 +388,14 @@ def train(
                 p_true = batch_p_true(train_logits, y, loss)  # depends on tau, not on beta
             except ValueError as exc:
                 raise TrainingDiverged(epoch, (n - 1) // cfg.batch_size) from exc
-            train_acc = float((train_logits.argmax(axis=1) == y).mean())
-            mean_conf = float(p_true.mean())
+            # int: a numpy count over n would make the metric a np.float64, whose repr differs
+            train_acc = int(np.count_nonzero(train_logits.argmax(axis=1) == y)) / n
+            mean_conf = float(np.add.reduce(p_true)) / n
             if trace_mat is not None:
                 trace_mat[epoch] = p_true[traced_ids]
             if test_set is not None:
                 test_logits = model.forward(test_set.raw, test_acts, test_set.scale)
-                test_acc = float((test_logits.argmax(axis=1) == test_set.labels).mean())
+                test_acc = int(np.count_nonzero(test_logits.argmax(axis=1) == test_set.labels)) / test_set.n
             else:
                 test_logits = None
                 test_acc = float("nan")

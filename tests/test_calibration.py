@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradient_decay import calibration
 from gradient_decay.calibration import (
     _BLOCK_ROWS,
     PredictionSet,
@@ -20,7 +21,7 @@ from gradient_decay.calibration import (
     fit_temperature,
 )
 from gradient_decay.cli import _write_reliability
-from gradient_decay.loss import softmax_probs
+from gradient_decay.loss import class_max, softmax_probs
 
 
 def _single_conf_rows(confidences, correct, m=20):
@@ -141,6 +142,21 @@ class TestPredictionSet:
         pred = PredictionSet.from_logits(rng.uniform(-4, 4, (30, 6)), rng.integers(0, 6, 30))
         assert np.abs(pred.probs.sum(axis=1) - 1.0).max() < 1e-12
         assert pred.confidences.shape == (30,)
+
+    def test_confidences_are_the_row_max_reduced_once(self, monkeypatch):
+        calls = []
+
+        def counted(probs):
+            calls.append(probs.shape)
+            return class_max(probs)
+
+        monkeypatch.setattr(calibration, "class_max", counted)
+        rng = np.random.default_rng(1)
+        pred = PredictionSet.from_logits(rng.uniform(-4, 4, (50, 7)), rng.integers(0, 7, 50))
+        calibration_report(pred, bins=7)
+        assert pred.confidences is pred.confidences
+        assert pred.confidences.tobytes() == pred.probs.max(axis=1).tobytes()
+        assert calls == [(50, 7)]
 
     def test_argmax_ties_take_lowest_index(self):
         pred = PredictionSet(np.array([[0.4, 0.4, 0.2]]), np.array([1]))
@@ -373,6 +389,16 @@ class TestFitTemperature:
         assert fit_temperature(z, y) == _reference_fit_temperature(z, y)
         for tau in (0.05, 1.0, 3.7):
             assert _NllWorkspace(z, y)(tau) == _reference_mean_nll(z, y, tau)
+
+    @pytest.mark.parametrize("m", [2, 9, 10])
+    def test_row_maxima_are_bitwise_the_row_max(self, m):
+        # taken from the class-major copy; rows whose maximum is a tie of -0.0 and +0.0 included
+        rng = np.random.default_rng(m)
+        z = rng.normal(0.0, 3.0, (_BLOCK_ROWS + 5, m))
+        z[::7, :] = np.where(rng.random((len(z[::7]), m)) < 0.5, -0.0, 0.0)
+        z[::7, -1] = -1.0
+        ws = _NllWorkspace(z, rng.integers(0, m, len(z)))
+        assert ws.rowmax.tobytes() == z.max(axis=1).tobytes()
 
     def test_clamps_at_lo(self):
         # every label is its row's strict argmax: NLL falls all the way to tau -> 0

@@ -1,10 +1,13 @@
-"""Golden bytes of non-default `verify` runs: the sha256 of every stdout line, per command.
+"""Golden bytes of CLI runs, keyed by bench/gate.py's platform fingerprint.
 
-The default run is pinned by bench/digests.json (see test_verify.py); these
-runs cover other trial counts, seeds and betas.  The file is keyed by
-bench/gate.py's platform fingerprint, since float64 bits may differ on
-another numpy build or CPU.  A change that moves these bytes on purpose
-re-records them and lists every moved line:
+Non-default `verify` runs are pinned by the sha256 of every stdout line; the
+default run is pinned by bench/digests.json (see test_verify.py).  Commands
+that train (`sweep`, `trace`) are pinned by the sha256 of every artifact
+they write; they run as subprocesses with one BLAS thread, because the
+artifacts differ between 1 and 2 OpenBLAS threads.  Float64 bits may differ
+on another numpy build, BLAS or CPU, so on another fingerprint the tests
+skip.  A change that moves these bytes on purpose re-records them and lists
+every moved line or artifact:
 
     python tests/test_golden.py --record
 """
@@ -13,18 +16,32 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from conftest import bench_gate
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 RUNS = (
     ("verify", "--trials", "20"),
     ("verify", "--seed", "154"),
     ("verify", "--seed", "56"),
     ("verify", "--betas", "0.001,0.3,2,100", "--seed", "7"),
+)
+# the blobs calibration script's data and model at 40 epochs; each command adds --out
+_BLOBS = ("--blob-per-class", "50", "--blob-seed", "42", "--seed", "7", "--epochs", "40")
+_SCRIPT = ("--model", "256,10", "--lr", "0.05", "--weight-decay", "0")
+TRAIN_RUNS = (
+    ("sweep", *_BLOBS, *_SCRIPT, "--betas", "0.1,1,20", "--beta-initial", "0.1", "--beta-end", "20",
+     "--warmup-iters", "100"),
+    ("trace", *_BLOBS, *_SCRIPT, "--beta", "5"),
+    # a linear model: every beta diverges at epoch 0, batch 2, on the non-finite logits check
+    ("sweep", *_BLOBS, "--model", "10", "--lr", "1e300", "--betas", "0.1,1,20"),
 )
 
 
@@ -42,14 +59,39 @@ def line_digests(argv) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
-def test_verify_lines_match_the_golden_digests(argv):
+def artifact_digests(argv, out: Path) -> dict[str, str]:
+    """{file name: sha256} of every artifact one CLI subprocess writes under out, by name."""
+    gate = bench_gate()
+    env = dict(os.environ, **gate.THREAD_ENV, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "gradient_decay", *argv, "--out", str(out)],
+                          env=env, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return {f.name: gate.sha256(f.read_bytes()) for f in sorted(out.iterdir())}
+
+
+def recorded_runs() -> dict:
+    """The recorded runs, or a skip when they were recorded on another platform."""
     gate = bench_gate()
     recorded = json.loads(GOLDEN_PATH.read_text())
     here = gate.fingerprint(gate.platform_info())
     if here != recorded["fingerprint"]:
         pytest.skip(f"golden digests were recorded on platform {recorded['fingerprint']}, this one is {here}")
-    digests, expected = line_digests(argv), recorded["runs"][" ".join(argv)]
+    return recorded["runs"]
+
+
+@pytest.mark.parametrize("argv", RUNS, ids=" ".join)
+def test_verify_lines_match_the_golden_digests(argv):
+    expected = recorded_runs()[" ".join(argv)]
+    digests = line_digests(argv)
+    assert list(digests) == list(expected)
+    assert [name for name in expected if digests[name] != expected[name]] == []
+
+
+@pytest.mark.parametrize("argv", TRAIN_RUNS, ids=" ".join)
+def test_training_artifacts_match_the_golden_digests(argv, tmp_path):
+    expected = recorded_runs()[" ".join(argv)]
+    digests = artifact_digests(argv, tmp_path / "out")
     assert list(digests) == list(expected)
     assert [name for name in expected if digests[name] != expected[name]] == []
 
@@ -58,6 +100,9 @@ def record() -> None:
     gate = bench_gate()
     info = gate.platform_info()
     runs = {" ".join(argv): line_digests(argv) for argv in RUNS}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, argv in enumerate(TRAIN_RUNS):
+            runs[" ".join(argv)] = artifact_digests(argv, Path(tmp) / str(i))
     GOLDEN_PATH.write_text(json.dumps({"fingerprint": gate.fingerprint(info), "platform": info, "runs": runs},
                                       indent=1) + "\n")
 

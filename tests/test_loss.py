@@ -17,6 +17,7 @@ from gradient_decay.loss import (
     beta_ce_batch,
     beta_ce_eval,
     beta_ce_loss,
+    class_max,
     curvature,
     gradient_magnitude,
     inflection_point,
@@ -308,6 +309,92 @@ class TestBatchEval:
                         assert beta_ce_loss(LabeledLogits(Z[k], int(y[k])), params) == losses[k]
 
 
+def _row_max_batch(Z, y, p):
+    """beta_ce_batch with the row maximum taken by Z.max(axis=1) and np.clip, as an allocating reference."""
+    rows = np.arange(Z.shape[0])
+    W = (Z - Z.max(axis=1, keepdims=True)) / p.tau
+    E = np.exp(W)
+    sums = E.sum(axis=1)
+    ec = E[rows, y]
+    losses = np.log(sums - ec + p.beta * ec) - W[rows, y]
+    probs = E / sums[:, None]
+    pc_raw = probs[rows, y]
+    pc = np.clip(pc_raw, 1e-12, 1.0 - 1e-12)
+    denom = p.tau * (1.0 + (p.beta - 1.0) * pc)
+    grads = probs / denom[:, None]
+    grads[rows, y] = -(1.0 - pc_raw) / denom
+    return losses, grads, probs, pc
+
+
+def _zero_tie_rows(m):
+    """Rows whose maximum is a tie of -0.0 and +0.0, in every sign pattern over the first six
+    columns, the rest -1; then each row reversed, so the zeros also sit at the end."""
+    rows = []
+    for k in range(2, min(m, 6) + 1):
+        for signs in itertools.product((0.0, -0.0), repeat=k):
+            row = np.full(m, -1.0)
+            row[:k] = signs
+            rows.append(row)
+    rows = np.array(rows)
+    return np.vstack([rows, rows[:, ::-1]])
+
+
+class TestClassMax:
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_bitwise_the_row_max(self, m):
+        rng = np.random.default_rng(20240811 + m)
+        for n in (1, 4095, 4096, 4097, 60000):
+            Z = rng.standard_normal((n, m)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+            assert class_max(Z).tobytes() == Z.max(axis=1).tobytes(), n
+        assert class_max(np.asfortranarray(Z)).tobytes() == Z.max(axis=1).tobytes()
+        assert class_max(Z[::3, ::-1]).tobytes() == Z[::3, ::-1].max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_zero_ties_keep_the_sign_of_the_row_max(self, m):
+        # a maximum of -0.0 or +0.0 depends on the order of the reduction;
+        # at m >= 9 numpy's row reduction and a class-major one disagree on it
+        Z = _zero_tie_rows(m)
+        for rows in (Z, np.tile(Z, (4097 // len(Z) + 1, 1))):
+            assert class_max(rows).tobytes() == rows.max(axis=1).tobytes()
+
+    @pytest.mark.parametrize("tau", [1.0, 0.5])
+    @pytest.mark.parametrize("m", [2, 3, 9, 10, 17])
+    def test_beta_ce_batch_keeps_its_bits_on_zero_ties(self, m, tau):
+        Z = _zero_tie_rows(m)
+        y = np.arange(len(Z)) % m
+        for beta in (0.1, 1.0, 20.0):
+            params = LossParams(beta=beta, tau=tau)
+            be = beta_ce_batch(Z, y, params)
+            losses, grads, probs, pc = _row_max_batch(Z, y, params)
+            assert be.losses.tobytes() == losses.tobytes()
+            assert be.grads.tobytes() == grads.tobytes()
+            assert be.probs.tobytes() == probs.tobytes()
+            assert be.p_true.tobytes() == pc.tobytes()
+            assert batch_p_true(Z, y, params).tobytes() == pc.tobytes()
+            assert batch_losses(Z, y, params).tobytes() == losses.tobytes()
+
+    @pytest.mark.parametrize("offset", [0.0, 1000.0], ids=["max", "large"])
+    @pytest.mark.parametrize("tau", [1.0, 0.1])
+    def test_beta_ce_batch_keeps_the_bits_of_the_row_max_kernel(self, offset, tau):
+        rng = np.random.default_rng(11)
+        for m in (2, 7, 10, 20):
+            Z = offset + rng.uniform(-8.0, 8.0, (400, m))
+            y = rng.integers(0, m, 400)
+            for beta, layout in itertools.product((0.01, 1.0, 20.0), (np.ascontiguousarray, np.asfortranarray)):
+                be = beta_ce_batch(layout(Z), y, LossParams(beta=beta, tau=tau))
+                want = _row_max_batch(layout(Z), y, LossParams(beta=beta, tau=tau))
+                for got, ref in zip((be.losses, be.grads, be.probs, be.p_true), want):
+                    assert got.tobytes() == ref.tobytes(), (m, beta, layout)
+
+    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, kernel, bad):
+        Z = np.zeros((5, 4))
+        Z[3, 2] = bad
+        with pytest.raises(ValueError, match="^all logits must be finite$"):
+            kernel(Z, np.zeros(5, dtype=np.int64), LossParams(beta=1.0))
+
+
 class TestGradientMagnitude:
     def test_point_values(self):
         assert gradient_magnitude(0.5, 1.0) == 0.5
@@ -378,6 +465,20 @@ class TestMagnitudeDerivatives:
             assert np.all(d2g < 0)
         else:
             assert np.all(d2g == 0)
+
+
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 5.0, 20.0])
+    def test_scalar_gets_the_bits_of_the_array_element(self, beta):
+        # an array's d**3 takes numpy's SIMD pow and a scalar's d**2 C pow; both
+        # miss the exact product for some inputs, so the powers are products
+        p = np.random.default_rng(20240811).uniform(0.0, 1.0, 20_000)
+        xs = p.tolist()
+        d = [1.0 + (beta - 1.0) * x for x in xs]
+        assert beta == 1.0 or any(math.pow(v, 2.0) != v * v for v in d)
+        dg, d2g = magnitude_derivatives(p, beta)
+        scalar = np.array([magnitude_derivatives(x, beta) for x in xs])
+        assert scalar[:, 0].tobytes() == dg.tobytes()
+        assert scalar[:, 1].tobytes() == d2g.tobytes()
 
 
 class TestLogitCurvature:

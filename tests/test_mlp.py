@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gradient_decay.mlp as mlp
 from gradient_decay.datasets import (
     BlobsConfig,
     Dataset,
@@ -414,6 +415,44 @@ class TestTrain:
                 train(model, train_set, TrainConfig(lr=1e12, epochs=5, batch_size=32, seed=0),
                       LossParams(beta=1.0), trace=False)
         assert exc.value.epoch >= 0 and exc.value.batch >= 0
+
+    def test_non_finite_logits_diverge_at_the_step_they_appear(self):
+        # a linear model at lr 1e300: the third batch's logits are no longer finite,
+        # and the logit check in beta_ce_batch is what reports it
+        train_set, _ = make_blobs(BlobsConfig(classes=10, dim=2, n_per_class=50, sigma=0.3, radius=1.0, seed=42))
+        for beta in (0.1, 1.0, 20.0):
+            with pytest.raises(TrainingDiverged) as exc:
+                train(MlpModel.init((2, 10), seed=7), train_set,
+                      TrainConfig(lr=1e300, momentum=0.9, weight_decay=1e-4, seed=7),
+                      LossParams(beta=beta), trace=False)
+            assert (exc.value.epoch, exc.value.batch) == (0, 2)
+            assert str(exc.value.__cause__) == "all logits must be finite"
+
+    def test_one_beta_ce_batch_call_per_step(self, monkeypatch):
+        # bench/spans.py times the loss by wrapping gradient_decay.mlp:beta_ce_batch;
+        # a trainer that went around that binding would drop the loss from every sweep's spans
+        calls = []
+
+        def counted(Z, y, p):
+            calls.append(Z.shape[0])
+            return beta_ce_batch(Z, y, p)
+
+        monkeypatch.setattr(mlp, "beta_ce_batch", counted)
+        train_set, test_set = _tiny_blobs(sigma=0.3)  # 128 rows: batches of 48, 48 and 32
+        train(MlpModel.init((2, 8, 4), seed=0), train_set,
+              TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=48, seed=0),
+              LossParams(beta=0.5), test_set=test_set, trace=True)
+        assert calls == [48, 48, 32] * 3
+
+    def test_metrics_are_python_floats(self):
+        # the CSV writers print repr(), and a numpy float64 would print as np.float64(...)
+        train_set, test_set = _tiny_blobs(sigma=0.3)
+        res = train(MlpModel.init((2, 8, 4), seed=0), train_set,
+                    TrainConfig(lr=0.05, momentum=0.9, epochs=2, batch_size=48, seed=0),
+                    LossParams(beta=0.5), test_set=test_set, trace=False)
+        for m in res.metrics:
+            for field in ("train_loss", "train_acc", "test_acc", "mean_conf"):
+                assert type(getattr(m, field)) is float, field
 
     def test_parameters_stay_finite(self):
         train_set, _ = _tiny_blobs(sigma=0.3)
