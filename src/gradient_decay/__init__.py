@@ -1,17 +1,12 @@
 """Gradient-decay softmax cross-entropy: loss analytics, trainer, calibration."""
 
 from gradient_decay.loss import (
-    LabeledLogits,
-    LossEval,
     LossParams,
-    beta_ce_eval,
-    beta_ce_loss,
     gradient_magnitude,
     inflection_point,
     local_lipschitz_bound,
     logit_curvature,
     magnitude_derivatives,
-    softmax_probs,
     suggested_learning_rate,
 )
 from gradient_decay.schedule import Granularity, WarmupSchedule

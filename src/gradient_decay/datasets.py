@@ -224,28 +224,39 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     return Dataset(images, labels, split, scale=255)
 
 
-def _write_bytes(path, payload: bytes) -> None:
+def _idx_codes(values, what: str) -> np.ndarray:
+    """values as a C-ordered uint8 array; they must have an integer dtype and lie in [0, 255]."""
+    a = np.asarray(values)
+    if a.dtype != np.uint8:  # a uint8 array holds nothing to check
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"{what} must have an integer dtype, got {a.dtype}")
+        if a.size and (a.min() < 0 or a.max() > 255):
+            raise ValueError(f"{what} must lie in [0, 255], got range [{a.min()}, {a.max()}]")
+    return np.ascontiguousarray(a, dtype=np.uint8)
+
+
+def _write_idx(path, header: bytes, codes: np.ndarray) -> None:
+    """Write header, then the codes from their own buffer: no bytes copy of the payload is made."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wb") as f:
-        f.write(payload)
+        f.write(header)
+        f.write(codes)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a (count, rows, cols) uint8 array in IDX image format."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
+    """Write (count, rows, cols) integer pixel codes in [0, 255] in IDX image format."""
+    images = _idx_codes(images, "images")
     if images.ndim != 3:
         raise ValueError("images must be (count, rows, cols)")
-    header = struct.pack(">IIII", IMAGES_MAGIC, *images.shape)
-    _write_bytes(path, header + images.tobytes())
+    _write_idx(path, struct.pack(">IIII", IMAGES_MAGIC, *images.shape), images)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write a label vector in IDX label format."""
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    """Write a vector of integer labels in [0, 255] in IDX label format."""
+    labels = _idx_codes(labels, "labels")
     if labels.ndim != 1:
         raise ValueError("labels must be a vector")
-    header = struct.pack(">II", LABELS_MAGIC, labels.size)
-    _write_bytes(path, header + labels.tobytes())
+    _write_idx(path, struct.pack(">II", LABELS_MAGIC, labels.size), labels)
 
 
 def mnist_paths(directory) -> tuple[Path, Path, Path, Path]:

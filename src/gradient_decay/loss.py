@@ -9,9 +9,11 @@ as a soft margin in decision space, and beta controls how fast the gradient
 assigned to a sample decays as its true-class probability p_c rises.  beta=1
 is the standard softmax cross-entropy.
 
-Every kernel subtracts the maximum logit before exponentiating, so each
-sample has one exponential equal to exp(0) = 1: for any finite logits the
-denominator is finite and at least min(beta, 1), and nothing overflows.
+The loss kernels (beta_ce_batch, batch_losses, batch_p_true) and
+stable_softmax take an (n, m) logit matrix, one sample per row.  Every
+kernel subtracts the maximum logit before exponentiating, so each sample has
+one exponential equal to exp(0) = 1: for any finite logits the denominator
+is finite and at least min(beta, 1), and nothing overflows.
 
 Everything here is a pure function of its inputs (no shared state), in 64-bit
 floating point.  The scalar curvature functions accept numpy arrays as well
@@ -29,12 +31,7 @@ import numpy as np
 
 __all__ = [
     "LossParams",
-    "LabeledLogits",
-    "LossEval",
     "BatchEval",
-    "softmax_probs",
-    "beta_ce_loss",
-    "beta_ce_eval",
     "beta_ce_batch",
     "batch_losses",
     "batch_p_true",
@@ -110,19 +107,13 @@ def check_labels(labels, n: int, m: int, rows: str = "logit") -> np.ndarray:
     return y
 
 
-def check_logits(z, ndim: int) -> np.ndarray:
-    """z as float64, checked to be finite: an (m,) vector for ndim 1, an (n, m) matrix for ndim 2; m >= 2."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != ndim or z.shape[-1] < 2:
-        raise ValueError(f"logits must be an {'(m,) vector' if ndim == 1 else '(n, m) matrix'} with m >= 2")
-    if not np.isfinite(z).all():
-        raise ValueError("all logits must be finite")
-    return z
-
-
 def check_labeled_logits(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """(z, y): z a finite float64 (n, m) matrix, m >= 2; y integer labels, one per row, in [0, m)."""
-    z = check_logits(logits, 2)
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ValueError("logits must be an (n, m) matrix with m >= 2")
+    if not np.isfinite(z).all():
+        raise ValueError("all logits must be finite")
     return z, check_labels(labels, *z.shape)
 
 
@@ -180,74 +171,24 @@ def shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None):
 
 
 def stable_softmax(z: np.ndarray, tau: float) -> np.ndarray:
-    """softmax(z/tau) of a checked logit vector, or of each row of a checked logit matrix."""
-    rows = z.ndim > 1
-    e, _ = shifted_exp(z, tau, class_max(z)[:, None] if rows else z.max())
-    e /= e.sum(axis=-1, keepdims=rows)
+    """softmax(z/tau) of each row of a checked logit matrix."""
+    e, _ = shifted_exp(z, tau, class_max(z)[:, None])
+    e /= e.sum(axis=1, keepdims=True)
     return e
 
 
 @dataclass(frozen=True)
-class LabeledLogits:
-    """Class scores z for one sample plus the index c of its true class."""
-
-    z: np.ndarray
-    c: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", check_logits(self.z, 1))
-        check_int("class index", self.c, 0)
-        if self.c >= self.z.size:
-            raise ValueError(f"class index {self.c} outside [0, {self.z.size})")
-        object.__setattr__(self, "c", int(self.c))
-
-
-@dataclass(frozen=True)
-class LossEval:
-    """Loss value, per-logit gradient, probabilities and p_c for one sample.
-
-    Guarantees (in float64, for any finite logits, beta in a sane range):
-    probs sums to 1 within 1e-12, grad[c] <= 0 with grad[i] >= 0 elsewhere,
-    the gradient sums to 0 within 1e-12, and |grad[c]| equals the sum of the
-    other entries.  p_true has been clamped to [1e-12, 1 - 1e-12].
-    """
-
-    loss: float
-    grad: np.ndarray
-    probs: np.ndarray
-    p_true: float
-
-
-@dataclass(frozen=True)
 class BatchEval:
-    """Row-wise loss/gradient/probability evaluation of a logit matrix."""
+    """Row-wise loss/gradient/probability evaluation of a logit matrix.
+
+    Per row, in float64: probs sums to 1 within 1e-12, grads[c] <= 0 <= the
+    other entries, and the gradient sums to 0 within 1e-12.
+    """
 
     losses: np.ndarray  # (n,)
     grads: np.ndarray   # (n, m), per-sample gradients (no batch reduction)
     probs: np.ndarray   # (n, m)
     p_true: np.ndarray  # (n,), clamped
-
-
-def softmax_probs(z, tau: float = 1.0) -> np.ndarray:
-    """Probability vector exp(z_i/tau - s) / sum_j exp(z_j/tau - s), s = max."""
-    z = check_logits(z, 1)
-    check_positive_real("tau", tau)
-    return stable_softmax(z, tau)
-
-
-def beta_ce_loss(x: LabeledLogits, p: LossParams) -> float:
-    """Loss J = log(sum_{i != c} e^{(z_i-u)/tau} + beta e^{(z_c-u)/tau}) - (z_c-u)/tau, u = max(z).
-
-    The one-row view of batch_losses.  At beta=1 this is the standard
-    softmax cross-entropy.
-    """
-    return float(batch_losses(x.z[None], np.array([x.c]), p)[0])
-
-
-def beta_ce_eval(x: LabeledLogits, p: LossParams) -> LossEval:
-    """Loss together with its analytic gradient: the one-row view of beta_ce_batch."""
-    be = beta_ce_batch(x.z[None], np.array([x.c]), p)
-    return LossEval(loss=float(be.losses[0]), grad=be.grads[0], probs=be.probs[0], p_true=float(be.p_true[0]))
 
 
 def _batch_exps(Z, y, p: LossParams):
@@ -276,7 +217,7 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
     [0, m).  p_c is clamped to [1e-12, 1 - 1e-12] in the denominator only,
     which keeps the exact zero sum of a saturated gradient.  Each row of a
     C-ordered Z is bitwise the one-row call on it.  The exponent is shifted
-    then divided, (z - max z)/tau; softmax_probs divides first, which moves
+    then divided, (z - max z)/tau; stable_softmax divides first, which moves
     the last bit at tau != 1.  Batch reduction is left to the caller.
     """
     rows, y, W, E, sums, ec, total = _batch_exps(Z, y, p)
@@ -293,7 +234,6 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
 
 def batch_losses(Z, y, p: LossParams) -> np.ndarray:
     """The losses column of beta_ce_batch(Z, y, p), bitwise, without probs or gradients.
-
     Rows are independent as in beta_ce_batch, so verify's finite
     differences can stack every perturbed row of a group of samples into one
     call.  Validates exactly as beta_ce_batch does.

@@ -187,20 +187,6 @@ def _gradients(model: MlpModel, batch: _Rows, grads, params: LossParams) -> floa
     return float(np.add.reduce(be.losses)) / batch.rows
 
 
-def backward(model: MlpModel, x, c: int, params: LossParams):
-    """Parameter gradients of the loss for one sample.
-
-    Returns (weight_grads, bias_grads), lists parallel to the model layers.
-    """
-    batch = _Rows.alloc(model.layer_dims, 1)
-    batch.x[0] = np.asarray(x, dtype=np.float64).reshape(-1)
-    batch.y[0] = c
-    grads = [np.empty_like(p) for p in model.weights + model.biases]
-    _gradients(model, batch, grads, params)
-    layers = len(model.weights)
-    return grads[:layers], grads[layers:]
-
-
 def clip_global_norm(grads_w, grads_b, clip_norm: float):
     """Scale all gradients in place so their joint 2-norm is at most clip_norm.
 

@@ -32,9 +32,9 @@ import numpy as np
 from gradient_decay.loss import (
     LossParams,
     batch_losses,
+    batch_losses as beta_ce_loss,  # noqa: F401  (bench/spans.py wraps this binding)
     beta_ce_batch,
-    beta_ce_eval,  # noqa: F401  (bench/spans.py wraps this binding)
-    beta_ce_loss,  # noqa: F401  (bench/spans.py wraps this binding)
+    beta_ce_batch as beta_ce_eval,  # noqa: F401  (bench/spans.py wraps this binding)
     check_int,
     check_positive_real,
     check_real_in,

@@ -21,7 +21,7 @@ from gradient_decay.calibration import (
     fit_temperature,
 )
 from gradient_decay.cli import _write_reliability
-from gradient_decay.loss import class_max, softmax_probs
+from gradient_decay.loss import class_max, stable_softmax
 
 
 def _single_conf_rows(confidences, correct, m=20):
@@ -214,7 +214,7 @@ def _old_softmax(z, tau):
 
 
 class TestOneSoftmax:
-    """softmax_probs and PredictionSet.from_logits share one softmax, which divides by tau, then shifts.
+    """PredictionSet.from_logits runs stable_softmax, which divides by tau, then shifts, as the scalar path did.
 
     The loss kernels shift, then divide (see beta_ce_batch); the two orders
     differ in the last bit at tau != 1.
@@ -227,7 +227,7 @@ class TestOneSoftmax:
             for scale in (0.01, 1.0, 30.0):
                 z = rng.normal(0.0, scale, m)
                 c = int(rng.integers(m))
-                probs = softmax_probs(z, tau)
+                probs = stable_softmax(z[None], tau)[0]
                 assert np.array_equal(probs, _old_softmax(z, tau))
                 assert np.array_equal(PredictionSet.from_logits(z[None], [c], tau=tau).probs[0], probs)
 

@@ -16,7 +16,6 @@ import pytest
 from gradient_decay.calibration import PredictionSet, bin_reliability, fit_temperature
 from gradient_decay.datasets import BlobsConfig, Dataset
 from gradient_decay.loss import (
-    LabeledLogits,
     LossParams,
     curvature,
     gradient_magnitude,
@@ -24,7 +23,6 @@ from gradient_decay.loss import (
     local_lipschitz_bound,
     logit_curvature,
     magnitude_derivatives,
-    softmax_probs,
 )
 from gradient_decay.mlp import SampleTraces, TrainConfig, difficulty_groups
 from gradient_decay.schedule import WarmupSchedule
@@ -39,8 +37,7 @@ _TRACES = np.linspace(0.1, 0.9, 12).reshape(2, 6)
 SITES = {
     "LossParams.beta": (lambda v: LossParams(beta=v), None),
     "LossParams.tau": (lambda v: LossParams(beta=1.0, tau=v), None),
-    "LabeledLogits.c": (lambda v: LabeledLogits(np.zeros(3), v), 0),
-    "softmax_probs.tau": (lambda v: softmax_probs([0.0, 3.0], tau=v), None),
+    "from_logits.tau": (lambda v: PredictionSet.from_logits([[0.0, 3.0]], [1], tau=v), None),
     "gradient_magnitude.beta": (lambda v: gradient_magnitude(0.5, v), None),
     "magnitude_derivatives.beta": (lambda v: magnitude_derivatives(0.5, v), None),
     "curvature.beta": (lambda v: curvature(0.5, v), None),

@@ -307,6 +307,18 @@ class TestTraceCommand:
             for e in range(result.traces.epochs) for g in range(5))
         assert (out / "group_means.csv").read_bytes() == want.encode()
 
+    def test_groups_count_the_subsampled_trace(self, tmp_path, capsys, monkeypatch):
+        # past TRACE_LIMIT training samples, --groups splits the TRACE_LIMIT traced ones
+        monkeypatch.setattr("gradient_decay.mlp.TRACE_LIMIT", 7)
+        monkeypatch.setattr(cli, "TRACE_LIMIT", 7)
+        out = tmp_path / "trace"
+        assert_usage_error(["trace", "--groups", "8", "--out", str(out)] + FAST_SWEEP, capsys,
+                           "--groups must lie between 1 and the 7 traced samples, got 8")
+        assert run(["trace", "--groups", "7", "--out", str(out)] + FAST_SWEEP) == 0
+        rows = [r.split(",") for r in (out / "trace.csv").read_text().splitlines()[1:]]
+        assert [int(r[1]) for r in rows] == [0, 10, 21, 31, 42, 52, 63] * 3  # of 64 training samples
+        assert sorted(int(r[3]) for r in rows[:7]) == [1, 2, 3, 4, 5, 6, 7]
+
     def test_bins_is_not_a_trace_flag(self, tmp_path, capsys, forbid_work):
         assert_usage_error(["trace", "--bins", "3", "--out", str(tmp_path / "x")] + FAST_SWEEP, capsys,
                            "unrecognized arguments: --bins 3")

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,43 @@ class TestIdxFormat:
         write_idx_labels(lp, labels)
         with pytest.raises(IdxCountMismatch):
             load_mnist_idx(ip, lp)
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
+    @pytest.mark.parametrize("count", [3, 40])  # 40 images exceed a file's 8 KiB write buffer
+    def test_writers_write_the_header_then_the_codes(self, tmp_path, suffix, layout, count):
+        rng = np.random.default_rng(count)
+        images = layout(rng.integers(0, 256, (count, 28, 28), dtype=np.uint8))
+        labels = rng.integers(0, 10, count)
+        ip, lp = tmp_path / ("i" + suffix), tmp_path / ("l" + suffix)
+        write_idx_images(ip, images)
+        write_idx_labels(lp, labels)
+        read = gzip.decompress if suffix else bytes
+        assert read(ip.read_bytes()) == struct.pack(">IIII", 0x803, count, 28, 28) + images.tobytes()
+        assert read(lp.read_bytes()) == struct.pack(">II", 0x801, count) + labels.astype(np.uint8).tobytes()
+
+    def test_image_writer_makes_no_copy_of_the_payload(self, tmp_path):
+        images = np.random.default_rng(0).integers(0, 256, (2000, 28, 28), dtype=np.uint8)  # 1.5 MB
+        tracemalloc.start()
+        try:
+            write_idx_images(tmp_path / "i", images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes / 2
+
+    @pytest.mark.parametrize("which, values, message", [
+        ("images", np.array([[[1.7, 300.0]], [[-2.0, 255.0]]]), "images must have an integer dtype, got float64"),
+        ("images", np.array([[[1, 300]], [[-2, 255]]]), r"images must lie in \[0, 255\], got range \[-2, 300\]"),
+        ("labels", np.array([1.0, 7.0]), "labels must have an integer dtype, got float64"),
+        ("labels", [300, -1, 7], r"labels must lie in \[0, 255\], got range \[-1, 300\]"),
+    ], ids=["image_dtype", "image_range", "label_dtype", "label_range"])
+    def test_writers_reject_values_they_cannot_store(self, tmp_path, which, values, message):
+        # a uint8 cast used to wrap them: labels [300, -1, 7] read back as [44, 255, 7]
+        write = write_idx_images if which == "images" else write_idx_labels
+        with pytest.raises(ValueError, match=message):
+            write(tmp_path / which, values)
+        assert not (tmp_path / which).exists()
 
     def test_mnist_paths_missing(self, tmp_path):
         with pytest.raises(FileNotFoundError):

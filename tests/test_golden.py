@@ -4,7 +4,10 @@ Non-default `verify` runs are pinned by the sha256 of every stdout line; the
 default run is pinned by bench/digests.json (see test_verify.py).  Commands
 that train (`sweep`, `trace`) are pinned by the sha256 of every artifact
 they write; they run as subprocesses with one BLAS thread, because the
-artifacts differ between 1 and 2 OpenBLAS threads.  Float64 bits may differ
+artifacts differ between 1 and 2 OpenBLAS threads.  `calib` and
+`warmup-demo` are pinned by the sha256 of their stdout and of every file
+they write, with `calib` reading logits that the test writes from a fixed
+seed; they run the same way.  Float64 bits may differ
 on another numpy build, BLAS or CPU, so on another fingerprint the tests
 skip.  A change that moves these bytes on purpose re-records them and lists
 every moved line or artifact:
@@ -22,6 +25,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import bench_gate
 
@@ -43,6 +47,13 @@ TRAIN_RUNS = (
     # a linear model: every beta diverges at epoch 0, batch 2, on the non-finite logits check
     ("sweep", *_BLOBS, "--model", "10", "--lr", "1e300", "--betas", "0.1,1,20"),
 )
+# "{dir}" is the run's directory, which holds write_logits' files and an empty out/
+FILE_RUNS = (
+    ("calib", "--logits", "{dir}/logits.npz", "--fit-temperature", "--out", "{dir}/out/calib.json",
+     "--reliability-out", "{dir}/out/reliability.csv"),
+    ("calib", "--logits", "{dir}/logits.csv", "--bins", "7"),
+    ("warmup-demo",),
+)
 
 
 def line_digests(argv) -> dict[str, str]:
@@ -59,15 +70,42 @@ def line_digests(argv) -> dict[str, str]:
     return digests
 
 
+def run_cli(argv) -> bytes:
+    """stdout of one CLI subprocess with one BLAS thread, which must exit 0 with nothing on stderr."""
+    env = dict(os.environ, **bench_gate().THREAD_ENV, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "gradient_decay", *argv], env=env, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout
+
+
+def file_digests(out: Path) -> dict[str, str]:
+    """{file name: sha256} of every file under out, by name."""
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+
+
 def artifact_digests(argv, out: Path) -> dict[str, str]:
     """{file name: sha256} of every artifact one CLI subprocess writes under out, by name."""
-    gate = bench_gate()
-    env = dict(os.environ, **gate.THREAD_ENV, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "gradient_decay", *argv, "--out", str(out)],
-                          env=env, capture_output=True)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    return {f.name: gate.sha256(f.read_bytes()) for f in sorted(out.iterdir())}
+    run_cli([*argv, "--out", str(out)])
+    return file_digests(out)
+
+
+def write_logits(work: Path) -> None:
+    """Seeded 600x10 logits and labels, as logits.npz and as logits.csv (the logit columns, then the label)."""
+    rng = np.random.default_rng(20240811)
+    labels = rng.integers(0, 10, 600)
+    logits = rng.normal(0.0, 1.5, (600, 10))
+    logits[np.arange(600), labels] += 2.0  # better than chance, and overconfident at tau=1
+    np.savez(work / "logits.npz", logits=logits, labels=labels)
+    np.savetxt(work / "logits.csv", np.column_stack([logits, labels]), fmt="%.17g", delimiter=",")
+
+
+def file_run_digests(argv, work: Path) -> dict[str, str]:
+    """{"stdout": sha256, file name: sha256} of one FILE_RUNS command run in the directory work."""
+    write_logits(work)
+    (work / "out").mkdir()
+    stdout = run_cli([a.replace("{dir}", str(work)) for a in argv])
+    return {"stdout": hashlib.sha256(stdout).hexdigest(), **file_digests(work / "out")}
 
 
 def recorded_runs() -> dict:
@@ -96,6 +134,14 @@ def test_training_artifacts_match_the_golden_digests(argv, tmp_path):
     assert [name for name in expected if digests[name] != expected[name]] == []
 
 
+@pytest.mark.parametrize("argv", FILE_RUNS, ids=" ".join)
+def test_calib_and_warmup_outputs_match_the_golden_digests(argv, tmp_path):
+    expected = recorded_runs()[" ".join(argv)]
+    digests = file_run_digests(argv, tmp_path)
+    assert list(digests) == list(expected)
+    assert [name for name in expected if digests[name] != expected[name]] == []
+
+
 def record() -> None:
     gate = bench_gate()
     info = gate.platform_info()
@@ -103,6 +149,10 @@ def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(TRAIN_RUNS):
             runs[" ".join(argv)] = artifact_digests(argv, Path(tmp) / str(i))
+        for i, argv in enumerate(FILE_RUNS):
+            work = Path(tmp) / f"file{i}"
+            work.mkdir()
+            runs[" ".join(argv)] = file_run_digests(argv, work)
     GOLDEN_PATH.write_text(json.dumps({"fingerprint": gate.fingerprint(info), "platform": info, "runs": runs},
                                       indent=1) + "\n")
 

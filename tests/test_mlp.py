@@ -16,7 +16,7 @@ from gradient_decay.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from gradient_decay.loss import LabeledLogits, LossParams, beta_ce_batch, beta_ce_loss
+from gradient_decay.loss import LossParams, batch_losses, beta_ce_batch
 from gradient_decay.mlp import (
     _BLOCK_ROWS,
     DifficultyGroups,
@@ -25,7 +25,6 @@ from gradient_decay.mlp import (
     SampleTraces,
     TrainConfig,
     TrainingDiverged,
-    backward,
     clip_global_norm,
     difficulty_groups,
     train,
@@ -96,9 +95,20 @@ def _reference_ce_backprop(model, x, c):
     return gw, gb
 
 
+def backward(model, x, c, params):
+    """(weight grads, bias grads) of one sample's loss: mlp._gradients on a one-row batch."""
+    batch = mlp._Rows.alloc(model.layer_dims, 1)
+    batch.x[0] = x
+    batch.y[0] = c
+    grads = [np.empty_like(p) for p in model.weights + model.biases]
+    mlp._gradients(model, batch, grads, params)
+    layers = len(model.weights)
+    return grads[:layers], grads[layers:]
+
+
 def _fd_param_grads(model, x, c, params, h=1e-6):
     def current_loss():
-        return beta_ce_loss(LabeledLogits(model.forward(x), c), params)
+        return batch_losses(model.forward(x)[None], np.array([c]), params)[0]
 
     gws, gbs = [], []
     for arr_list, out in ((model.weights, gws), (model.biases, gbs)):
@@ -494,6 +504,19 @@ class TestTrain:
                     LossParams(beta=1.0))
         assert res.traces.p_true.shape == (3, train_set.n)
         assert np.all((res.traces.p_true >= 0.0) & (res.traces.p_true <= 1.0))
+
+    def test_traces_subsample_beyond_the_trace_limit(self, monkeypatch):
+        # past TRACE_LIMIT samples, only np.linspace(0, n - 1, TRACE_LIMIT)'s ids are traced
+        train_set, _ = _tiny_blobs()
+        cfg, params = TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=0), LossParams(beta=1.0)
+        full = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params).traces
+        monkeypatch.setattr(mlp, "TRACE_LIMIT", 7)
+        part = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params).traces
+        assert train_set.n == 128
+        assert part.sample_ids.tolist() == [0, 21, 42, 63, 84, 105, 127]
+        assert part.p_true.shape == (3, 7)
+        for j, sid in enumerate(part.sample_ids):
+            assert part.p_true[:, j].tobytes() == full.p_true[:, sid].tobytes()
 
     def test_labels_beyond_the_output_layer_rejected_before_training(self):
         train_set, test_set = _tiny_blobs(classes=4)
