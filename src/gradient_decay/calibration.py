@@ -148,6 +148,9 @@ def confidence_table(p_true) -> np.ndarray:
 # Rows per block of a temperature-fit pass: m x 8192 float64 stays in L2 for m near 10.
 _BLOCK_ROWS = 8192
 
+# fit_temperature's search bracket [_TAU_LO, _TAU_HI] and its golden-section steps
+_TAU_LO, _TAU_HI, _TAU_ITERS = 0.05, 10.0, 200
+
 
 def _column_sums(e: np.ndarray) -> np.ndarray:
     """Column sums of e (m, b), added in place into e[0], which is returned.
@@ -235,19 +238,14 @@ class _NllWorkspace:
         self.lse[big] = np.log(e.sum(axis=0)) + (zmax - self.ztrue[big]) / tau
 
 
-def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: int = 200) -> float:
+def fit_temperature(logits, labels) -> float:
     """Temperature minimizing mean cross-entropy of softmax(z/tau).
 
-    Golden-section search on log(tau) over [log lo, log hi]; the result is
-    guaranteed no worse than tau=1 and never changes any predicted class
-    (positive scaling preserves the argmax).  Logits must be finite and
-    labels integers in [0, m); lo < hi are positive reals and iters an integer >= 0.
+    Golden-section search on log(tau) over [log _TAU_LO, log _TAU_HI], in
+    _TAU_ITERS steps; the result is guaranteed no worse than tau=1 and never
+    changes any predicted class (positive scaling preserves the argmax).
+    Logits must be finite and labels integers in [0, m).
     """
-    check_positive_real("lo", lo)
-    check_positive_real("hi", hi)
-    if lo >= hi:
-        raise ValueError(f"lo must be below hi, got lo={lo!r}, hi={hi!r}")
-    check_int("iters", iters, 0)
     ws = _NllWorkspace(logits, labels)
     if ws.lse.size < 2:
         raise ValueError("need a logit matrix with at least two rows")
@@ -255,12 +253,12 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: i
         raise ValueError("degenerate labels: need at least two classes present")
 
     nll = lambda log_tau: ws(math.exp(log_tau))
-    a, b = math.log(lo), math.log(hi)
+    a, b = math.log(_TAU_LO), math.log(_TAU_HI)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = nll(c), nll(d)
-    for _ in range(iters):
+    for _ in range(_TAU_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -270,7 +268,7 @@ def fit_temperature(logits, labels, lo: float = 0.05, hi: float = 10.0, iters: i
             d = a + invphi * (b - a)
             fd = nll(d)
     # exp/log round-tripping can land one ulp outside the search box
-    tau_star = min(max(math.exp((a + b) / 2.0), lo), hi)
+    tau_star = min(max(math.exp((a + b) / 2.0), _TAU_LO), _TAU_HI)
     if ws(tau_star) > ws(1.0):
         return 1.0
     return tau_star

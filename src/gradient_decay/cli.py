@@ -186,7 +186,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mnist-dir", default="data/mnist", help="directory holding the four MNIST IDX files")
     p.add_argument("--model", type=_dims, default=(50, 20, 10),
                    help='layer sizes after the input, e.g. "50,20,10"')
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=LossParams.tau)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-4)
@@ -194,11 +194,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clip-norm", type=float)
-    p.add_argument("--blob-classes", type=int, default=10)
-    p.add_argument("--blob-dim", type=int, default=2)
-    p.add_argument("--blob-per-class", type=int, default=100)
-    p.add_argument("--blob-sigma", type=float, default=0.3)
-    p.add_argument("--blob-radius", type=float, default=1.0)
+    p.add_argument("--blob-classes", type=int, default=BlobsConfig.classes)
+    p.add_argument("--blob-dim", type=int, default=BlobsConfig.dim)
+    p.add_argument("--blob-per-class", type=int, default=BlobsConfig.n_per_class,
+                   help="points per class, at least 5: every 5th is a test point")
+    p.add_argument("--blob-sigma", type=float, default=BlobsConfig.sigma)
+    p.add_argument("--blob-radius", type=float, default=BlobsConfig.radius)
     p.add_argument("--blob-seed", type=int, help="dataset seed (defaults to --seed)")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -292,14 +293,14 @@ def cmd_verify(args, parser) -> int:
     return 0
 
 
-def _evaluate_run(result, test_set, bins):
+def _evaluate_run(result, test_set, bins, tau):
     """Summary metrics plus report objects for one trained model.
 
     Everything comes from the run's last-epoch evaluation, which saw the
-    final parameters.
+    final parameters; the test-set calibration is that of softmax(z/tau).
     """
     last = result.metrics[-1]
-    pred = PredictionSet.from_logits(result.test_logits, test_set.labels)
+    pred = PredictionSet.from_logits(result.test_logits, test_set.labels, tau=tau)
     report = calibration_report(pred, bins=bins)
     return {
         "top1_acc": last.test_acc,
@@ -340,7 +341,7 @@ def cmd_sweep(args, parser) -> int:
         except TrainingDiverged as exc:
             rows.append([tag, "", "", "", "", "", _diverged(exc)])
             continue
-        ev = _evaluate_run(result, test_set, args.bins)
+        ev = _evaluate_run(result, test_set, args.bins, args.tau)
         _write_metrics(out / f"metrics_beta_{tag}.csv", result.metrics)
         _write_reliability(out / f"reliability_beta_{tag}.csv", ev["report"].bins)
         _write_csv(out / f"conftable_beta_{tag}.csv", ["interval", "count"],
@@ -491,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "run the analytic property suite")
     p.add_argument("--betas", type=_float_list, default=list(DEFAULT_BETAS))
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--rel-tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=20240811)
+    p.add_argument("--trials", type=int, default=FdConfig.trials)
+    p.add_argument("--step", type=float, default=FdConfig.step)
+    p.add_argument("--rel-tol", type=float, default=FdConfig.rel_tol)
+    p.add_argument("--seed", type=int, default=FdConfig.seed)
     p.add_argument("--out", help="write the JSON-lines report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

@@ -58,7 +58,7 @@ class BlobsConfig:
     def __post_init__(self) -> None:
         check_int("classes", self.classes, 2)
         check_int("dim", self.dim, 2)
-        check_int("n_per_class", self.n_per_class, 1)
+        check_int("n_per_class", self.n_per_class, _TEST_STRIDE)  # a test split of at least one point per class
         check_positive_real("sigma", self.sigma)
         check_positive_real("radius", self.radius)
         check_int("seed", self.seed, 0)
@@ -68,43 +68,37 @@ class BlobsConfig:
 class Dataset:
     """Stored features with integer labels and a split tag.
 
-    raw holds either float64 features or uint8 codes; the features are
-    raw / scale in float64 (see decode).  IDX pixels stay uint8 codes with
-    scale 255, an eighth of the memory of their float64 values; trainers
-    decode them a batch or a row block at a time.  Any other dtype becomes
-    float64, and a scale other than 1 is for uint8 codes only.
+    The dtype of raw decides what it holds (see decode): uint8 means IDX
+    pixel codes, whose features are raw / 255 in float64, and any other
+    dtype becomes float64 features.  IDX pixels stay uint8 codes, an eighth
+    of the memory of their float64 values; trainers decode them a batch or
+    a row block at a time.
     """
 
-    raw: np.ndarray       # (n, dim) float64 features or uint8 codes
+    raw: np.ndarray       # (n, dim) float64 features or uint8 pixel codes
     labels: np.ndarray    # (n,) int64
     split: str            # "train" or "test"
-    scale: float = 1.0    # the features are raw / scale
 
     def __post_init__(self) -> None:
-        check_positive_real("scale", self.scale)
         r = np.asarray(self.raw)
-        if r.dtype != np.uint8:
-            r = r.astype(np.float64, copy=False)
-            if self.scale != 1:
-                raise ValueError(f"scale {self.scale!r} applies to uint8 codes only, not {r.dtype} features")
+        r = r if r.dtype == np.uint8 else r.astype(np.float64, copy=False)
         l = integer_labels(self.labels).astype(np.int64, copy=False)
         object.__setattr__(self, "raw", r)
         object.__setattr__(self, "labels", l)
-        object.__setattr__(self, "scale", float(self.scale))
         if r.ndim != 2:
             raise ValueError("features must be a 2-d matrix")
         if l.shape != (r.shape[0],):
             raise ValueError("labels must be a vector with one entry per row")
         if l.size and l.min() < 0:
             raise ValueError("labels must be non-negative")
-        # a code decodes to at most 255 / scale, so uint8 needs no pass over the data
-        if not (math.isfinite(255 / self.scale) if r.dtype == np.uint8 else np.all(np.isfinite(r))):
+        # a pixel code decodes to at most 1, so uint8 needs no pass over the data
+        if r.dtype != np.uint8 and not np.all(np.isfinite(r)):
             raise ValueError("features must be finite")
 
     @property
     def features(self) -> np.ndarray:
         """The (n, dim) float64 features: raw itself, or a decoded copy of uint8 codes."""
-        return self.raw if self.raw.dtype == np.float64 else decode(self.raw, self.scale)
+        return self.raw if self.raw.dtype == np.float64 else decode(self.raw)
 
     @property
     def n(self) -> int:
@@ -119,14 +113,15 @@ class Dataset:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
-def decode(raw: np.ndarray, scale: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Model inputs raw / scale in float64, into out when given.
+def decode(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The float64 features that raw stores, into out when given.
 
-    The one decode rule: each value is converted exactly to float64 and then
-    divided, so uint8 codes at scale 255 give bitwise the values of
-    raw.astype(np.float64) / 255.0.
+    The one decode rule, chosen by dtype: uint8 values are IDX pixel codes,
+    each converted exactly to float64 and then divided by 255, bitwise the
+    values of raw.astype(np.float64) / 255.0; any other dtype holds the
+    features themselves, converted to float64.
     """
-    return np.divide(raw, scale, out=out, dtype=np.float64)
+    return np.divide(raw, 255.0 if raw.dtype == np.uint8 else 1.0, out=out, dtype=np.float64)
 
 
 def make_blobs(cfg: BlobsConfig) -> tuple[Dataset, Dataset]:
@@ -191,8 +186,8 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     Big-endian headers: images carry magic 0x00000803 then count/rows/cols
     and row-major unsigned bytes; labels carry magic 0x00000801 then count
     and bytes.  The pixels stay uint8 codes, a read-only view of the file's
-    bytes, with scale 255: the features are the pixels divided by 255, in
-    [0, 1], decoded only where a batch or an evaluation block needs them.
+    bytes: the features are the pixels divided by 255, in [0, 1], decoded
+    only where a batch or an evaluation block needs them.
     """
     raw = _read_bytes(images_path)
     magic = _read_be32(raw, 0, images_path)
@@ -221,7 +216,7 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
             labels_path, 4, f"label count {lcount} does not match image count {count} in {images_path}"
         )
     labels = np.frombuffer(raw, np.uint8, count=lcount, offset=8).astype(np.int64)
-    return Dataset(images, labels, split, scale=255)
+    return Dataset(images, labels, split)
 
 
 def _idx_codes(values, what: str) -> np.ndarray:

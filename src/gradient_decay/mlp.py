@@ -75,17 +75,17 @@ class MlpModel:
             biases.append(np.zeros(fan_out))
         return cls(dims, weights, biases)
 
-    def forward(self, x, acts=None, scale: float = 1.0) -> np.ndarray:
-        """Logits for the inputs x / scale: a single sample (dim,) or a batch (n, dim).
+    def forward(self, x, acts=None) -> np.ndarray:
+        """Logits for the inputs x: a single sample (dim,) or a batch (n, dim).
 
         acts, when given, holds one output array per layer (shape
         x.shape[:-1] + (fan_out,)); each layer's post-activation output is
         written into it, and the last one, the logits, is returned.
 
-        Unless x is float64 at scale 1, it holds codes (a Dataset's raw and
-        scale) that datasets.decode turns into inputs.  A batch of more than
-        _BLOCK_ROWS rows is decoded for layer 1 only, _BLOCK_ROWS rows at a
-        time through one small buffer, so no (n, dim) float64 matrix is made.
+        Unless x is float64, datasets.decode turns it into inputs: uint8
+        pixel codes (a Dataset's raw) become codes / 255.  A batch of more
+        than _BLOCK_ROWS rows is decoded for layer 1 only, _BLOCK_ROWS rows at
+        a time through one small buffer, so no (n, dim) float64 matrix is made.
         Every block has exactly _BLOCK_ROWS rows (the last one overlaps the
         one before), so no block is short enough to take another BLAS path
         than the whole matrix would; the later layers are whole-matrix
@@ -95,15 +95,15 @@ class MlpModel:
         expect = self.layer_dims[0]
         if x.shape[-1] != expect:
             raise ValueError(f"input dimension {x.shape[-1]} does not match model ({expect})")
-        coded = not (x.dtype == np.float64 and scale == 1)
+        coded = x.dtype != np.float64
         blocked = coded and x.ndim == 2 and x.shape[0] > _BLOCK_ROWS
-        a = decode(x, scale) if coded and not blocked else x
+        a = decode(x) if coded and not blocked else x
         if acts is None:
             acts = [np.empty(x.shape[:-1] + (d,)) for d in self.layer_dims[1:]]
         hidden = len(self.weights) - 1
         for layer, (W, b, out) in enumerate(zip(self.weights, self.biases, acts)):
             if blocked and layer == 0:
-                _decoded_matmul(x, scale, W, out)
+                _decoded_matmul(x, W, out)
             else:
                 np.matmul(a, W, out=out)
             np.add(out, b, out=out)
@@ -113,14 +113,14 @@ class MlpModel:
         return a
 
 
-def _decoded_matmul(codes: np.ndarray, scale: float, W: np.ndarray, out: np.ndarray) -> None:
-    """out = decode(codes, scale) @ W, _BLOCK_ROWS rows of codes at a time."""
+def _decoded_matmul(codes: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
+    """out = decode(codes) @ W, _BLOCK_ROWS rows of codes at a time."""
     n = codes.shape[0]
     buf = np.empty((_BLOCK_ROWS, codes.shape[1]))
     for lo in range(0, n, _BLOCK_ROWS):
         lo = min(lo, n - _BLOCK_ROWS)  # a short last block could take another BLAS path
         hi = lo + _BLOCK_ROWS
-        np.matmul(decode(codes[lo:hi], scale, out=buf), W, out=out[lo:hi])
+        np.matmul(decode(codes[lo:hi], out=buf), W, out=out[lo:hi])
 
 
 def _flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -302,13 +302,15 @@ def train(
     n = train_set.n
     if n == 0:
         raise ValueError("training set is empty")
+    if test_set is not None and test_set.n == 0:
+        raise ValueError("test set is empty")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     check_fits(model.layer_dims, train_set)
     if test_set is not None:
         check_fits(model.layer_dims, test_set)
 
-    X, y, scale = train_set.raw, train_set.labels, train_set.scale
+    X, y = train_set.raw, train_set.labels
     rng = np.random.default_rng(cfg.seed)
     layers = len(model.weights)
     theta, params = _flat_copy(model.weights + model.biases)
@@ -343,7 +345,7 @@ def train(
                 rows = batch.x if stage is None else stage[: idx.size]
                 X.take(idx, axis=0, out=rows, mode="clip")
                 if stage is not None:
-                    decode(rows, scale, out=batch.x)
+                    decode(rows, out=batch.x)
                 y.take(idx, out=batch.y, mode="clip")
                 if warmup is not None:
                     t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
@@ -369,7 +371,7 @@ def train(
                 np.subtract(theta, tmp, out=theta)
                 step += 1
 
-            train_logits = model.forward(X, train_acts, scale)
+            train_logits = model.forward(X, train_acts)
             try:
                 p_true = batch_p_true(train_logits, y, loss)  # depends on tau, not on beta
             except ValueError as exc:
@@ -380,7 +382,7 @@ def train(
             if trace_mat is not None:
                 trace_mat[epoch] = p_true[traced_ids]
             if test_set is not None:
-                test_logits = model.forward(test_set.raw, test_acts, test_set.scale)
+                test_logits = model.forward(test_set.raw, test_acts)
                 test_acc = int(np.count_nonzero(test_logits.argmax(axis=1) == test_set.labels)) / test_set.n
             else:
                 test_logits = None

@@ -27,9 +27,10 @@ requires_mnist = pytest.mark.skipif(
 )
 
 
-def bench_gate():
-    """bench/gate.py (platform fingerprint, recorded digests), loaded without writing bytecode under bench/."""
-    spec = importlib.util.spec_from_file_location("_bench_gate", Path(__file__).resolve().parents[1] / "bench" / "gate.py")
+def bench_module(name: str):
+    """bench/<name>.py, loaded without writing bytecode under bench/."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     writes_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True

@@ -13,8 +13,8 @@ import re
 import numpy as np
 import pytest
 
-from gradient_decay.calibration import PredictionSet, bin_reliability, fit_temperature
-from gradient_decay.datasets import BlobsConfig, Dataset
+from gradient_decay.calibration import PredictionSet, bin_reliability
+from gradient_decay.datasets import BlobsConfig
 from gradient_decay.loss import (
     LossParams,
     curvature,
@@ -66,15 +66,11 @@ SITES = {
     "TrainConfig.seed": (lambda v: TrainConfig(lr=0.1, seed=v), 0),
     "BlobsConfig.classes": (lambda v: BlobsConfig(classes=v), 2),
     "BlobsConfig.dim": (lambda v: BlobsConfig(dim=v), 2),
-    "BlobsConfig.n_per_class": (lambda v: BlobsConfig(n_per_class=v), 1),
+    "BlobsConfig.n_per_class": (lambda v: BlobsConfig(n_per_class=v), 5),
     "BlobsConfig.sigma": (lambda v: BlobsConfig(sigma=v), None),
     "BlobsConfig.radius": (lambda v: BlobsConfig(radius=v), None),
     "BlobsConfig.seed": (lambda v: BlobsConfig(seed=v), 0),
-    "Dataset.scale": (lambda v: Dataset(np.zeros((2, 3), np.uint8), [0, 1], "train", scale=v), None),
     "bin_reliability.bins": (lambda v: bin_reliability(_PRED, v), 1),
-    "fit_temperature.lo": (lambda v: fit_temperature(_LOGITS, _LABELS, lo=v), None),
-    "fit_temperature.hi": (lambda v: fit_temperature(_LOGITS, _LABELS, hi=v), None),
-    "fit_temperature.iters": (lambda v: fit_temperature(_LOGITS, _LABELS, iters=v), 0),
     "difficulty_groups.k": (lambda v: difficulty_groups(SampleTraces(_TRACES, np.arange(6)), v), 1),
 }
 

@@ -133,6 +133,19 @@ class TestSweepCommand:
             assert (out / f"conftable_beta_{tag}.csv").exists()
             assert (out / f"metrics_beta_{tag}.csv").exists()
 
+    def test_summary_calibration_is_taken_at_tau(self, tmp_path, monkeypatch):
+        # ece, mce and mean_conf used to be those of softmax(z), whatever --tau was
+        datasets, runs = recorded(monkeypatch, "make_blobs"), recorded(monkeypatch, "train")
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--betas", "1", "--tau", "0.5", "--out", str(out)] + FAST_SWEEP) == 0
+        (_, test_set), = datasets
+        pred = PredictionSet.from_logits(runs[0].test_logits, test_set.labels, tau=0.5)
+        report = calibration_report(pred, bins=10)
+        row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row[3:6] == [repr(report.ece), repr(report.mce), repr(float(pred.confidences.mean()))]
+        untempered = PredictionSet.from_logits(runs[0].test_logits, test_set.labels)
+        assert row[5] != repr(float(untempered.confidences.mean()))
+
     def test_conftable_counts_sum_to_train_size(self, tmp_path):
         out = tmp_path / "sweep"
         assert run(["sweep", "--betas", "1", "--out", str(out)] + FAST_SWEEP) == 0
@@ -582,7 +595,7 @@ class TestUsageErrorsBeforeWork:
                      id="argv6-need dim >= 2, got 0"),
         pytest.param(["sweep", "--blob-classes", "1"], "classes must be an integer >= 2, got 1",
                      id="argv7-need at least 2 classes, got 1"),
-        pytest.param(["sweep", "--blob-per-class", "0"], "n_per_class must be an integer >= 1, got 0",
+        pytest.param(["sweep", "--blob-per-class", "0"], "n_per_class must be an integer >= 5, got 0",
                      id="argv8-n_per_class must be positive, got 0"),
         pytest.param(["sweep", "--blob-radius", "nan"], "radius must be a positive finite real, got nan",
                      id="argv9-radius must be positive, got nan"),
@@ -605,6 +618,16 @@ class TestUsageErrorsBeforeWork:
         command, *flags = argv
         assert_usage_error([command, "--out", str(tmp_path / "x")] + FAST_SWEEP + flags, capsys,
                            flagged(flags[0], message))
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize("per_class", ["1", "4"])
+    def test_blobs_without_a_test_point_per_class(self, tmp_path, capsys, forbid_work, command, per_class):
+        # every 5th point of a class is a test point: with fewer, the test split was empty and
+        # train divided by its size, a ZeroDivisionError traceback with exit 1
+        argv = [command, "--out", str(tmp_path / "x")] + FAST_SWEEP + ["--blob-per-class", per_class, "--batch", "4"]
+        assert_usage_error(argv, capsys, f"argument --blob-per-class: n_per_class must be an integer >= 5, "
+                                         f"got {per_class}")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("argv, message", [

@@ -63,6 +63,8 @@ class TestMakeBlobs:
             BlobsConfig(sigma=0.0)
         with pytest.raises(ValueError):
             BlobsConfig(n_per_class=0)
+        with pytest.raises(ValueError, match="n_per_class must be an integer >= 5, got 4"):
+            BlobsConfig(n_per_class=4)  # every 5th point of a class is a test point: 4 points give none
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             BlobsConfig(seed=-1)
 
@@ -90,29 +92,25 @@ class TestDataset:
         d = Dataset(np.zeros((4, 3)), np.array([0, 1, 2, 1]), "test")
         assert d.n == 4 and d.dim == 3 and d.num_classes == 3
 
-    def test_uint8_codes_are_kept_and_decode_as_raw_over_scale(self):
+    def test_uint8_codes_are_kept_and_decode_as_codes_over_255(self):
         codes = np.arange(12, dtype=np.uint8).reshape(4, 3) * 20
-        d = Dataset(codes, np.zeros(4, dtype=int), "train", scale=255)
-        assert d.raw.dtype == np.uint8 and d.scale == 255.0 and type(d.scale) is float
+        d = Dataset(codes, np.zeros(4, dtype=int), "train")
+        assert d.raw.dtype == np.uint8 and d.raw is codes
         assert d.n == 4 and d.dim == 3
         want = codes.astype(np.float64) / 255.0
         assert d.features.dtype == np.float64 and d.features.tobytes() == want.tobytes()
         assert d.features is not d.features  # a decoded copy on every read
-        assert decode(codes, 255.0).tobytes() == want.tobytes()
+        assert decode(codes).tobytes() == want.tobytes()
         out = np.empty((4, 3))
-        assert decode(codes, 255.0, out=out) is out and out.tobytes() == want.tobytes()
+        assert decode(codes, out=out) is out and out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint16, np.float32, np.float64])
     def test_other_dtypes_become_float64(self, dtype):
-        d = Dataset(np.arange(6).reshape(3, 2).astype(dtype), np.zeros(3, dtype=int), "train")
+        values = np.arange(6).reshape(3, 2).astype(dtype)
+        d = Dataset(values, np.zeros(3, dtype=int), "train")
         assert d.raw.dtype == np.float64 and d.features is d.raw
         assert d.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-
-    def test_scale_is_for_uint8_codes_only(self):
-        with pytest.raises(ValueError, match="scale 255 applies to uint8 codes only"):
-            Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), "train", scale=255)
-        with pytest.raises(ValueError, match="scale must be a positive finite real"):
-            Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(3, dtype=int), "train", scale=0)
+        assert decode(values).tolist() == d.features.tolist()  # only uint8 holds pixel codes
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_non_finite_features_rejected(self, dtype):
@@ -124,15 +122,10 @@ class TestDataset:
         calls = []
         isfinite = np.isfinite
         monkeypatch.setattr(np, "isfinite", lambda a: calls.append(a.dtype) or isfinite(a))
-        Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(3, dtype=int), "train", scale=255)
+        Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(3, dtype=int), "train")
         assert calls == []
         Dataset(np.zeros((3, 2), dtype=np.int64), np.zeros(3, dtype=int), "train")
         assert calls == [np.float64]
-
-    def test_codes_that_decode_past_the_float_range_rejected(self):
-        # 255 / 1e-307 overflows, so the largest code would decode to inf
-        with pytest.raises(ValueError, match="features must be finite"):
-            Dataset(np.zeros((3, 2), dtype=np.uint8), np.zeros(3, dtype=int), "train", scale=1e-307)
 
 
 def old_load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
@@ -179,7 +172,7 @@ class TestIdxFormat:
         assert new.features.tobytes() == old.features.tobytes()
         assert new.labels.dtype == old.labels.dtype and new.labels.tobytes() == old.labels.tobytes()
         assert new.split == old.split
-        assert new.raw.dtype == np.uint8 and new.scale == 255.0
+        assert new.raw.dtype == np.uint8
 
     @pytest.mark.parametrize("which, offset", [("images", 16), ("labels", 8)])
     @pytest.mark.parametrize("extra", [b"", b"\x00\x00"], ids=["one_short", "one_over"])

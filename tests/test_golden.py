@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import bench_gate
+from conftest import bench_module
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -72,7 +72,7 @@ def line_digests(argv) -> dict[str, str]:
 
 def run_cli(argv) -> bytes:
     """stdout of one CLI subprocess with one BLAS thread, which must exit 0 with nothing on stderr."""
-    env = dict(os.environ, **bench_gate().THREAD_ENV, PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, **bench_module("gate").THREAD_ENV, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "gradient_decay", *argv], env=env, capture_output=True)
     assert (proc.returncode, proc.stderr) == (0, b"")
@@ -110,7 +110,7 @@ def file_run_digests(argv, work: Path) -> dict[str, str]:
 
 def recorded_runs() -> dict:
     """The recorded runs, or a skip when they were recorded on another platform."""
-    gate = bench_gate()
+    gate = bench_module("gate")
     recorded = json.loads(GOLDEN_PATH.read_text())
     here = gate.fingerprint(gate.platform_info())
     if here != recorded["fingerprint"]:
@@ -143,7 +143,7 @@ def test_calib_and_warmup_outputs_match_the_golden_digests(argv, tmp_path):
 
 
 def record() -> None:
-    gate = bench_gate()
+    gate = bench_module("gate")
     info = gate.platform_info()
     runs = {" ".join(argv): line_digests(argv) for argv in RUNS}
     with tempfile.TemporaryDirectory() as tmp:

@@ -528,6 +528,16 @@ class TestTrain:
         with pytest.raises(ValueError, match="test label 4"):
             train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0), test_set=wide)
 
+    @pytest.mark.parametrize("which", ["training", "test"])
+    def test_empty_sets_rejected_before_training(self, which):
+        # an empty test set used to train every epoch, then divide by its zero size
+        train_set, test_set = _tiny_blobs()
+        empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), "train" if which == "training" else "test")
+        sets = (empty, test_set) if which == "training" else (train_set, empty)
+        model = MlpModel.init((2, 8, 4), seed=0)
+        with pytest.raises(ValueError, match=f"{which} set is empty"):
+            train(model, sets[0], TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0), test_set=sets[1])
+
     @pytest.mark.parametrize("bad", [
         {"lr": -0.1}, {"lr": float("inf")}, {"lr": float("nan")}, {"momentum": 1.0},
         {"weight_decay": float("inf")}, {"clip_norm": 0.0}, {"clip_norm": float("inf")},
@@ -563,17 +573,17 @@ class TestCodedInputs:
     def test_blocked_forward_equals_the_decoded_forward(self, rows):
         codes = np.random.default_rng(rows).integers(0, 256, (rows, 784), dtype=np.uint8)
         model = MlpModel.init((784, 50, 20, 10), seed=1)
-        want = model.forward(decode(codes, 255.0))
+        want = model.forward(decode(codes))
         assert want.tobytes() == model.forward(codes.astype(np.float64) / 255.0).tobytes()
-        assert model.forward(codes, scale=255.0).tobytes() == want.tobytes()
+        assert model.forward(codes).tobytes() == want.tobytes()
         acts = [np.empty((rows, d)) for d in (50, 20, 10)]
-        assert model.forward(codes, acts, 255.0) is acts[-1] and acts[-1].tobytes() == want.tobytes()
+        assert model.forward(codes, acts) is acts[-1] and acts[-1].tobytes() == want.tobytes()
 
     def test_short_coded_inputs_are_decoded_whole(self):
         codes = np.random.default_rng(0).integers(0, 256, (7, 784), dtype=np.uint8)
         model = MlpModel.init((784, 16, 10), seed=2)
-        assert model.forward(codes, scale=255).tobytes() == model.forward(codes / 255.0).tobytes()
-        assert model.forward(codes[3], scale=255).tobytes() == model.forward(codes[3] / 255.0).tobytes()
+        assert model.forward(codes).tobytes() == model.forward(codes / 255.0).tobytes()
+        assert model.forward(codes[3]).tobytes() == model.forward(codes[3] / 255.0).tobytes()
 
     def test_uint8_run_is_bitwise_its_float64_twin(self, tmp_path):
         n_train, n_test = 2 * _BLOCK_ROWS + 10, _BLOCK_ROWS + 20  # a short last eval block each

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bench_gate
+from conftest import bench_module
 
 import gradient_decay.loss
 import gradient_decay.verify
@@ -499,7 +499,7 @@ class TestVerifyAll:
     def test_default_output_matches_the_bench_digests(self, capsys):
         # bench/digests.json records the sha256 of every line `verify` prints with its defaults,
         # keyed property@beta as bench/workloads.py names them; a refactor must not move a byte
-        gate = bench_gate()
+        gate = bench_module("gate")
         recorded = json.loads(gate.DIGESTS_PATH.read_text())
         here = gate.fingerprint(gate.platform_info())
         if here != recorded["fingerprint"]:
