@@ -249,7 +249,7 @@ def fit_temperature(logits, labels) -> float:
     ws = _NllWorkspace(logits, labels)
     if ws.lse.size < 2:
         raise ValueError("need a logit matrix with at least two rows")
-    if np.unique(ws.labels).size < 2:
+    if ws.labels.min() == ws.labels.max():  # a pass over the labels, not a sort
         raise ValueError("degenerate labels: need at least two classes present")
 
     nll = lambda log_tau: ws(math.exp(log_tau))

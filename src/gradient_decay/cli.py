@@ -225,7 +225,7 @@ def _load_datasets(args, parser):
         try:
             ti, tl, vi, vl = mnist_paths(args.mnist_dir)
             train_set, test_set = load_mnist_idx(ti, tl, "train"), load_mnist_idx(vi, vl, "test")
-        except (FileNotFoundError, IdxFormatError) as exc:  # an IdxFormatError names its file
+        except (OSError, IdxFormatError) as exc:  # each names its file: missing, a directory, unreadable, malformed
             parser.error(str(exc))
         for images, data, what in ((ti, train_set, "training"), (vi, test_set, "test")):
             if data.n == 0:
@@ -404,7 +404,7 @@ def _load_logits_file(path, parser):
             with warnings.catch_warnings():  # a file without data rows is reported below
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 raw = np.loadtxt(p, delimiter=",", ndmin=2)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             parser.error(f"{p}: {exc}")
         if raw.shape[0] and raw.shape[1] < 3:
             parser.error(f"{p}: need at least two logit columns plus a label column")

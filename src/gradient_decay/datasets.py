@@ -2,14 +2,16 @@
 
 Blobs give a fast, fully deterministic stand-in for property tests and
 calibration experiments; the IDX loader reads the canonical MNIST
-distribution files (optionally gzip-compressed, detected by extension) and
-keeps their pixels as uint8 codes.
+distribution files (mapping plain ones read-only, decompressing
+gzip-compressed ones, detected by extension) and keeps their pixels as
+uint8 codes.
 """
 
 from __future__ import annotations
 
 import gzip
 import math
+import mmap
 import struct
 import zlib
 from dataclasses import dataclass
@@ -165,16 +167,22 @@ class IdxCountMismatch(IdxFormatError):
     pass
 
 
-def _read_bytes(path) -> bytes:
-    opener = gzip.open if str(path).endswith(".gz") else open
-    try:
-        with opener(path, "rb") as f:
+def _read_bytes(path) -> bytes | mmap.mmap:
+    """The file's bytes: a read-only map of a plain file, a decompressed copy of a .gz file."""
+    if str(path).endswith(".gz"):
+        try:
+            with gzip.open(path, "rb") as f:
+                return f.read()
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:  # not gzip, cut short, or corrupt
+            raise IdxFormatError(path, 0, f"unreadable gzip data: {exc}") from exc
+    with open(path, "rb") as f:
+        try:  # the map outlives f: arrays viewing it keep it open
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # an empty file, or one the OS will not map
             return f.read()
-    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:  # not gzip, cut short, or corrupt
-        raise IdxFormatError(path, 0, f"unreadable gzip data: {exc}") from exc
 
 
-def _read_be32(raw: bytes, offset: int, path) -> int:
+def _read_be32(raw: bytes | mmap.mmap, offset: int, path) -> int:
     if len(raw) < offset + 4:
         raise IdxTruncated(path, offset, f"file ends inside a 32-bit header field ({len(raw)} bytes)")
     return struct.unpack_from(">I", raw, offset)[0]
@@ -187,7 +195,9 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     and row-major unsigned bytes; labels carry magic 0x00000801 then count
     and bytes.  The pixels stay uint8 codes, a read-only view of the file's
     bytes: the features are the pixels divided by 255, in [0, 1], decoded
-    only where a batch or an evaluation block needs them.
+    only where a batch or an evaluation block needs them.  A plain file is
+    mapped, not copied, so it must not be truncated or rewritten while the
+    Dataset is in use; a .gz file is decompressed into memory.
     """
     raw = _read_bytes(images_path)
     magic = _read_be32(raw, 0, images_path)

@@ -245,6 +245,21 @@ class TestMnistFiles:
         return f"{gz} (offset 0): unreadable gzip data: Not a gzipped file"
 
     @staticmethod
+    def _images_are_a_directory(d):
+        paths = _write_mnist(d)
+        paths[0].unlink()
+        paths[0].mkdir()
+        return f"[Errno 21] Is a directory: '{paths[0]}'"
+
+    @staticmethod
+    def _gzip_labels_are_a_directory(d):
+        paths = _write_mnist(d)
+        paths[3].unlink()
+        gz = paths[3].with_name(paths[3].name + ".gz")
+        gz.mkdir()
+        return f"[Errno 21] Is a directory: '{gz}'"
+
+    @staticmethod
     def _empty_test_set(d):
         paths = _write_mnist(d, test_images=(0, 4, 4), test_labels=())
         return f"{paths[2]} holds no test images"
@@ -259,7 +274,8 @@ class TestMnistFiles:
         paths = _write_mnist(d, test_labels=(0, 1, 12, 3))
         return f"{paths[2]}, {paths[3]}: test label 12 is outside the model's 10 outputs"
 
-    @pytest.mark.parametrize("case", ["_bad_label_magic", "_labels_not_gzip", "_empty_test_set",
+    @pytest.mark.parametrize("case", ["_bad_label_magic", "_labels_not_gzip", "_images_are_a_directory",
+                                      "_gzip_labels_are_a_directory", "_empty_test_set",
                                       "_wider_test_images", "_test_label_beyond_the_outputs"])
     @pytest.mark.parametrize("command", [["sweep", "--betas", "1"], ["trace", "--beta", "1", "--groups", "2"]],
                              ids=["sweep", "trace"])
@@ -450,6 +466,14 @@ class TestCalibCommand:
         with pytest.raises(SystemExit) as exc:
             run(["calib", "--logits", str(tmp_path / "none.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", ["logits.csv", "logits.npz", "logits"])
+    def test_directory_is_usage_error(self, tmp_path, capsys, forbid_work, name):
+        # a CSV path used to end in an IsADirectoryError traceback with exit 1
+        path = tmp_path / name
+        path.mkdir()
+        assert_usage_error(["calib", "--logits", str(path), "--fit-temperature"], capsys,
+                           f"{path}: [Errno 21] Is a directory: '{path}'")
 
     def test_npz_archive_is_closed_on_every_exit(self, tmp_path, monkeypatch):
         loaded, load = [], np.load

@@ -1,6 +1,8 @@
 """Blob generation and IDX parsing tests."""
 
+import gc
 import gzip
+import mmap
 import struct
 import tracemalloc
 
@@ -173,6 +175,53 @@ class TestIdxFormat:
         assert new.labels.dtype == old.labels.dtype and new.labels.tobytes() == old.labels.tobytes()
         assert new.split == old.split
         assert new.raw.dtype == np.uint8
+
+    @pytest.mark.parametrize("suffix, mapped", [("", True), (".gz", False)])
+    def test_pixels_are_a_read_only_view_that_outlives_the_load(self, tmp_path, suffix, mapped):
+        images, labels, ip, lp = self._roundtrip(tmp_path, suffix)
+        ds = load_mnist_idx(ip, lp)
+        gc.collect()  # the file objects are gone; only ds.raw holds the bytes
+        owner = ds.raw
+        while isinstance(owner, (np.ndarray, memoryview)):
+            owner = owner.obj if isinstance(owner, memoryview) else owner.base
+        assert isinstance(owner, mmap.mmap) == mapped
+        assert not ds.raw.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ds.raw[0, 0] = 0
+        assert ds.raw.tobytes() == images.tobytes() and np.array_equal(ds.labels, labels)
+
+    def test_plain_load_makes_no_copy_of_the_pixels(self, tmp_path):
+        images = np.random.default_rng(0).integers(0, 256, (4000, 28, 28), dtype=np.uint8)  # 3.1 MB
+        ip, lp = tmp_path / "i", tmp_path / "l"
+        write_idx_images(ip, images)
+        write_idx_labels(lp, np.arange(4000) % 10)
+        tracemalloc.start()
+        try:
+            ds = load_mnist_idx(ip, lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < images.nbytes / 4  # reading the file into bytes allocated all of it
+        assert ds.raw.tobytes() == images.tobytes()
+
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("which, body, offset, message", [
+        ("images", b"", 0, "file ends inside a 32-bit header field (0 bytes)"),
+        ("images", struct.pack(">IIII", 0x803, 12, 5, 4), 16, "expected 240 pixel bytes for 12x5x4, found 0"),
+        ("images", struct.pack(">IIII", 0x803, 12, 5, 4) + bytes(5), 16,
+         "expected 240 pixel bytes for 12x5x4, found 5"),
+        ("labels", b"", 0, "file ends inside a 32-bit header field (0 bytes)"),
+        ("labels", struct.pack(">II", 0x801, 12), 8, "expected 12 label bytes, found 0"),
+    ], ids=["empty_images", "header_only_images", "short_images", "empty_labels", "header_only_labels"])
+    def test_cut_short_file_is_reported_at_its_offset(self, tmp_path, suffix, which, body, offset, message):
+        # an empty plain file cannot be mapped; it is read instead and reported like any short file
+        _, _, ip, lp = self._roundtrip(tmp_path, suffix)
+        path = ip if which == "images" else lp
+        path.write_bytes(gzip.compress(body) if suffix else body)
+        with pytest.raises(IdxTruncated) as exc:
+            load_mnist_idx(ip, lp)
+        assert (exc.value.path, exc.value.offset) == (str(path), offset)
+        assert str(exc.value) == f"{path} (offset {offset}): {message}"
 
     @pytest.mark.parametrize("which, offset", [("images", 16), ("labels", 8)])
     @pytest.mark.parametrize("extra", [b"", b"\x00\x00"], ids=["one_short", "one_over"])

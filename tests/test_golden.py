@@ -7,7 +7,9 @@ they write; they run as subprocesses with one BLAS thread, because the
 artifacts differ between 1 and 2 OpenBLAS threads.  `calib` and
 `warmup-demo` are pinned by the sha256 of their stdout and of every file
 they write, with `calib` reading logits that the test writes from a fixed
-seed; they run the same way.  Float64 bits may differ
+seed; they run the same way.  An MNIST-dataset `sweep` reads seeded IDX
+files that the test writes plain and gzip-compressed, and is pinned by the
+sha256 of every artifact.  Float64 bits may differ
 on another numpy build, BLAS or CPU, so on another fingerprint the tests
 skip.  A change that moves these bytes on purpose re-records them and lists
 every moved line or artifact:
@@ -53,6 +55,11 @@ FILE_RUNS = (
      "--reliability-out", "{dir}/out/reliability.csv"),
     ("calib", "--logits", "{dir}/logits.csv", "--bins", "7"),
     ("warmup-demo",),
+)
+# "{dir}" holds write_mnist's IDX files, plain under {dir}/plain and gzip-compressed under {dir}/gz
+MNIST_RUNS = tuple(
+    ("sweep", "--dataset", "mnist", "--mnist-dir", f"{{dir}}/{sub}", "--model", "16,10", "--epochs", "2")
+    for sub in ("plain", "gz")
 )
 
 
@@ -108,6 +115,26 @@ def file_run_digests(argv, work: Path) -> dict[str, str]:
     return {"stdout": hashlib.sha256(stdout).hexdigest(), **file_digests(work / "out")}
 
 
+def write_mnist(work: Path) -> None:
+    """Seeded 600 training and 100 test 28x28 images, labels 0..9, as IDX files in work/plain and work/gz."""
+    from gradient_decay.datasets import write_idx_images, write_idx_labels
+
+    rng = np.random.default_rng(20240812)
+    data = {prefix: (rng.integers(0, 256, (n, 28, 28), dtype=np.uint8), np.arange(n, dtype=np.uint8) % 10)
+            for prefix, n in (("train", 600), ("t10k", 100))}
+    for sub, suffix in (("plain", ""), ("gz", ".gz")):
+        (work / sub).mkdir()
+        for prefix, (images, labels) in data.items():
+            write_idx_images(work / sub / f"{prefix}-images-idx3-ubyte{suffix}", images)
+            write_idx_labels(work / sub / f"{prefix}-labels-idx1-ubyte{suffix}", labels)
+
+
+def mnist_run_digests(argv, work: Path) -> dict[str, str]:
+    """{file name: sha256} of every artifact one MNIST_RUNS command writes, reading write_mnist's files in work."""
+    write_mnist(work)
+    return artifact_digests([a.replace("{dir}", str(work)) for a in argv], work / "out")
+
+
 def recorded_runs() -> dict:
     """The recorded runs, or a skip when they were recorded on another platform."""
     gate = bench_module("gate")
@@ -142,6 +169,14 @@ def test_calib_and_warmup_outputs_match_the_golden_digests(argv, tmp_path):
     assert [name for name in expected if digests[name] != expected[name]] == []
 
 
+@pytest.mark.parametrize("argv", MNIST_RUNS, ids=" ".join)
+def test_mnist_sweep_artifacts_match_the_golden_digests(argv, tmp_path):
+    expected = recorded_runs()[" ".join(argv)]
+    digests = mnist_run_digests(argv, tmp_path)
+    assert list(digests) == list(expected)
+    assert [name for name in expected if digests[name] != expected[name]] == []
+
+
 def record() -> None:
     gate = bench_module("gate")
     info = gate.platform_info()
@@ -153,6 +188,10 @@ def record() -> None:
             work = Path(tmp) / f"file{i}"
             work.mkdir()
             runs[" ".join(argv)] = file_run_digests(argv, work)
+        for i, argv in enumerate(MNIST_RUNS):
+            work = Path(tmp) / f"mnist{i}"
+            work.mkdir()
+            runs[" ".join(argv)] = mnist_run_digests(argv, work)
     GOLDEN_PATH.write_text(json.dumps({"fingerprint": gate.fingerprint(info), "platform": info, "runs": runs},
                                       indent=1) + "\n")
 
