@@ -1,14 +1,7 @@
-"""Gradient-decay softmax cross-entropy: loss analytics, trainer, calibration."""
+"""Gradient-decay softmax cross-entropy: loss analytics, trainer, calibration.
 
-from gradient_decay.loss import (
-    LossParams,
-    gradient_magnitude,
-    inflection_point,
-    local_lipschitz_bound,
-    logit_curvature,
-    magnitude_derivatives,
-    suggested_learning_rate,
-)
-from gradient_decay.schedule import Granularity, WarmupSchedule
+Importing the package loads nothing else; import the module you need,
+e.g. ``gradient_decay.loss`` or ``gradient_decay.mlp``.
+"""
 
 __version__ = "0.1.0"

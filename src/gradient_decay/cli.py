@@ -49,7 +49,7 @@ from gradient_decay.mlp import (
     difficulty_groups,
     train,
 )
-from gradient_decay.schedule import Granularity, WarmupSchedule
+from gradient_decay.schedule import WarmupSchedule
 from gradient_decay.verify import DEFAULT_BETAS, FdConfig, verify_all
 
 __all__ = ["main", "entry", "build_parser"]
@@ -65,6 +65,9 @@ def _float_list(text: str) -> list[float]:
         values = []
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated float list, got {text!r}")
+    for i, v in enumerate(values):
+        if v in values[:i]:  # a run per value would repeat, and its files overwrite each other
+            raise argparse.ArgumentTypeError(f"{v!r} is listed twice in {text!r}")
     return values
 
 
@@ -258,9 +261,9 @@ def _train_config(args, train_set, parser) -> TrainConfig:
     )
 
 
-def _warmup(args, parser, granularity=Granularity.PER_ITERATION) -> WarmupSchedule:
+def _warmup(args, parser) -> WarmupSchedule:
     return _build(parser, WarmupSchedule, {"t_warm": "--warmup-iters"}, beta_initial=args.beta_initial,
-                  beta_end=args.beta_end, t_warm=args.warmup_iters, granularity=granularity)
+                  beta_end=args.beta_end, t_warm=args.warmup_iters)
 
 
 def _warmup_from_args(args, parser) -> WarmupSchedule | None:
@@ -269,8 +272,7 @@ def _warmup_from_args(args, parser) -> WarmupSchedule | None:
         return None
     if not all(given):
         parser.error("--beta-initial, --beta-end and --warmup-iters must be given together")
-    gran = Granularity.PER_EPOCH if args.warmup_granularity == "epoch" else Granularity.PER_ITERATION
-    return _warmup(args, parser, gran)
+    return _warmup(args, parser)
 
 
 # ---------------------------------------------------------------- commands
@@ -431,6 +433,8 @@ def cmd_calib(args, parser) -> int:
     for flag, path in (("--out", args.out), ("--reliability-out", args.reliability_out)):
         if path:
             _check_out(parser, flag, path)
+    if args.out and args.reliability_out and Path(args.out).resolve() == Path(args.reliability_out).resolve():
+        parser.error(f"argument --reliability-out: {args.reliability_out} is also the --out file")
     logits, labels, pred = _load_logits_file(args.logits, parser)
     report = calibration_report(pred, bins=args.bins)
     payload = {
@@ -504,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-initial", type=float)
     p.add_argument("--beta-end", type=float)
     p.add_argument("--warmup-iters", type=int)
-    p.add_argument("--warmup-granularity", choices=("iteration", "epoch"), default="iteration")
     p.add_argument("--bins", type=int, default=10)
     _add_train_flags(p)
     p.set_defaults(func=cmd_sweep)

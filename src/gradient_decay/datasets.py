@@ -98,11 +98,6 @@ class Dataset:
             raise ValueError("features must be finite")
 
     @property
-    def features(self) -> np.ndarray:
-        """The (n, dim) float64 features: raw itself, or a decoded copy of uint8 codes."""
-        return self.raw if self.raw.dtype == np.float64 else decode(self.raw)
-
-    @property
     def n(self) -> int:
         return self.raw.shape[0]
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch, check_int, check_positive_real, check_real_in
-from gradient_decay.schedule import Granularity, WarmupSchedule
+from gradient_decay.schedule import WarmupSchedule
 from gradient_decay.datasets import Dataset, decode
 
 __all__ = [
@@ -246,11 +246,10 @@ class SampleTraces:
 
 @dataclass
 class TrainResult:
-    model: MlpModel
     metrics: list[EpochMetrics]
     traces: SampleTraces | None
-    train_p_true: np.ndarray        # (n,) clamped p_true of every training sample after the last epoch
-    test_logits: np.ndarray | None  # (n_test, m) after the last epoch; None without a test set
+    train_p_true: np.ndarray  # (n,) clamped p_true of every training sample after the last epoch
+    test_logits: np.ndarray   # (n_test, m) after the last epoch
 
 
 @dataclass(frozen=True)
@@ -276,14 +275,15 @@ def train(
     cfg: TrainConfig,
     loss: LossParams,
     warmup: WarmupSchedule | None = None,
-    test_set: Dataset | None = None,
+    *,
+    test_set: Dataset,
     trace: bool = True,
 ) -> TrainResult:
-    """Mini-batch gradient descent with momentum.
+    """Mini-batch gradient descent with momentum; every epoch ends with an evaluation on test_set.
 
     Update rule: v <- momentum*v + g, param <- param - lr*(v + weight_decay*param),
     with g optionally clipped to a global norm first.  When a warm-up schedule
-    is given it overrides loss.beta per iteration (or per epoch).
+    is given it overrides loss.beta at every optimizer iteration.
 
     Every array the run writes (batch, activations, deltas, gradients,
     momentum, update temporaries and the evaluation activations) is
@@ -302,13 +302,12 @@ def train(
     n = train_set.n
     if n == 0:
         raise ValueError("training set is empty")
-    if test_set is not None and test_set.n == 0:
+    if test_set.n == 0:
         raise ValueError("test set is empty")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     check_fits(model.layer_dims, train_set)
-    if test_set is not None:
-        check_fits(model.layer_dims, test_set)
+    check_fits(model.layer_dims, test_set)
 
     X, y = train_set.raw, train_set.labels
     rng = np.random.default_rng(cfg.seed)
@@ -322,7 +321,7 @@ def train(
     stage = None if X.dtype == np.float64 else np.empty((cfg.batch_size, train_set.dim), X.dtype)
     ragged = full.head(n % cfg.batch_size)
     train_acts = [np.empty((n, d)) for d in model.layer_dims[1:]]
-    test_acts = None if test_set is None else [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
+    test_acts = [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
 
     if trace and n > TRACE_LIMIT:
         traced_ids = np.linspace(0, n - 1, TRACE_LIMIT).astype(np.int64)
@@ -348,8 +347,7 @@ def train(
                     decode(rows, out=batch.x)
                 y.take(idx, out=batch.y, mode="clip")
                 if warmup is not None:
-                    t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
-                    beta_now = warmup.beta_at(t)
+                    beta_now = warmup.beta_at(step)
                     step_loss = LossParams(beta=beta_now, tau=loss.tau)
                 else:
                     step_loss = loss
@@ -381,12 +379,8 @@ def train(
             mean_conf = float(np.add.reduce(p_true)) / n
             if trace_mat is not None:
                 trace_mat[epoch] = p_true[traced_ids]
-            if test_set is not None:
-                test_logits = model.forward(test_set.raw, test_acts)
-                test_acc = int(np.count_nonzero(test_logits.argmax(axis=1) == test_set.labels)) / test_set.n
-            else:
-                test_logits = None
-                test_acc = float("nan")
+            test_logits = model.forward(test_set.raw, test_acts)
+            test_acc = int(np.count_nonzero(test_logits.argmax(axis=1) == test_set.labels)) / test_set.n
             metrics.append(
                 EpochMetrics(
                     epoch=epoch,
@@ -399,8 +393,7 @@ def train(
             )
 
     traces = SampleTraces(trace_mat, traced_ids) if trace_mat is not None else None
-    return TrainResult(model=model, metrics=metrics, traces=traces,
-                       train_p_true=p_true, test_logits=test_logits)
+    return TrainResult(metrics=metrics, traces=traces, train_p_true=p_true, test_logits=test_logits)
 
 
 def difficulty_groups(traces: SampleTraces, k: int = 5) -> DifficultyGroups:

@@ -20,7 +20,7 @@ from gradient_decay.calibration import (
     confidence_table,
     fit_temperature,
 )
-from gradient_decay.datasets import BlobsConfig, load_mnist_idx, make_blobs, mnist_paths
+from gradient_decay.datasets import BlobsConfig, decode, load_mnist_idx, make_blobs, mnist_paths
 from gradient_decay.loss import (
     LossParams,
     beta_ce_batch,
@@ -144,7 +144,7 @@ def mnist_sweep():
         model = MlpModel.init((784, 50, 20, 10), seed=0)
         need_traces = beta in (1.0, 0.01)
         res = train(model, train_set, cfg, params, test_set=test_set, trace=need_traces)
-        p_true = beta_ce_batch(model.forward(train_set.features), train_set.labels, params).p_true
+        p_true = beta_ce_batch(model.forward(decode(train_set.raw)), train_set.labels, params).p_true
         entry = {
             "counts": confidence_table(p_true),
             "mean_train_conf": float(p_true.mean()),
@@ -205,7 +205,7 @@ def blobs_sweep():
     for beta in (0.1, 1.0, 5.0, 20.0):
         model = MlpModel.init((2, 256, 10), seed=7)
         res = train(model, train_set, cfg, LossParams(beta=beta), test_set=test_set, trace=False)
-        logits = model.forward(test_set.features)
+        logits = model.forward(decode(test_set.raw))
         pred = PredictionSet.from_logits(logits, test_set.labels)
         runs[beta] = {
             "test_acc": res.metrics[-1].test_acc,

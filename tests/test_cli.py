@@ -91,6 +91,7 @@ class TestVerifyCommand:
         pytest.param(["--betas", "1,inf"], "beta must be a positive finite real, got inf",
                      id="flags2---betas must all be positive finite reals"),
         (["--rel-tol", "inf"], "rel_tol must be a positive finite real, got inf"),
+        (["--betas", "0.5,2,5e-1"], "0.5 is listed twice in '0.5,2,5e-1'"),
     ])
     def test_invalid_values_are_usage_errors(self, capsys, flags, message):
         assert_usage_error(["verify"] + flags, capsys, flagged(flags[0], message))
@@ -540,7 +541,7 @@ class TestConfigFile:
 
     def test_sweep_from_config_matches_flags_byte_for_byte(self, tmp_path):
         values = {"betas": "1,0.1", "beta_initial": "0.01", "beta_end": "0.1", "warmup_iters": "10",
-                  "warmup_granularity": "epoch", "dataset": "blobs", "epochs": "3", "lr": "0.05",
+                  "dataset": "blobs", "epochs": "3", "lr": "0.05",
                   "batch": "50", "blob_per_class": "20", "blob_classes": "4", "model": "8,4"}
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
@@ -555,7 +556,7 @@ class TestConfigFile:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("command, line, message", [
-        ("sweep", "warmup_granularity = epochs", "argument --warmup-granularity: invalid choice: 'epochs'"),
+        ("sweep", "betas = 1,1.0", "argument --betas: 1.0 is listed twice in '1,1.0'"),
         ("sweep", "dataset = blob", "argument --dataset: invalid choice: 'blob'"),
         ("sweep", "mom = 0.5", "unrecognized arguments: --mom=0.5"),
         ("calib", "fit_temperature = yes please",
@@ -637,6 +638,8 @@ class TestUsageErrorsBeforeWork:
                      id="argv15-batch_size must be positive, got 0"),
         (["sweep", "--warmup-iters", "0", "--beta-initial", "0.1", "--beta-end", "1"],
          "t_warm must be an integer >= 1, got 0"),
+        # each run of a repeated beta would overwrite the other's files
+        (["sweep", "--betas", "1,1.0"], "1.0 is listed twice in '1,1.0'"),
     ])
     def test_training_commands(self, tmp_path, capsys, forbid_work, argv, message):
         command, *flags = argv
@@ -695,8 +698,14 @@ class TestUnwritableOutputPaths:
          "cannot write nodir/r.csv: nodir is not a directory"),
         (["calib", "--logits", "l.csv", "--out", "c.json", "--reliability-out", "afile/r.csv"], "--reliability-out",
          "cannot write afile/r.csv: afile is not a directory"),
+        # the reliability CSV would replace the JSON report
+        (["calib", "--logits", "l.csv", "--out", "c.json", "--reliability-out", "c.json"], "--reliability-out",
+         "c.json is also the --out file"),
+        (["calib", "--logits", "l.csv", "--out", "c.json", "--reliability-out", "./c.json"], "--reliability-out",
+         "./c.json is also the --out file"),
     ], ids=["verify_missing_dir", "verify_dir", "sweep_file", "sweep_under_file", "trace_file",
-            "calib_missing_dir", "calib_reliability_missing_dir", "calib_reliability_under_file"])
+            "calib_missing_dir", "calib_reliability_missing_dir", "calib_reliability_under_file",
+            "calib_reliability_is_out", "calib_reliability_resolves_to_out"])
     def test_is_usage_error_before_work(self, tmp_path, capsys, monkeypatch, forbid_work, argv, flag, message):
         monkeypatch.chdir(tmp_path)
         for loader in ("_load_datasets", "_load_logits_file"):
@@ -722,7 +731,7 @@ _TRAIN_FLAGS = ("tau", "lr", "momentum", "weight-decay", "epochs", "batch", "see
                 "dataset", "model")
 _FLAGS = {
     "verify": ("betas", "trials", "step", "rel-tol", "seed"),
-    "sweep": ("betas", "beta-initial", "beta-end", "warmup-iters", "warmup-granularity", "bins") + _TRAIN_FLAGS,
+    "sweep": ("betas", "beta-initial", "beta-end", "warmup-iters", "bins") + _TRAIN_FLAGS,
     "trace": ("beta", "groups") + _TRAIN_FLAGS,
     "calib": ("bins", "beta", "fit-temperature"),
     "warmup-demo": ("beta-initial", "beta-end", "warmup-iters", "points"),

@@ -38,8 +38,8 @@ class TestMakeBlobs:
         cfg = BlobsConfig(classes=3, dim=4, n_per_class=50, sigma=0.2, radius=2.0, seed=123)
         a_train, a_test = make_blobs(cfg)
         b_train, b_test = make_blobs(cfg)
-        assert a_train.features.tobytes() == b_train.features.tobytes()
-        assert a_test.features.tobytes() == b_test.features.tobytes()
+        assert decode(a_train.raw).tobytes() == decode(b_train.raw).tobytes()
+        assert decode(a_test.raw).tobytes() == decode(b_test.raw).tobytes()
         assert np.array_equal(a_train.labels, b_train.labels)
 
     def test_class_means_on_circle(self):
@@ -48,13 +48,13 @@ class TestMakeBlobs:
         for k in range(4):
             angle = 2 * np.pi * k / 4
             target = np.array([2.0 * np.cos(angle), 2.0 * np.sin(angle), 0.0])
-            got = train.features[train.labels == k].mean(axis=0)
+            got = decode(train.raw)[train.labels == k].mean(axis=0)
             assert np.allclose(got, target, atol=0.01)
 
     def test_features_finite_and_dim(self):
         train, test = make_blobs(BlobsConfig(classes=2, dim=5, n_per_class=10, sigma=0.5, radius=1.0, seed=1))
         assert train.dim == 5 and test.dim == 5
-        assert np.isfinite(train.features).all()
+        assert np.isfinite(decode(train.raw)).all()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -100,8 +100,8 @@ class TestDataset:
         assert d.raw.dtype == np.uint8 and d.raw is codes
         assert d.n == 4 and d.dim == 3
         want = codes.astype(np.float64) / 255.0
-        assert d.features.dtype == np.float64 and d.features.tobytes() == want.tobytes()
-        assert d.features is not d.features  # a decoded copy on every read
+        features = decode(d.raw)
+        assert features.dtype == np.float64 and features.tobytes() == want.tobytes()
         assert decode(codes).tobytes() == want.tobytes()
         out = np.empty((4, 3))
         assert decode(codes, out=out) is out and out.tobytes() == want.tobytes()
@@ -110,9 +110,9 @@ class TestDataset:
     def test_other_dtypes_become_float64(self, dtype):
         values = np.arange(6).reshape(3, 2).astype(dtype)
         d = Dataset(values, np.zeros(3, dtype=int), "train")
-        assert d.raw.dtype == np.float64 and d.features is d.raw
-        assert d.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
-        assert decode(values).tolist() == d.features.tolist()  # only uint8 holds pixel codes
+        assert d.raw.dtype == np.float64
+        assert d.raw.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert decode(values).tolist() == decode(d.raw).tolist()  # only uint8 holds pixel codes
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_non_finite_features_rejected(self, dtype):
@@ -157,21 +157,22 @@ class TestIdxFormat:
     def test_roundtrip(self, tmp_path):
         images, labels, ip, lp = self._roundtrip(tmp_path)
         ds = load_mnist_idx(ip, lp)
-        assert np.array_equal(ds.features, images.reshape(12, 20) / 255.0)
+        features = decode(ds.raw)
+        assert np.array_equal(features, images.reshape(12, 20) / 255.0)
         assert np.array_equal(ds.labels, labels)
-        assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+        assert features.min() >= 0.0 and features.max() <= 1.0
 
     def test_roundtrip_gzip(self, tmp_path):
         images, labels, ip, lp = self._roundtrip(tmp_path, suffix=".gz")
         ds = load_mnist_idx(ip, lp)
-        assert np.array_equal(ds.features * 255.0, images.reshape(12, 20).astype(float))
+        assert np.array_equal(decode(ds.raw) * 255.0, images.reshape(12, 20).astype(float))
 
     @pytest.mark.parametrize("suffix", ["", ".gz"])
     def test_decode_is_bitwise_the_sliced_decode(self, tmp_path, suffix):
         _, _, ip, lp = self._roundtrip(tmp_path, suffix)
         new, old = load_mnist_idx(ip, lp, split="test"), old_load_mnist_idx(ip, lp, split="test")
-        assert new.features.dtype == old.features.dtype and new.features.shape == old.features.shape
-        assert new.features.tobytes() == old.features.tobytes()
+        got, want = decode(new.raw), decode(old.raw)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
         assert new.labels.dtype == old.labels.dtype and new.labels.tobytes() == old.labels.tobytes()
         assert new.split == old.split
         assert new.raw.dtype == np.uint8
@@ -320,4 +321,5 @@ class TestRealMnist:
         assert ds.n == 60_000
         assert ds.dim == 784
         assert set(np.unique(ds.labels)) <= set(range(10))
-        assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+        features = decode(ds.raw)
+        assert features.min() >= 0.0 and features.max() <= 1.0

@@ -46,6 +46,7 @@ TRAIN_RUNS = (
     ("sweep", *_BLOBS, *_SCRIPT, "--betas", "0.1,1,20", "--beta-initial", "0.1", "--beta-end", "20",
      "--warmup-iters", "100"),
     ("trace", *_BLOBS, *_SCRIPT, "--beta", "5"),
+    ("sweep", *_BLOBS, *_SCRIPT, "--betas", "0.1,5", "--tau", "0.5"),
     # a linear model: every beta diverges at epoch 0, batch 2, on the non-finite logits check
     ("sweep", *_BLOBS, "--model", "10", "--lr", "1e300", "--betas", "0.1,1,20"),
 )

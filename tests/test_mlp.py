@@ -29,7 +29,7 @@ from gradient_decay.mlp import (
     difficulty_groups,
     train,
 )
-from gradient_decay.schedule import Granularity, WarmupSchedule
+from gradient_decay.schedule import WarmupSchedule
 
 
 def _hand_built_222():
@@ -204,29 +204,27 @@ def _reference_grads(model, X, y, params):
     return float(be.losses.mean()), gw, gb
 
 
-def _reference_train(model, train_set, cfg, loss, warmup=None, test_set=None, trace=True):
+def _reference_train(model, train_set, cfg, loss, warmup=None, *, test_set, trace=True):
     """The trainer as a plain loop that allocates every temporary.
 
     Returns (metrics, per-epoch p_true of every sample or None, last train
-    p_true, last test logits or None); the model is updated in place.
+    p_true, last test logits); the model is updated in place.
     """
     n = train_set.n
-    X, y = train_set.features, train_set.labels
+    X, y = decode(train_set.raw), train_set.labels
     rng = np.random.default_rng(cfg.seed)
     vel_w = [np.zeros_like(W) for W in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     metrics, traces = [], []
     step = 0
     beta_now = loss.beta
-    test_logits = None
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             if warmup is not None:
-                t = step if warmup.granularity is Granularity.PER_ITERATION else epoch
-                beta_now = warmup.beta_at(t)
+                beta_now = warmup.beta_at(step)
                 params = LossParams(beta=beta_now, tau=loss.tau)
             else:
                 params = loss
@@ -255,10 +253,8 @@ def _reference_train(model, train_set, cfg, loss, warmup=None, test_set=None, tr
         except ValueError as exc:
             raise TrainingDiverged(epoch, (n - 1) // cfg.batch_size) from exc
         traces.append(be.p_true)
-        test_acc = float("nan")
-        if test_set is not None:
-            test_logits, _ = _reference_forward(model, test_set.features)
-            test_acc = float((test_logits.argmax(axis=1) == test_set.labels).mean())
+        test_logits, _ = _reference_forward(model, decode(test_set.raw))
+        test_acc = float((test_logits.argmax(axis=1) == test_set.labels).mean())
         metrics.append(EpochMetrics(epoch, beta_now, loss_sum / n,
                                     float((train_logits.argmax(axis=1) == y).mean()),
                                     test_acc, float(be.p_true.mean())))
@@ -276,8 +272,6 @@ _BITWISE_CASES = {
     "warmup_per_iteration": ((2, 8, 4), TrainConfig(lr=0.05, momentum=0.9, batch_size=40,
                                                     epochs=3, seed=2),
                              WarmupSchedule(0.01, 1.0, 7)),
-    "warmup_per_epoch": ((2, 8, 4), TrainConfig(lr=0.05, momentum=0.9, batch_size=40, epochs=4, seed=2),
-                         WarmupSchedule(0.1, 5.0, 2, granularity=Granularity.PER_EPOCH)),
 }
 
 
@@ -307,13 +301,14 @@ class TestTrainMatchesReference:
             assert res.traces is None
 
     def test_divergence_at_the_same_step(self):
-        train_set, _ = _tiny_blobs(sigma=0.3)  # diverges in epoch 4, in the ragged batch
+        train_set, test_set = _tiny_blobs(sigma=0.3)  # diverges in epoch 4, in the ragged batch
         cfg = TrainConfig(lr=1e12, momentum=0.9, epochs=5, batch_size=48, seed=0)
         caught = []
         for run in (train, _reference_train):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(TrainingDiverged) as exc:
-                    run(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, LossParams(beta=1.0), trace=False)
+                    run(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, LossParams(beta=1.0),
+                        test_set=test_set, trace=False)
             caught.append((exc.value.epoch, exc.value.batch))
         assert caught[0] == caught[1]
 
@@ -324,9 +319,9 @@ class TestTrainMatchesReference:
         res = train(model, train_set, TrainConfig(lr=0.05, momentum=0.9, batch_size=48, epochs=3, seed=6),
                     LossParams(beta=1.0), warmup=sched, test_set=test_set, trace=False)
         final = LossParams(beta=res.metrics[-1].beta)
-        fresh = beta_ce_batch(model.forward(train_set.features), train_set.labels, final)
+        fresh = beta_ce_batch(model.forward(decode(train_set.raw)), train_set.labels, final)
         assert np.array_equal(res.train_p_true, fresh.p_true)
-        assert np.array_equal(res.test_logits, model.forward(test_set.features))
+        assert np.array_equal(res.test_logits, model.forward(decode(test_set.raw)))
 
     def test_backward_matches_reference_gradients(self):
         model = MlpModel.init((3, 5, 4, 3), seed=2)
@@ -342,7 +337,7 @@ class TestTrain:
         train_set, test_set = _tiny_blobs()
         model = MlpModel.init((2, 8, 4), seed=3)
         w_before = [W.copy() for W in model.weights]
-        init_acc = float((model.forward(train_set.features).argmax(axis=1) == train_set.labels).mean())
+        init_acc = float((model.forward(decode(train_set.raw)).argmax(axis=1) == train_set.labels).mean())
         res = train(model, train_set, TrainConfig(lr=0.0, epochs=1, batch_size=32, seed=0),
                     LossParams(beta=1.0), test_set=test_set)
         for W, W0 in zip(model.weights, w_before):
@@ -351,7 +346,7 @@ class TestTrain:
 
     def test_plain_gd_step_matches_hand_update(self):
         # momentum=0, weight_decay=0: one full-batch step is param -= lr * grad
-        train_set, _ = _tiny_blobs(n_per_class=10)
+        train_set, test_set = _tiny_blobs(n_per_class=10)
         model = MlpModel.init((2, 4, 4), seed=8)
         params = LossParams(beta=0.7)
         w0 = [W.copy() for W in model.weights]
@@ -361,19 +356,19 @@ class TestTrain:
         mean_gw = [np.zeros_like(W) for W in model.weights]
         mean_gb = [np.zeros_like(b) for b in model.biases]
         for i in range(n):
-            gw, gb = backward(model, train_set.features[i], int(train_set.labels[i]), params)
+            gw, gb = backward(model, decode(train_set.raw)[i], int(train_set.labels[i]), params)
             for layer in range(len(mean_gw)):
                 mean_gw[layer] += gw[layer] / n
                 mean_gb[layer] += gb[layer] / n
         train(model, train_set, TrainConfig(lr=0.1, epochs=1, batch_size=n, seed=0),
-              params, trace=False)
+              params, test_set=test_set, trace=False)
         for layer in range(len(w0)):
             assert np.allclose(model.weights[layer], w0[layer] - 0.1 * mean_gw[layer], atol=1e-12)
             assert np.allclose(model.biases[layer], b0[layer] - 0.1 * mean_gb[layer], atol=1e-12)
 
     def test_momentum_and_decay_update_rule(self):
         # two full-batch steps, hand-stepped: v = mu*v + g; p -= lr*(v + wd*p)
-        train_set, _ = _tiny_blobs(n_per_class=5, classes=3)
+        train_set, test_set = _tiny_blobs(n_per_class=5, classes=3)
         params = LossParams(beta=1.0)
         cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=0.01,
                           epochs=2, batch_size=train_set.n, seed=0)
@@ -383,13 +378,13 @@ class TestTrain:
         vel_w = [np.zeros_like(W) for W in twin.weights]
         vel_b = [np.zeros_like(b) for b in twin.biases]
         for _ in range(2):
-            _, gw, gb = _reference_grads(twin, train_set.features, train_set.labels, params)
+            _, gw, gb = _reference_grads(twin, decode(train_set.raw), train_set.labels, params)
             for L in range(len(twin.weights)):
                 vel_w[L] = 0.9 * vel_w[L] + gw[L]
                 vel_b[L] = 0.9 * vel_b[L] + gb[L]
                 twin.weights[L] -= 0.05 * (vel_w[L] + 0.01 * twin.weights[L])
                 twin.biases[L] -= 0.05 * (vel_b[L] + 0.01 * twin.biases[L])
-        train(model, train_set, cfg, params, trace=False)
+        train(model, train_set, cfg, params, test_set=test_set, trace=False)
         for L in range(len(model.weights)):
             assert np.allclose(model.weights[L], twin.weights[L], atol=1e-12)
             assert np.allclose(model.biases[L], twin.biases[L], atol=1e-12)
@@ -411,30 +406,31 @@ class TestTrain:
         assert res.metrics[-1].test_acc == 1.0
 
     def test_well_separated_blobs_beta_one_50_epochs(self):
-        train_set, _ = _tiny_blobs(sigma=0.05, classes=4, n_per_class=40)
+        train_set, test_set = _tiny_blobs(sigma=0.05, classes=4, n_per_class=40)
         model = MlpModel.init((2, 16, 4), seed=1)
         res = train(model, train_set, TrainConfig(lr=0.1, momentum=0.9, epochs=50, batch_size=16, seed=1),
-                    LossParams(beta=1.0), trace=False)
+                    LossParams(beta=1.0), test_set=test_set, trace=False)
         assert res.metrics[-1].train_acc >= 0.99
 
     def test_divergence_reports_epoch_and_batch(self):
-        train_set, _ = _tiny_blobs()
+        train_set, test_set = _tiny_blobs()
         model = MlpModel.init((2, 8, 4), seed=0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged) as exc:
                 train(model, train_set, TrainConfig(lr=1e12, epochs=5, batch_size=32, seed=0),
-                      LossParams(beta=1.0), trace=False)
+                      LossParams(beta=1.0), test_set=test_set, trace=False)
         assert exc.value.epoch >= 0 and exc.value.batch >= 0
 
     def test_non_finite_logits_diverge_at_the_step_they_appear(self):
         # a linear model at lr 1e300: the third batch's logits are no longer finite,
         # and the logit check in beta_ce_batch is what reports it
-        train_set, _ = make_blobs(BlobsConfig(classes=10, dim=2, n_per_class=50, sigma=0.3, radius=1.0, seed=42))
+        train_set, test_set = make_blobs(BlobsConfig(classes=10, dim=2, n_per_class=50, sigma=0.3, radius=1.0,
+                                                     seed=42))
         for beta in (0.1, 1.0, 20.0):
             with pytest.raises(TrainingDiverged) as exc:
                 train(MlpModel.init((2, 10), seed=7), train_set,
                       TrainConfig(lr=1e300, momentum=0.9, weight_decay=1e-4, seed=7),
-                      LossParams(beta=beta), trace=False)
+                      LossParams(beta=beta), test_set=test_set, trace=False)
             assert (exc.value.epoch, exc.value.batch) == (0, 2)
             assert str(exc.value.__cause__) == "all logits must be finite"
 
@@ -465,53 +461,45 @@ class TestTrain:
                 assert type(getattr(m, field)) is float, field
 
     def test_parameters_stay_finite(self):
-        train_set, _ = _tiny_blobs(sigma=0.3)
+        train_set, test_set = _tiny_blobs(sigma=0.3)
         model = MlpModel.init((2, 8, 4), seed=0)
         train(model, train_set, TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=20, seed=0),
-              LossParams(beta=0.1), trace=False)
+              LossParams(beta=0.1), test_set=test_set, trace=False)
         for W in model.weights:
             assert np.isfinite(W).all()
 
     def test_clip_norm_accepted(self):
-        train_set, _ = _tiny_blobs()
+        train_set, test_set = _tiny_blobs()
         model = MlpModel.init((2, 8, 4), seed=0)
         res = train(model, train_set,
                     TrainConfig(lr=0.05, momentum=0.9, clip_norm=3.0, epochs=2, batch_size=32, seed=0),
-                    LossParams(beta=0.01), trace=False)
+                    LossParams(beta=0.01), test_set=test_set, trace=False)
         assert len(res.metrics) == 2
 
-    def test_warmup_per_epoch_beta_recorded(self):
-        train_set, _ = _tiny_blobs()
-        sched = WarmupSchedule(0.1, 1.0, 4, granularity=Granularity.PER_EPOCH)
-        model = MlpModel.init((2, 8, 4), seed=0)
-        res = train(model, train_set, TrainConfig(lr=0.01, epochs=5, batch_size=40, seed=0),
-                    LossParams(beta=1.0), warmup=sched, trace=False)
-        assert [m.beta for m in res.metrics] == [sched.beta_at(e) for e in range(5)]
-
     def test_warmup_per_iteration_reaches_end_value(self):
-        train_set, _ = _tiny_blobs()
+        train_set, test_set = _tiny_blobs()
         steps_per_epoch = train_set.n // 40
         sched = WarmupSchedule(0.1, 2.0, steps_per_epoch)  # warm for exactly one epoch
         model = MlpModel.init((2, 8, 4), seed=0)
         res = train(model, train_set, TrainConfig(lr=0.01, epochs=3, batch_size=40, seed=0),
-                    LossParams(beta=1.0), warmup=sched, trace=False)
+                    LossParams(beta=1.0), warmup=sched, test_set=test_set, trace=False)
         assert res.metrics[-1].beta == 2.0
 
     def test_traces_shape_and_range(self):
-        train_set, _ = _tiny_blobs()
+        train_set, test_set = _tiny_blobs()
         model = MlpModel.init((2, 8, 4), seed=0)
         res = train(model, train_set, TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=0),
-                    LossParams(beta=1.0))
+                    LossParams(beta=1.0), test_set=test_set)
         assert res.traces.p_true.shape == (3, train_set.n)
         assert np.all((res.traces.p_true >= 0.0) & (res.traces.p_true <= 1.0))
 
     def test_traces_subsample_beyond_the_trace_limit(self, monkeypatch):
         # past TRACE_LIMIT samples, only np.linspace(0, n - 1, TRACE_LIMIT)'s ids are traced
-        train_set, _ = _tiny_blobs()
+        train_set, test_set = _tiny_blobs()
         cfg, params = TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=0), LossParams(beta=1.0)
-        full = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params).traces
+        full = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params, test_set=test_set).traces
         monkeypatch.setattr(mlp, "TRACE_LIMIT", 7)
-        part = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params).traces
+        part = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params, test_set=test_set).traces
         assert train_set.n == 128
         assert part.sample_ids.tolist() == [0, 21, 42, 63, 84, 105, 127]
         assert part.p_true.shape == (3, 7)
@@ -522,9 +510,9 @@ class TestTrain:
         train_set, test_set = _tiny_blobs(classes=4)
         model = MlpModel.init((2, 8, 3), seed=0)
         with pytest.raises(ValueError, match="outside the model's 3 outputs"):
-            train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0))
+            train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0), test_set=test_set)
         model = MlpModel.init((2, 8, 4), seed=0)
-        wide = Dataset(test_set.features, np.full(test_set.n, 4), "test")
+        wide = Dataset(decode(test_set.raw), np.full(test_set.n, 4), "test")
         with pytest.raises(ValueError, match="test label 4"):
             train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0), test_set=wide)
 
@@ -548,10 +536,19 @@ class TestTrain:
             TrainConfig(**{"lr": 0.1, **bad})
 
     def test_batch_size_validation(self):
-        train_set, _ = _tiny_blobs(n_per_class=5)
+        train_set, test_set = _tiny_blobs(n_per_class=5)
         model = MlpModel.init((2, 4, 4), seed=0)
         with pytest.raises(ValueError):
-            train(model, train_set, TrainConfig(lr=0.1, batch_size=10_000), LossParams(beta=1.0))
+            train(model, train_set, TrainConfig(lr=0.1, batch_size=10_000), LossParams(beta=1.0), test_set=test_set)
+
+    def test_test_set_is_a_required_keyword(self):
+        # every run ends each epoch with a test evaluation; there is no test-less run
+        train_set, test_set = _tiny_blobs()
+        cfg, params = TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0)
+        with pytest.raises(TypeError, match="test_set"):
+            train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params)
+        with pytest.raises(TypeError):
+            train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params, None, test_set)
 
 
 def _idx_pair(tmp_path, prefix, n, seed):
@@ -590,7 +587,7 @@ class TestCodedInputs:
         train_set = load_mnist_idx(*_idx_pair(tmp_path, "train", n_train, 0), "train")
         test_set = load_mnist_idx(*_idx_pair(tmp_path, "t10k", n_test, 1), "test")
         assert train_set.raw.dtype == np.uint8 and test_set.raw.dtype == np.uint8
-        twins = [Dataset(d.features, d.labels, d.split) for d in (train_set, test_set)]
+        twins = [Dataset(decode(d.raw), d.labels, d.split) for d in (train_set, test_set)]
         assert twins[0].raw.dtype == np.float64
         cfg = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, batch_size=64, epochs=3,
                           clip_norm=1.0, seed=4)
@@ -616,7 +613,8 @@ class TestCodedInputs:
         tracemalloc.start()
         try:
             train_set = load_mnist_idx(*paths)
-            train(model, train_set, TrainConfig(lr=0.01, batch_size=100, epochs=1), LossParams(beta=1.0))
+            train(model, train_set, TrainConfig(lr=0.01, batch_size=100, epochs=1), LossParams(beta=1.0),
+                  test_set=train_set)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gradient_decay.loss import LossParams
-from gradient_decay.schedule import Granularity, WarmupSchedule
+from gradient_decay.schedule import WarmupSchedule
 
 
 def test_endpoints_and_midpoint_are_exact():
@@ -26,10 +26,6 @@ def test_decreasing_schedule_allowed():
     assert s.beta_at(0) == 2.0
     assert s.beta_at(10) == 0.5
     assert s.beta_at(5) == pytest.approx(1.25)
-
-
-def test_default_granularity_is_per_iteration():
-    assert WarmupSchedule(0.1, 1.0, 10).granularity is Granularity.PER_ITERATION
 
 
 @given(
