@@ -140,7 +140,7 @@ def _ece_mce(bins: list[ReliabilityBin], n: int) -> tuple[float, float]:
 def confidence_table(p_true) -> np.ndarray:
     """Counts of values per right-closed interval of THRESHOLDS: (<=0.2], (0.2,0.4], ..., (0.8,1]."""
     p = np.asarray(p_true, dtype=np.float64)
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):  # NaN fails both comparisons
         raise ValueError("values must lie in [0, 1]")
     return np.bincount(np.searchsorted(THRESHOLDS, p, side="left"), minlength=len(THRESHOLDS) + 1)
 

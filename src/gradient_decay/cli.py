@@ -196,7 +196,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clip-norm", type=float)
     p.add_argument("--blob-classes", type=int, default=BlobsConfig.classes)
     p.add_argument("--blob-dim", type=int, default=BlobsConfig.dim)
     p.add_argument("--blob-per-class", type=int, default=BlobsConfig.n_per_class,
@@ -256,7 +255,6 @@ def _train_config(args, train_set, parser) -> TrainConfig:
         weight_decay=args.weight_decay,
         batch_size=args.batch,
         epochs=args.epochs,
-        clip_norm=args.clip_norm,
         seed=args.seed,
     )
 

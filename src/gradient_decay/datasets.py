@@ -26,9 +26,6 @@ __all__ = [
     "Dataset",
     "decode",
     "IdxFormatError",
-    "IdxBadMagic",
-    "IdxTruncated",
-    "IdxCountMismatch",
     "make_blobs",
     "load_mnist_idx",
     "write_idx_images",
@@ -150,18 +147,6 @@ class IdxFormatError(ValueError):
         super().__init__(f"{path} (offset {offset}): {message}")
 
 
-class IdxBadMagic(IdxFormatError):
-    pass
-
-
-class IdxTruncated(IdxFormatError):
-    pass
-
-
-class IdxCountMismatch(IdxFormatError):
-    pass
-
-
 def _read_bytes(path) -> bytes | mmap.mmap:
     """The file's bytes: a read-only map of a plain file, a decompressed copy of a .gz file."""
     if str(path).endswith(".gz"):
@@ -179,7 +164,7 @@ def _read_bytes(path) -> bytes | mmap.mmap:
 
 def _read_be32(raw: bytes | mmap.mmap, offset: int, path) -> int:
     if len(raw) < offset + 4:
-        raise IdxTruncated(path, offset, f"file ends inside a 32-bit header field ({len(raw)} bytes)")
+        raise IdxFormatError(path, offset, f"file ends inside a 32-bit header field ({len(raw)} bytes)")
     return struct.unpack_from(">I", raw, offset)[0]
 
 
@@ -197,13 +182,13 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     raw = _read_bytes(images_path)
     magic = _read_be32(raw, 0, images_path)
     if magic != IMAGES_MAGIC:
-        raise IdxBadMagic(images_path, 0, f"expected image magic 0x{IMAGES_MAGIC:08x}, got 0x{magic:08x}")
+        raise IdxFormatError(images_path, 0, f"expected image magic 0x{IMAGES_MAGIC:08x}, got 0x{magic:08x}")
     count = _read_be32(raw, 4, images_path)
     rows = _read_be32(raw, 8, images_path)
     cols = _read_be32(raw, 12, images_path)
     expected = count * rows * cols
     if len(raw) - 16 != expected:
-        raise IdxTruncated(
+        raise IdxFormatError(
             images_path, 16, f"expected {expected} pixel bytes for {count}x{rows}x{cols}, found {len(raw) - 16}"
         )
     # decoded in place: a slice of raw would copy the whole pixel body first
@@ -212,12 +197,12 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     raw = _read_bytes(labels_path)
     magic = _read_be32(raw, 0, labels_path)
     if magic != LABELS_MAGIC:
-        raise IdxBadMagic(labels_path, 0, f"expected label magic 0x{LABELS_MAGIC:08x}, got 0x{magic:08x}")
+        raise IdxFormatError(labels_path, 0, f"expected label magic 0x{LABELS_MAGIC:08x}, got 0x{magic:08x}")
     lcount = _read_be32(raw, 4, labels_path)
     if len(raw) - 8 != lcount:
-        raise IdxTruncated(labels_path, 8, f"expected {lcount} label bytes, found {len(raw) - 8}")
+        raise IdxFormatError(labels_path, 8, f"expected {lcount} label bytes, found {len(raw) - 8}")
     if lcount != count:
-        raise IdxCountMismatch(
+        raise IdxFormatError(
             labels_path, 4, f"label count {lcount} does not match image count {count} in {images_path}"
         )
     labels = np.frombuffer(raw, np.uint8, count=lcount, offset=8).astype(np.int64)

@@ -1,7 +1,7 @@
 """From-scratch MLP trainer with manual backpropagation.
 
 Rectifier hidden layers, identity output layer, mini-batch gradient descent
-with momentum, weight decay and optional global gradient-norm clipping.
+with momentum and weight decay.
 A single run is fully deterministic given its config: initialization and
 shuffling derive from the seed alone, so two identical runs produce
 bitwise-identical metric streams.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch, check_int, check_positive_real, check_real_in
+from gradient_decay.loss import LossParams, batch_p_true, beta_ce_batch, check_int, check_real_in
 from gradient_decay.schedule import WarmupSchedule
 from gradient_decay.datasets import Dataset, decode
 
@@ -33,7 +33,6 @@ __all__ = [
     "train",
     "check_fits",
     "difficulty_groups",
-    "clip_global_norm",
 ]
 
 # trace every sample by default up to this dataset size
@@ -65,9 +64,12 @@ class MlpModel:
     @classmethod
     def init(cls, layer_dims, seed: int) -> "MlpModel":
         """He-normal weights (std sqrt(2/fan_in)), zero biases, seeded."""
-        dims = tuple(int(d) for d in layer_dims)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise ValueError(f"layer_dims needs at least (input, output) positive sizes, got {dims}")
+        dims = tuple(layer_dims)
+        if len(dims) < 2:
+            raise ValueError(f"layer_dims needs at least (input, output) sizes, got {dims}")
+        for d in dims:
+            check_int("layer size", d, 1)
+        dims = tuple(int(d) for d in dims)  # numpy integers pass the check; the model keeps plain ints
         rng = np.random.default_rng(seed)
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -187,20 +189,6 @@ def _gradients(model: MlpModel, batch: _Rows, grads, params: LossParams) -> floa
     return float(np.add.reduce(be.losses)) / batch.rows
 
 
-def clip_global_norm(grads_w, grads_b, clip_norm: float):
-    """Scale all gradients in place so their joint 2-norm is at most clip_norm.
-
-    Returns (grads_w, grads_b, norm before clipping).
-    """
-    sq = sum(float((g**2).sum()) for g in grads_w) + sum(float((g**2).sum()) for g in grads_b)
-    norm = math.sqrt(sq)
-    if norm > clip_norm:
-        scale = clip_norm / norm
-        for g in (*grads_w, *grads_b):
-            g *= scale
-    return grads_w, grads_b, norm
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float
@@ -208,7 +196,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     batch_size: int = 100
     epochs: int = 1
-    clip_norm: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -217,8 +204,6 @@ class TrainConfig:
         check_real_in("weight_decay", self.weight_decay, 0, math.inf)
         check_int("batch_size", self.batch_size, 1)
         check_int("epochs", self.epochs, 1)
-        if self.clip_norm is not None:
-            check_positive_real("clip_norm", self.clip_norm)
         check_int("seed", self.seed, 0)
 
 
@@ -281,9 +266,8 @@ def train(
 ) -> TrainResult:
     """Mini-batch gradient descent with momentum; every epoch ends with an evaluation on test_set.
 
-    Update rule: v <- momentum*v + g, param <- param - lr*(v + weight_decay*param),
-    with g optionally clipped to a global norm first.  When a warm-up schedule
-    is given it overrides loss.beta at every optimizer iteration.
+    Update rule: v <- momentum*v + g, param <- param - lr*(v + weight_decay*param).
+    A warm-up schedule, when given, overrides loss.beta at every optimizer iteration.
 
     Every array the run writes (batch, activations, deltas, gradients,
     momentum, update temporaries and the evaluation activations) is
@@ -359,8 +343,6 @@ def train(
                 if not math.isfinite(batch_loss):
                     raise TrainingDiverged(epoch, start // cfg.batch_size)
                 loss_sum += batch_loss * idx.size
-                if cfg.clip_norm is not None:
-                    clip_global_norm(grads[:layers], grads[layers:], cfg.clip_norm)
                 np.multiply(vel, cfg.momentum, out=vel)
                 np.add(vel, grad, out=vel)
                 np.multiply(theta, cfg.weight_decay, out=tmp)

@@ -340,8 +340,9 @@ class TestConfidenceTable:
         assert confidence_table(vals).sum() == 1000
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            confidence_table(np.array([1.5]))
+        for bad in ([1.5], [-0.1, 0.5], [np.nan, 0.1]):  # NaN used to be counted in the top interval
+            with pytest.raises(ValueError, match="must lie in"):
+                confidence_table(np.array(bad))
 
 
 class TestFitTemperature:

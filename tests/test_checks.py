@@ -24,7 +24,7 @@ from gradient_decay.loss import (
     logit_curvature,
     magnitude_derivatives,
 )
-from gradient_decay.mlp import SampleTraces, TrainConfig, difficulty_groups
+from gradient_decay.mlp import MlpModel, SampleTraces, TrainConfig, difficulty_groups
 from gradient_decay.schedule import WarmupSchedule
 from gradient_decay.verify import FdConfig, central_diff_grad, grid_scan_extremum, verify_all
 
@@ -62,7 +62,6 @@ SITES = {
     "TrainConfig.weight_decay": (lambda v: TrainConfig(lr=0.1, weight_decay=v), (0, math.inf)),
     "TrainConfig.batch_size": (lambda v: TrainConfig(lr=0.1, batch_size=v), 1),
     "TrainConfig.epochs": (lambda v: TrainConfig(lr=0.1, epochs=v), 1),
-    "TrainConfig.clip_norm": (lambda v: TrainConfig(lr=0.1, clip_norm=v), None),
     "TrainConfig.seed": (lambda v: TrainConfig(lr=0.1, seed=v), 0),
     "BlobsConfig.classes": (lambda v: BlobsConfig(classes=v), 2),
     "BlobsConfig.dim": (lambda v: BlobsConfig(dim=v), 2),
@@ -70,6 +69,7 @@ SITES = {
     "BlobsConfig.sigma": (lambda v: BlobsConfig(sigma=v), None),
     "BlobsConfig.radius": (lambda v: BlobsConfig(radius=v), None),
     "BlobsConfig.seed": (lambda v: BlobsConfig(seed=v), 0),
+    "MlpModel.init.layer_dims": (lambda v: MlpModel.init((2, v), 0), 1),
     "bin_reliability.bins": (lambda v: bin_reliability(_PRED, v), 1),
     "difficulty_groups.k": (lambda v: difficulty_groups(SampleTraces(_TRACES, np.arange(6)), v), 1),
 }

@@ -726,7 +726,7 @@ _BASE = {
     "calib": {"fit-temperature": "true"},
     "warmup-demo": {},
 }
-_TRAIN_FLAGS = ("tau", "lr", "momentum", "weight-decay", "epochs", "batch", "seed", "clip-norm",
+_TRAIN_FLAGS = ("tau", "lr", "momentum", "weight-decay", "epochs", "batch", "seed",
                 "blob-classes", "blob-dim", "blob-per-class", "blob-sigma", "blob-radius", "blob-seed",
                 "dataset", "model")
 _FLAGS = {

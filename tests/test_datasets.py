@@ -13,9 +13,7 @@ from conftest import mnist_dir, requires_mnist
 from gradient_decay.datasets import (
     BlobsConfig,
     Dataset,
-    IdxBadMagic,
-    IdxCountMismatch,
-    IdxTruncated,
+    IdxFormatError,
     decode,
     load_mnist_idx,
     make_blobs,
@@ -219,7 +217,7 @@ class TestIdxFormat:
         _, _, ip, lp = self._roundtrip(tmp_path, suffix)
         path = ip if which == "images" else lp
         path.write_bytes(gzip.compress(body) if suffix else body)
-        with pytest.raises(IdxTruncated) as exc:
+        with pytest.raises(IdxFormatError) as exc:
             load_mnist_idx(ip, lp)
         assert (exc.value.path, exc.value.offset) == (str(path), offset)
         assert str(exc.value) == f"{path} (offset {offset}): {message}"
@@ -231,36 +229,38 @@ class TestIdxFormat:
         path = ip if which == "images" else lp
         body = path.read_bytes()
         path.write_bytes(body[:-1] + extra)
-        with pytest.raises(IdxTruncated) as exc:
+        with pytest.raises(IdxFormatError) as exc:
             load_mnist_idx(ip, lp)
         assert exc.value.offset == offset and exc.value.path == str(path)
 
     def test_bad_magic_at_offset_zero(self, tmp_path):
         p = tmp_path / "bad-idx3-ubyte"
         p.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2))
-        with pytest.raises(IdxBadMagic) as exc:
+        with pytest.raises(IdxFormatError) as exc:
             load_mnist_idx(p, p)
         assert exc.value.offset == 0
-        assert str(p) in str(exc.value)
+        assert str(exc.value) == f"{p} (offset 0): expected image magic 0x00000803, got 0xdeadbeef"
 
     def test_label_magic_rejected_for_images(self, tmp_path):
         p = tmp_path / "labels-as-images"
         p.write_bytes(struct.pack(">II", 0x00000801, 0))
-        with pytest.raises(IdxBadMagic):
+        with pytest.raises(IdxFormatError, match="expected image magic 0x00000803, got 0x00000801") as exc:
             load_mnist_idx(p, p)
+        assert exc.value.offset == 0
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "short"
         p.write_bytes(b"\x00\x00")
-        with pytest.raises(IdxTruncated):
+        with pytest.raises(IdxFormatError, match="file ends inside a 32-bit header field") as exc:
             load_mnist_idx(p, p)
+        assert exc.value.offset == 0
 
     def test_truncated_body(self, tmp_path):
         p = tmp_path / "short-body"
         p.write_bytes(struct.pack(">IIII", 0x00000803, 10, 28, 28) + b"\x00" * 5)
-        with pytest.raises(IdxTruncated) as exc:
+        with pytest.raises(IdxFormatError, match="expected 7840 pixel bytes for 10x28x28, found 5") as exc:
             load_mnist_idx(p, p)
-        assert "short-body" in str(exc.value)
+        assert exc.value.offset == 16 and "short-body" in str(exc.value)
 
     def test_count_mismatch(self, tmp_path):
         images = np.zeros((10, 2, 2), dtype=np.uint8)
@@ -268,8 +268,9 @@ class TestIdxFormat:
         ip, lp = tmp_path / "i-idx3-ubyte", tmp_path / "l-idx1-ubyte"
         write_idx_images(ip, images)
         write_idx_labels(lp, labels)
-        with pytest.raises(IdxCountMismatch):
+        with pytest.raises(IdxFormatError, match="label count 9 does not match image count 10") as exc:
             load_mnist_idx(ip, lp)
+        assert (exc.value.path, exc.value.offset) == (str(lp), 4)
 
     @pytest.mark.parametrize("suffix", ["", ".gz"])
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])

@@ -25,7 +25,6 @@ from gradient_decay.mlp import (
     SampleTraces,
     TrainConfig,
     TrainingDiverged,
-    clip_global_norm,
     difficulty_groups,
     train,
 )
@@ -71,6 +70,15 @@ class TestForward:
         model = MlpModel.init((3, 2), seed=0)
         with pytest.raises(ValueError):
             model.forward(np.zeros(4))
+
+    @pytest.mark.parametrize("dims", [(), (4,)])
+    def test_init_needs_input_and_output_sizes(self, dims):
+        with pytest.raises(ValueError, match="at least \\(input, output\\) sizes"):
+            MlpModel.init(dims, seed=0)
+
+    def test_init_keeps_numpy_sizes_as_ints(self):
+        model = MlpModel.init((np.int64(3), np.int32(2)), seed=0)
+        assert model.layer_dims == (3, 2) and all(type(d) is int for d in model.layer_dims)
 
 
 def _reference_ce_backprop(model, x, c):
@@ -157,23 +165,6 @@ class TestBackward:
                 assert np.allclose(a, f, rtol=1e-5, atol=1e-7)
 
 
-class TestClip:
-    def test_norm_after_clipping(self):
-        rng = np.random.default_rng(2)
-        gw = [rng.standard_normal((5, 4)), rng.standard_normal((4, 2))]
-        gb = [rng.standard_normal(4), rng.standard_normal(2)]
-        cw, cb, before = clip_global_norm(gw, gb, 1.5)
-        after = math.sqrt(sum(float((g**2).sum()) for g in cw + cb))
-        assert before > 1.5
-        assert after <= 1.5 + 1e-9
-
-    def test_small_gradients_untouched(self):
-        gw = [np.full((2, 2), 1e-3)]
-        gb = [np.full(2, 1e-3)]
-        cw, cb, _ = clip_global_norm(gw, gb, 10.0)
-        assert np.array_equal(cw[0], gw[0]) and np.array_equal(cb[0], gb[0])
-
-
 def _tiny_blobs(seed=0, sigma=0.05, classes=4, n_per_class=40):
     return make_blobs(BlobsConfig(classes=classes, dim=2, n_per_class=n_per_class,
                                   sigma=sigma, radius=1.0, seed=seed))
@@ -235,12 +226,6 @@ def _reference_train(model, train_set, cfg, loss, warmup=None, *, test_set, trac
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(epoch, start // cfg.batch_size)
             loss_sum += batch_loss * idx.size
-            if cfg.clip_norm is not None:
-                sq = sum(float((g**2).sum()) for g in gw) + sum(float((g**2).sum()) for g in gb)
-                norm = math.sqrt(sq)
-                if norm > cfg.clip_norm:
-                    gw = [g * (cfg.clip_norm / norm) for g in gw]
-                    gb = [g * (cfg.clip_norm / norm) for g in gb]
             for layer in range(len(model.weights)):
                 vel_w[layer] = cfg.momentum * vel_w[layer] + gw[layer]
                 vel_b[layer] = cfg.momentum * vel_b[layer] + gb[layer]
@@ -267,8 +252,6 @@ _BITWISE_CASES = {
                                               batch_size=48, epochs=4, seed=3), None),
     "two_hidden_layers": ((2, 16, 8, 4), TrainConfig(lr=0.1, momentum=0.5, weight_decay=1e-2,
                                                      batch_size=30, epochs=3, seed=5), None),
-    "clip_norm": ((2, 8, 4), TrainConfig(lr=0.5, momentum=0.9, clip_norm=0.05,
-                                         batch_size=50, epochs=3, seed=1), None),
     "warmup_per_iteration": ((2, 8, 4), TrainConfig(lr=0.05, momentum=0.9, batch_size=40,
                                                     epochs=3, seed=2),
                              WarmupSchedule(0.01, 1.0, 7)),
@@ -468,14 +451,6 @@ class TestTrain:
         for W in model.weights:
             assert np.isfinite(W).all()
 
-    def test_clip_norm_accepted(self):
-        train_set, test_set = _tiny_blobs()
-        model = MlpModel.init((2, 8, 4), seed=0)
-        res = train(model, train_set,
-                    TrainConfig(lr=0.05, momentum=0.9, clip_norm=3.0, epochs=2, batch_size=32, seed=0),
-                    LossParams(beta=0.01), test_set=test_set, trace=False)
-        assert len(res.metrics) == 2
-
     def test_warmup_per_iteration_reaches_end_value(self):
         train_set, test_set = _tiny_blobs()
         steps_per_epoch = train_set.n // 40
@@ -528,8 +503,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("bad", [
         {"lr": -0.1}, {"lr": float("inf")}, {"lr": float("nan")}, {"momentum": 1.0},
-        {"weight_decay": float("inf")}, {"clip_norm": 0.0}, {"clip_norm": float("inf")},
-        {"batch_size": 0}, {"epochs": 0}, {"seed": -1},
+        {"weight_decay": float("inf")}, {"batch_size": 0}, {"epochs": 0}, {"seed": -1},
     ])
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):
@@ -589,8 +563,7 @@ class TestCodedInputs:
         assert train_set.raw.dtype == np.uint8 and test_set.raw.dtype == np.uint8
         twins = [Dataset(decode(d.raw), d.labels, d.split) for d in (train_set, test_set)]
         assert twins[0].raw.dtype == np.float64
-        cfg = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, batch_size=64, epochs=3,
-                          clip_norm=1.0, seed=4)
+        cfg = TrainConfig(lr=0.01, momentum=0.9, weight_decay=1e-3, batch_size=64, epochs=3, seed=4)
         assert n_train % cfg.batch_size != 0
         sched = WarmupSchedule(0.05, 1.0, 40)
         runs = []
