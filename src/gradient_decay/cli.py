@@ -39,7 +39,11 @@ from gradient_decay.calibration import (
     fit_temperature,
 )
 from gradient_decay.datasets import BlobsConfig, IdxFormatError, load_mnist_idx, make_blobs, mnist_paths
-from gradient_decay.loss import LossParams, beta_ce_batch  # noqa: F401  (bench/spans.py wraps this binding)
+from gradient_decay.loss import (
+    LossParams,
+    beta_ce_batch,  # noqa: F401  (bench/spans.py wraps this binding)
+    check_int,
+)
 from gradient_decay.mlp import (
     TRACE_LIMIT,
     MlpModel,
@@ -75,9 +79,14 @@ def _dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(v) for v in str(text).split(",") if v.strip() != "")
     except ValueError:
+        dims = ()
+    if not dims:
         raise argparse.ArgumentTypeError(f"expected comma-separated layer sizes, got {text!r}")
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"layer sizes must be positive, got {text!r}")
+    try:
+        for d in dims:
+            check_int("layer size", d, 1)  # MlpModel.init's rule and message
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return dims
 
 

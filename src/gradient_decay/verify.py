@@ -11,9 +11,12 @@ the curvature checks, and one ``batch_losses`` call on all 2m*k perturbed
 rows gives its finite differences.  Kernel rows are computed independently,
 so the stacking changes no bit of the report.  What no beta changes (the
 stacks, the p_c references, the margin term) is computed once per group, and
-the d2J/d3J closed forms run once per group and beta on its p_c arrays.
+the d2J/d3J closed forms run once per group and beta on its p_c arrays.  The
+margin sandwich takes its tau=1 losses from the same kernel call.
 Grid scans build and evaluate their grid block by block, so a 1M-point
-scan never holds the grid and its temporaries stay cache-sized.
+scan never holds the grid and its temporaries stay cache-sized.  The
+curvature-peak check is one pass over its grid for all betas: each block is
+built once, and every beta's d2J runs on it in turn.
 
 Error convention: differences are scaled by max(1, |reference|), i.e. they
 are relative for O(1) quantities and absolute below that.  A pure relative
@@ -157,33 +160,43 @@ def _grid_block(lo: float, hi: float, points: int, start: int, stop: int) -> np.
     return block
 
 
-def grid_scan_extremum(g, lo: float, hi: float, points: int) -> tuple[float, float]:
+def grid_scan_extremum(g, lo: float, hi: float, points: int):
     """(argmax, max) of g over the grid np.linspace(lo, hi, points), lo < hi both finite.
 
     g must be pointwise: it maps an array of grid points to the array of
     their values, each value depending on its own point only.  It is called
     once per block of _SCAN_BLOCK consecutive grid points, in order, on a
-    fresh array holding just those points, so neither the grid nor g's
-    temporaries grow with the grid.  Blocks are merged by np.argmax's rule
+    fresh read-only array holding just those points, so neither the grid nor
+    g's temporaries grow with the grid.  Blocks are merged by np.argmax's rule
     (the first maximum wins, and the first NaN beats any number), which makes
     the result bitwise that of one call on the whole grid.
+
+    g may also be a non-empty sequence of such functions.  Each block is then
+    built once and every function runs on it in turn, its (argmax, max)
+    merged before the next one runs, and the result is the list of their
+    (argmax, max) pairs: bitwise a separate scan of each.
     """
+    fs = [g] if callable(g) else list(g)
+    if not fs:
+        raise ValueError("need at least one function to scan")
     check_real_in("lo", lo, -math.inf, math.inf)
     check_real_in("hi", hi, -math.inf, math.inf)
     lo, hi = float(lo), float(hi)
     check_positive_real("hi - lo", hi - lo)  # inf where the span overflows
     check_int("points", points, 3)
-    best_arg = best_val = -math.inf
+    best = [(-math.inf, -math.inf)] * len(fs)
     for start in range(0, points, _SCAN_BLOCK):
         block = _grid_block(lo, hi, points, start, min(start + _SCAN_BLOCK, points))
-        vals = np.asarray(g(block), dtype=np.float64)
-        if vals.shape != block.shape:
-            raise ValueError(f"g returned shape {vals.shape} for a block of shape {block.shape}")
-        i = int(np.argmax(vals))
-        # the first block's argmax stands even at -inf: np.argmax of an all -inf grid is 0
-        if start == 0 or vals[i] > best_val or (math.isnan(vals[i]) and not math.isnan(best_val)):
-            best_arg, best_val = float(block[i]), float(vals[i])
-    return best_arg, best_val
+        block.flags.writeable = False  # shared by every function
+        for j, f in enumerate(fs):
+            vals = np.asarray(f(block), dtype=np.float64)
+            if vals.shape != block.shape:
+                raise ValueError(f"g returned shape {vals.shape} for a block of shape {block.shape}")
+            i = int(np.argmax(vals))
+            # the first block's argmax stands even at -inf: np.argmax of an all -inf grid is 0
+            if start == 0 or vals[i] > best[j][1] or (math.isnan(vals[i]) and not math.isnan(best[j][1])):
+                best[j] = (float(block[i]), float(vals[i]))
+    return best[0] if callable(g) else best
 
 
 # --- local closed forms used as references (kept independent of loss.py) ---
@@ -252,6 +265,11 @@ def _group(Z: np.ndarray, c: np.ndarray, h: float) -> _Group:
     )
 
 
+def _worst(*errs) -> float:
+    """The largest of errs, or NaN if any is NaN: max() keeps a number over a NaN that follows it."""
+    return math.nan if any(math.isnan(e) for e in errs) else max(errs)
+
+
 def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     """Run every verified property and collect a pass/fail report.
 
@@ -277,11 +295,11 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     worst = 0.0
     for g in groups:
         ev, (losses, grads) = beta_ce_batch(g.Z, g.c, LossParams(beta=1.0)), _standard_ce(g.Z, g.c)
-        worst = max(worst, float(np.abs(ev.losses - losses).max()), float(np.abs(ev.grads - grads).max()))
+        worst = _worst(worst, float(np.abs(ev.losses - losses).max()), float(np.abs(ev.grads - grads).max()))
     add("beta1_equivalence", None, 1e-12, worst)
 
     # G -> 1 as beta -> 0+ and G -> 0 as beta -> +inf, evaluated at p=0.5.
-    err = max(
+    err = _worst(
         (1.0 - 1e-7) - gradient_magnitude(0.5, 1e-8),
         gradient_magnitude(0.5, 1e8) - 1e-7,
         0.0,
@@ -296,12 +314,15 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         for tau in _SANDWICH_TAUS:
             tj = tau * batch_losses(g.Z, g.c, LossParams(beta=1.0, tau=tau))
             up_bound = lo_bound + tau * math.log(g.Z.shape[1])
-            worst = max(worst, float((lo_bound - tj).max()), float((tj - up_bound).max()))
+            worst = _worst(worst, float((lo_bound - tj).max()), float((tj - up_bound).max()))
     add("temperature_sandwich", None, 1e-12, worst)
 
     grid = np.linspace(_PROB_EPS, 1.0 - _PROB_EPS, _DECAY_GRID_POINTS)
+    # One pass over the peak grid for every beta: each block is built once.
+    peaks = grid_scan_extremum([lambda p, b=b: curvature(p, b) for b in betas],
+                               _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
     h = fd.step
-    for b in betas:
+    for b, (peak_arg, peak_val) in zip(betas, peaks):
         params = LossParams(beta=b)
         # One kernel call per group on the whole stack; blocks[0] is Z itself.
         evs = [beta_ce_batch(g.stack, g.stack_labels, params) for g in groups]
@@ -313,8 +334,8 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
             fd_grads = central_diff_grad(lambda R: batch_losses(R, g.fd_labels, params), g.Z, h)
             grads = g.blocks(ev.grads)[0]
             scale = np.maximum(1.0, np.abs(fd_grads).max(axis=1))
-            worst_fd = max(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
-            worst_sum = max(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
+            worst_fd = _worst(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
+            worst_sum = _worst(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
         add("fd_gradient_agreement", b, fd.rel_tol, worst_fd)
         add("gradient_null_sum", b, 1e-12, worst_sum)
 
@@ -322,35 +343,31 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         worst = 0.0
         for g, ev in zip(groups, evs):
             fields = [g.blocks(getattr(ev, f)) for f in ("losses", "grads", "probs")]
-            for j in range(1, 1 + len(_SHIFTS)):
-                worst = max([worst] + [float(np.abs(a[j] - a[0]).max()) for a in fields])
+            worst = _worst(worst, *[float(np.abs(a[1:1 + len(_SHIFTS)] - a[0]).max()) for a in fields])
         add("shift_invariance", b, 1e-10, worst)
 
         # G strictly decreasing on (0, 1), with the stated endpoint limits.
         G = gradient_magnitude(grid, b)
-        err = max(0.0, float(np.diff(G).max()))
+        err = _worst(0.0, float(np.diff(G).max()))
         lo_tol = 1e-8 if b == 1.0 else 1e-6 * max(1.0, 1.0 / b)
         hi_tol = 1e-8 if b == 1.0 else 1e-6 * max(1.0, b)
-        err = max(err, (1.0 - lo_tol) - float(gradient_magnitude(1e-9, b)))
-        err = max(err, float(gradient_magnitude(1.0 - 1e-9, b)) - hi_tol)
+        err = _worst(err, (1.0 - lo_tol) - float(gradient_magnitude(1e-9, b)))
+        err = _worst(err, float(gradient_magnitude(1.0 - 1e-9, b)) - hi_tol)
         add("monotone_decay", b, 0.0, err)
 
         # d2G keeps the sign of (beta - 1) across the whole interval.
         d2g = magnitude_derivatives(grid, b)[1]
         if b > 1.0:
-            err = max(0.0, -float(d2g.min()))
+            err = _worst(0.0, -float(d2g.min()))
         elif b < 1.0:
-            err = max(0.0, float(d2g.max()))
+            err = _worst(0.0, float(d2g.max()))
         else:
             err = float(np.abs(d2g).max())
         add("convexity_flip", b, 0.0, err)
 
         # Grid scan must find the curvature peak of exactly 1/4 at 1/(1+beta).
-        arg, val = grid_scan_extremum(
-            lambda p: curvature(p, b), _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS
-        )
-        add("curvature_peak_location", b, 1e-5, abs(arg - inflection_point(b)))
-        add("curvature_peak_value", b, 1e-9, abs(val - 0.25))
+        add("curvature_peak_location", b, 1e-5, abs(peak_arg - inflection_point(b)))
+        add("curvature_peak_value", b, 1e-9, abs(peak_val - 0.25))
 
         # d2J must match differences of grad_c in z_c, and d3J differences of d2J.
         worst2 = 0.0
@@ -361,18 +378,18 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
             fd2 = (grads[-2][rows, g.c] - grads[-1][rows, g.c]) / (2.0 * h)
             fd3 = (curvature(g.p_plus, b) - curvature(g.p_minus, b)) / (2.0 * h)
             d2, d3 = logit_curvature(g.p, b)
-            worst2 = max(worst2, float((np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))).max()))
-            worst3 = max(worst3, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max()))
+            worst2 = _worst(worst2, float((np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))).max()))
+            worst3 = _worst(worst3, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max()))
         add("derivative_consistency_d2", b, 1e-5, worst2)
         add("derivative_consistency_d3", b, 1e-5, worst3)
 
         # J is sandwiched between the margin max-term and max-term + log(m).
         worst = 0.0
-        for g in groups:
-            for tau in (1.0, 0.1):
-                j = batch_losses(g.Z, g.c, LossParams(beta=b, tau=tau))
+        for g, ev in zip(groups, evs):
+            # at tau=1, J is block 0 of the kernel call above, bitwise batch_losses on Z
+            for tau, j in ((1.0, g.blocks(ev.losses)[0]), (0.1, batch_losses(g.Z, g.c, LossParams(beta=b, tau=0.1)))):
                 m_term = np.maximum(math.log(b), g.margin / tau)
-                worst = max(worst, float((m_term - j).max()), float((j - (m_term + math.log(g.Z.shape[1]))).max()))
+                worst = _worst(worst, float((m_term - j).max()), float((j - (m_term + math.log(g.Z.shape[1]))).max()))
         add("margin_sandwich", b, 1e-12, worst)
 
     return VerifyReport(tuple(checks))

@@ -14,7 +14,7 @@ from gradient_decay import calibration, cli
 from gradient_decay.calibration import PredictionSet, calibration_report
 from gradient_decay.cli import main
 from gradient_decay.datasets import write_idx_images, write_idx_labels
-from gradient_decay.mlp import TrainingDiverged
+from gradient_decay.mlp import MlpModel, TrainingDiverged
 
 FAST_SWEEP = [
     "--dataset", "blobs", "--epochs", "3", "--lr", "0.05", "--batch", "50",
@@ -646,6 +646,21 @@ class TestUsageErrorsBeforeWork:
         assert_usage_error([command, "--out", str(tmp_path / "x")] + FAST_SWEEP + flags, capsys,
                            flagged(flags[0], message))
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize("model", ["0,10", "8,-1"])
+    def test_layer_size_error_is_the_models(self, tmp_path, capsys, forbid_work, command, model):
+        # --model checks its sizes by MlpModel.init's rule, so both give one message
+        with pytest.raises(ValueError) as exc:
+            MlpModel.init((2, *map(int, model.split(","))), seed=0)
+        argv = [command, "--out", str(tmp_path / "x")] + FAST_SWEEP + ["--model", model]
+        assert_usage_error(argv, capsys, f"argument --model: {exc.value}")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("model", ["", ",", "8,x", "8.5"], ids=["empty", "comma", "8,x", "8.5"])
+    def test_model_that_is_no_size_list_is_usage_error(self, tmp_path, capsys, forbid_work, model):
+        assert_usage_error(["sweep", "--out", str(tmp_path / "x")] + FAST_SWEEP + ["--model", model], capsys,
+                           f"argument --model: expected comma-separated layer sizes, got {model!r}")
 
     @pytest.mark.parametrize("command", ["sweep", "trace"])
     @pytest.mark.parametrize("per_class", ["1", "4"])

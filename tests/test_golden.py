@@ -38,6 +38,8 @@ RUNS = (
     ("verify", "--seed", "154"),
     ("verify", "--seed", "56"),
     ("verify", "--betas", "0.001,0.3,2,100", "--seed", "7"),
+    # beta=1000 puts the curvature peak at p = 1/1001, in the first block of the peak scan
+    ("verify", "--betas", "1000,0.5", "--trials", "20"),
 )
 # the blobs calibration script's data and model at 40 epochs; each command adds --out
 _BLOBS = ("--blob-per-class", "50", "--blob-seed", "42", "--seed", "7", "--epochs", "40")

@@ -502,8 +502,14 @@ class TestTrain:
             train(model, sets[0], TrainConfig(lr=0.1, batch_size=32), LossParams(beta=1.0), test_set=sets[1])
 
     @pytest.mark.parametrize("bad", [
-        {"lr": -0.1}, {"lr": float("inf")}, {"lr": float("nan")}, {"momentum": 1.0},
-        {"weight_decay": float("inf")}, {"batch_size": 0}, {"epochs": 0}, {"seed": -1},
+        pytest.param({"lr": -0.1}, id="lr=-0.1"),
+        pytest.param({"lr": float("inf")}, id="lr=inf"),
+        pytest.param({"lr": float("nan")}, id="lr=nan"),
+        pytest.param({"momentum": 1.0}, id="momentum=1.0"),
+        pytest.param({"weight_decay": float("inf")}, id="weight_decay=inf"),
+        pytest.param({"batch_size": 0}, id="batch_size=0"),
+        pytest.param({"epochs": 0}, id="epochs=0"),
+        pytest.param({"seed": -1}, id="seed=-1"),
     ])
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):

@@ -272,6 +272,17 @@ class TestCentralDiffGrad:
 SUBNORMAL_SPANS = [(0.0, 50 * 5e-324, 101), (0.0, 5e-324, 3), (-1000 * 5e-324, 1000 * 5e-324, 2 * _SCAN_BLOCK + 3)]
 
 
+# Functions on the exact grid 0, 1, ..., points-1, picking points by value: the first-max and NaN tie cases.
+INTEGER_GRID_CASES = {
+    "parabola": lambda x: -((x - 7000.5) ** 2),
+    "tie_across_boundary": lambda x: np.where((x == _SCAN_BLOCK - 1) | (x == _SCAN_BLOCK) | (x == 3), 1.0, 0.0),
+    "nan_in_later_block": lambda x: np.where(x == _SCAN_BLOCK + 2, np.nan, np.where(x == 5, 2.0, 0.0)),
+    "first_nan_wins": lambda x: np.where((x == 9) | (x >= _SCAN_BLOCK), np.nan, 1.0),
+    "all_minus_inf": lambda x: np.full_like(x, -np.inf),
+    "increasing": lambda x: x,
+}
+
+
 class TestGridScanExtremum:
     def test_parabola(self):
         arg, val = grid_scan_extremum(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 100_001)
@@ -315,14 +326,7 @@ class TestGridScanExtremum:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("points", [_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK + 3])
-    @pytest.mark.parametrize("g", [
-        lambda x: -((x - 7000.5) ** 2),
-        lambda x: np.where((x == _SCAN_BLOCK - 1) | (x == _SCAN_BLOCK) | (x == 3), 1.0, 0.0),
-        lambda x: np.where(x == _SCAN_BLOCK + 2, np.nan, np.where(x == 5, 2.0, 0.0)),
-        lambda x: np.where((x == 9) | (x >= _SCAN_BLOCK), np.nan, 1.0),
-        lambda x: np.full_like(x, -np.inf),
-        lambda x: x,
-    ], ids=["parabola", "tie_across_boundary", "nan_in_later_block", "first_nan_wins", "all_minus_inf", "increasing"])
+    @pytest.mark.parametrize("g", list(INTEGER_GRID_CASES.values()), ids=list(INTEGER_GRID_CASES))
     def test_blocks_give_the_whole_grid_result(self, g, points):
         # the grid 0, 1, ..., points-1 is exact, so g can pick points by value; a value past
         # the grid's end (the tie at _SCAN_BLOCK on the shortest grid) is simply absent
@@ -336,6 +340,25 @@ class TestGridScanExtremum:
         assert bits(*result) == bits(*whole_grid_scan(g, 0.0, points - 1.0, points))
         assert [len(x) for x in calls] == [min(_SCAN_BLOCK, points - i) for i in range(0, points, _SCAN_BLOCK)]
         assert np.array_equal(np.concatenate(calls), np.linspace(0.0, points - 1.0, points))
+
+    @pytest.mark.parametrize("points", [_SCAN_BLOCK, 2 * _SCAN_BLOCK + 3])
+    def test_one_pass_gives_each_functions_own_scan(self, points):
+        # each block is built once and every function runs on it in list order, then the next block
+        gs = list(INTEGER_GRID_CASES.values())
+        calls = []
+
+        def counted(j):
+            def f(x):
+                calls.append((j, x))
+                return gs[j](x)
+            return f
+
+        result = grid_scan_extremum([counted(j) for j in range(len(gs))], 0.0, points - 1.0, points)
+        assert [bits(*r) for r in result] == [bits(*grid_scan_extremum(g, 0.0, points - 1.0, points)) for g in gs]
+        blocks = -(-points // _SCAN_BLOCK)
+        assert [j for j, _ in calls] == list(range(len(gs))) * blocks
+        for k in range(blocks):
+            assert len({id(x) for _, x in calls[k * len(gs):(k + 1) * len(gs)]}) == 1
 
     @pytest.mark.parametrize("beta", DEFAULT_BETAS)
     def test_default_curvature_scans_match_the_whole_grid(self, beta):
@@ -396,6 +419,34 @@ class TestGridScanExtremum:
         finally:
             tracemalloc.stop()
         assert peak < 8 * _PEAK_GRID_POINTS + 2 * 2**20
+
+    def test_a_wrongly_shaped_result_in_a_sequence_raises(self):
+        # the second function's error comes back on the first block, after one call of each
+        calls = []
+
+        def counted(g):
+            def f(x):
+                calls.append(x)
+                return g(x)
+            return f
+
+        with pytest.raises(ValueError, match=re.escape("g returned shape (101,) for a block of shape (102,)")):
+            grid_scan_extremum([counted(lambda x: -x), counted(lambda x: x[1:])], 0.0, 1.0, 102)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("gs", [[], ()], ids=["list", "tuple"])
+    def test_an_empty_sequence_raises(self, gs):
+        with pytest.raises(ValueError, match="need at least one function to scan"):
+            grid_scan_extremum(gs, 0.0, 1.0, 101)
+
+    def test_functions_cannot_write_to_the_shared_block(self):
+        # a function that wrote to its points would move the next function's grid and the reported argmax
+        def overwrite(x):
+            x += 1.0
+            return x
+
+        with pytest.raises(ValueError, match="read-only"):
+            grid_scan_extremum([lambda x: -x, overwrite], 0.0, 1.0, 101)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -473,6 +524,23 @@ class TestVerifyAll:
         reference = old_beta_checks(fd, betas)
         assert [(c.property, c.beta) for c in per_beta] == [(prop, beta) for prop, beta, _ in reference]
         assert bits(*[c.worst_error for c in per_beta]) == bits(*[worst for _, _, worst in reference])
+
+    def test_nan_kernel_rows_fail_their_properties(self, monkeypatch, capsys):
+        # max(worst, nan) is worst once worst is a number, so a NaN row of the kernel used to pass
+        def nan_row(Z, y, params):
+            ev = beta_ce_batch(Z, y, params)
+            if Z.shape[1] == 7:
+                ev.losses[0] = ev.grads[0] = ev.probs[0] = np.nan
+            return ev
+
+        monkeypatch.setattr(gradient_decay.verify, "beta_ce_batch", nan_row)
+        failures = verify_all().failures()
+        per_beta = ("fd_gradient_agreement", "gradient_null_sum", "shift_invariance", "margin_sandwich")
+        assert {(c.property, c.beta) for c in failures} == \
+            {("beta1_equivalence", None)} | {(prop, b) for b in DEFAULT_BETAS for prop in per_beta}
+        assert all(math.isnan(c.worst_error) for c in failures)
+        assert main(["verify"]) == 1
+        assert "FAILED properties: beta1_equivalence, fd_gradient_agreement" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self):
         a = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
