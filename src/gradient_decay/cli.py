@@ -45,7 +45,6 @@ from gradient_decay.loss import (
     check_int,
 )
 from gradient_decay.mlp import (
-    TRACE_LIMIT,
     MlpModel,
     TrainConfig,
     TrainingDiverged,
@@ -206,7 +205,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--blob-classes", type=int, default=BlobsConfig.classes)
-    p.add_argument("--blob-dim", type=int, default=BlobsConfig.dim)
     p.add_argument("--blob-per-class", type=int, default=BlobsConfig.n_per_class,
                    help="points per class, at least 5: every 5th is a test point")
     p.add_argument("--blob-sigma", type=float, default=BlobsConfig.sigma)
@@ -222,10 +220,9 @@ def _load_datasets(args, parser):
         cfg = _build(
             parser,
             BlobsConfig,
-            {"classes": "--blob-classes", "dim": "--blob-dim", "n_per_class": "--blob-per-class",
+            {"classes": "--blob-classes", "n_per_class": "--blob-per-class",
              "sigma": "--blob-sigma", "radius": "--blob-radius", "seed": seed_flag},
             classes=args.blob_classes,
-            dim=args.blob_dim,
             n_per_class=args.blob_per_class,
             sigma=args.blob_sigma,
             radius=args.blob_radius,
@@ -288,7 +285,7 @@ def _warmup_from_args(args, parser) -> WarmupSchedule | None:
 def cmd_verify(args, parser) -> int:
     for b in args.betas:
         _build(parser, LossParams, {"beta": "--betas"}, beta=b)
-    fd = _build(parser, FdConfig, step=args.step, rel_tol=args.rel_tol, trials=args.trials, seed=args.seed)
+    fd = _build(parser, FdConfig, trials=args.trials, seed=args.seed)
     if args.out:
         _check_out(parser, "--out", args.out)
     report = verify_all(fd, args.betas)
@@ -366,9 +363,8 @@ def cmd_trace(args, parser) -> int:
     params = _build(parser, LossParams, beta=args.beta, tau=args.tau)
     _check_out(parser, "--out", args.out, directory=True)
     train_set, test_set, dims = _load_datasets(args, parser)
-    traced = min(train_set.n, TRACE_LIMIT)
-    if not 1 <= args.groups <= traced:
-        parser.error(f"--groups must lie between 1 and the {traced} traced samples, got {args.groups}")
+    if not 1 <= args.groups <= train_set.n:
+        parser.error(f"--groups must lie between 1 and the {train_set.n} traced samples, got {args.groups}")
     cfg = _train_config(args, train_set, parser)
 
     model = MlpModel.init(dims, seed=args.seed)
@@ -384,11 +380,11 @@ def cmd_trace(args, parser) -> int:
 
     _write_metrics(out / "metrics.csv", result.metrics)
     _write_csv(out / "trace.csv", ["epoch", "sample_id", "p_true", "group"],
-               ([epoch, sid, repr(float(traces.p_true[epoch, j])), int(groups.assignment[j])]
-                for epoch in range(traces.epochs) for j, sid in enumerate(traces.sample_ids)))
+               ([epoch, j, repr(float(p)), int(groups.assignment[j])]
+                for epoch, row in enumerate(traces) for j, p in enumerate(row)))
     _write_csv(out / "group_means.csv", ["epoch", "group", "mean_conf"],
                ([epoch, g + 1, repr(float(groups.group_means[g, epoch]))]
-                for epoch in range(traces.epochs) for g in range(args.groups)))
+                for epoch in range(len(traces)) for g in range(args.groups)))
     return 0
 
 
@@ -440,6 +436,8 @@ def cmd_calib(args, parser) -> int:
     for flag, path in (("--out", args.out), ("--reliability-out", args.reliability_out)):
         if path:
             _check_out(parser, flag, path)
+            if Path(path).resolve() == Path(args.logits).resolve():
+                parser.error(f"argument {flag}: {path} is also the --logits file")
     if args.out and args.reliability_out and Path(args.out).resolve() == Path(args.reliability_out).resolve():
         parser.error(f"argument --reliability-out: {args.reliability_out} is also the --out file")
     logits, labels, pred = _load_logits_file(args.logits, parser)
@@ -504,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", "run the analytic property suite")
     p.add_argument("--betas", type=_float_list, default=list(DEFAULT_BETAS))
     p.add_argument("--trials", type=int, default=FdConfig.trials)
-    p.add_argument("--step", type=float, default=FdConfig.step)
-    p.add_argument("--rel-tol", type=float, default=FdConfig.rel_tol)
     p.add_argument("--seed", type=int, default=FdConfig.seed)
     p.add_argument("--out", help="write the JSON-lines report here instead of stdout")
     p.set_defaults(func=cmd_verify)

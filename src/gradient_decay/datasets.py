@@ -41,14 +41,12 @@ _TEST_STRIDE = 5
 
 @dataclass(frozen=True)
 class BlobsConfig:
-    """Gaussian blob mixture: class means equally spaced on a circle.
+    """Planar Gaussian blob mixture: class means equally spaced on a circle.
 
-    Class k sits at radius*(cos 2 pi k/K, sin 2 pi k/K) in the first two
-    coordinates (zeros elsewhere) with isotropic noise sigma.
+    Class k sits at radius*(cos 2 pi k/K, sin 2 pi k/K) with isotropic noise sigma.
     """
 
     classes: int = 10
-    dim: int = 2
     n_per_class: int = 100
     sigma: float = 0.3
     radius: float = 1.0
@@ -56,7 +54,6 @@ class BlobsConfig:
 
     def __post_init__(self) -> None:
         check_int("classes", self.classes, 2)
-        check_int("dim", self.dim, 2)
         check_int("n_per_class", self.n_per_class, _TEST_STRIDE)  # a test split of at least one point per class
         check_positive_real("sigma", self.sigma)
         check_positive_real("radius", self.radius)
@@ -124,10 +121,10 @@ def make_blobs(cfg: BlobsConfig) -> tuple[Dataset, Dataset]:
     train_x, train_y, test_x, test_y = [], [], [], []
     for k in range(cfg.classes):
         angle = 2.0 * math.pi * k / cfg.classes
-        mean = np.zeros(cfg.dim)
+        mean = np.zeros(2)
         mean[0] = cfg.radius * math.cos(angle)
         mean[1] = cfg.radius * math.sin(angle)
-        pts = mean + cfg.sigma * rng.standard_normal((cfg.n_per_class, cfg.dim))
+        pts = mean + cfg.sigma * rng.standard_normal((cfg.n_per_class, 2))
         is_test = (np.arange(cfg.n_per_class) % _TEST_STRIDE) == _TEST_STRIDE - 1
         train_x.append(pts[~is_test])
         test_x.append(pts[is_test])

@@ -6,8 +6,8 @@ A single run is fully deterministic given its config: initialization and
 shuffling derive from the seed alone, so two identical runs produce
 bitwise-identical metric streams.
 
-The trainer records the true-class probability of every (traced) training
-sample after each epoch; difficulty_groups splits those traces into
+The trainer records the true-class probability of every training sample
+after each epoch; difficulty_groups splits those traces into
 quantile groups by early-training confidence, hardest group first.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "MlpModel",
     "TrainConfig",
     "EpochMetrics",
-    "SampleTraces",
     "DifficultyGroups",
     "TrainResult",
     "TrainingDiverged",
@@ -34,9 +33,6 @@ __all__ = [
     "check_fits",
     "difficulty_groups",
 ]
-
-# trace every sample by default up to this dataset size
-TRACE_LIMIT = 100_000
 
 # rows of coded inputs decoded at a time for layer 1 of a forward pass (3.2 MB at
 # 784 inputs).  With OpenBLAS, the product of 512 rows and 784x50 weights has
@@ -218,21 +214,9 @@ class EpochMetrics:
 
 
 @dataclass
-class SampleTraces:
-    """p_true of each traced sample after every epoch."""
-
-    p_true: np.ndarray      # (epochs, n_traced)
-    sample_ids: np.ndarray  # (n_traced,)
-
-    @property
-    def epochs(self) -> int:
-        return self.p_true.shape[0]
-
-
-@dataclass
 class TrainResult:
     metrics: list[EpochMetrics]
-    traces: SampleTraces | None
+    traces: np.ndarray | None  # (epochs, n) p_true of every training sample after each epoch
     train_p_true: np.ndarray  # (n,) clamped p_true of every training sample after the last epoch
     test_logits: np.ndarray   # (n_test, m) after the last epoch
 
@@ -306,12 +290,7 @@ def train(
     ragged = full.head(n % cfg.batch_size)
     train_acts = [np.empty((n, d)) for d in model.layer_dims[1:]]
     test_acts = [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
-
-    if trace and n > TRACE_LIMIT:
-        traced_ids = np.linspace(0, n - 1, TRACE_LIMIT).astype(np.int64)
-    else:
-        traced_ids = np.arange(n, dtype=np.int64)
-    trace_mat = np.zeros((cfg.epochs, traced_ids.size)) if trace else None
+    traces = np.zeros((cfg.epochs, n)) if trace else None
 
     metrics: list[EpochMetrics] = []
     step = 0
@@ -359,8 +338,8 @@ def train(
             # int: a numpy count over n would make the metric a np.float64, whose repr differs
             train_acc = int(np.count_nonzero(train_logits.argmax(axis=1) == y)) / n
             mean_conf = float(np.add.reduce(p_true)) / n
-            if trace_mat is not None:
-                trace_mat[epoch] = p_true[traced_ids]
+            if traces is not None:
+                traces[epoch] = p_true
             test_logits = model.forward(test_set.raw, test_acts)
             test_acc = int(np.count_nonzero(test_logits.argmax(axis=1) == test_set.labels)) / test_set.n
             metrics.append(
@@ -374,26 +353,27 @@ def train(
                 )
             )
 
-    traces = SampleTraces(trace_mat, traced_ids) if trace_mat is not None else None
     return TrainResult(metrics=metrics, traces=traces, train_p_true=p_true, test_logits=test_logits)
 
 
-def difficulty_groups(traces: SampleTraces, k: int = 5) -> DifficultyGroups:
-    """Quantile groups by mean confidence over the first 20% of epochs.
+def difficulty_groups(traces: np.ndarray, k: int = 5) -> DifficultyGroups:
+    """Quantile groups of the (epochs, n) traces by mean confidence over the first 20% of epochs.
 
     Group 1 collects the lowest-confidence ("hard") samples, group k the
-    easiest; ties break by sample id.
+    easiest; ties break by sample index.
     """
     check_int("k", k, 1)
-    n = traces.sample_ids.size
+    if traces.ndim != 2 or traces.shape[0] < 1:
+        raise ValueError(f"traces must be an (epochs, n) matrix with at least one epoch, got shape {traces.shape}")
+    epochs, n = traces.shape
     if n < k:
         raise ValueError(f"need at least {k} traced samples, got {n}")
-    early = max(1, math.ceil(0.2 * traces.epochs))
-    score = traces.p_true[:early].mean(axis=0)
-    order = np.lexsort((traces.sample_ids, score))
+    early = max(1, math.ceil(0.2 * epochs))
+    score = traces[:early].mean(axis=0)
+    order = np.argsort(score, kind="stable")
     assignment = np.zeros(n, dtype=np.int64)
-    group_means = np.zeros((k, traces.epochs))
+    group_means = np.zeros((k, epochs))
     for j, chunk in enumerate(np.array_split(order, k)):
         assignment[chunk] = j + 1
-        group_means[j] = traces.p_true[:, chunk].mean(axis=1)
+        group_means[j] = traces[:, chunk].mean(axis=1)
     return DifficultyGroups(assignment=assignment, group_means=group_means)

@@ -71,19 +71,20 @@ _SANDWICH_TAUS = (1.0, 0.1, 0.01)
 # temporaries stay in L2 (as calibration._BLOCK_ROWS does for the NLL passes).
 _SCAN_BLOCK = 16384
 
+# Central-difference step h and the scaled tolerance of fd_gradient_agreement;
+# the 1e-5 tolerances of the d2/d3 consistency checks are chosen for this h.
+_FD_STEP = 1e-5
+_FD_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Finite-difference settings: step h, scaled tolerance, trial count, seed."""
+    """Random trials of the finite-difference checks: how many, and their seed."""
 
-    step: float = 1e-5
-    rel_tol: float = 1e-6
     trials: int = 200
     seed: int = 20240811
 
     def __post_init__(self) -> None:
-        check_positive_real("step", self.step)
-        check_positive_real("rel_tol", self.rel_tol)
         check_int("trials", self.trials, 1)
         check_int("seed", self.seed, 0)
 
@@ -160,23 +161,19 @@ def _grid_block(lo: float, hi: float, points: int, start: int, stop: int) -> np.
     return block
 
 
-def grid_scan_extremum(g, lo: float, hi: float, points: int):
-    """(argmax, max) of g over the grid np.linspace(lo, hi, points), lo < hi both finite.
+def grid_scan_extremum(gs, lo: float, hi: float, points: int) -> list[tuple[float, float]]:
+    """[(argmax, max) of g for g in gs] over the grid np.linspace(lo, hi, points), lo < hi both finite.
 
-    g must be pointwise: it maps an array of grid points to the array of
-    their values, each value depending on its own point only.  It is called
-    once per block of _SCAN_BLOCK consecutive grid points, in order, on a
-    fresh read-only array holding just those points, so neither the grid nor
-    g's temporaries grow with the grid.  Blocks are merged by np.argmax's rule
-    (the first maximum wins, and the first NaN beats any number), which makes
-    the result bitwise that of one call on the whole grid.
-
-    g may also be a non-empty sequence of such functions.  Each block is then
-    built once and every function runs on it in turn, its (argmax, max)
-    merged before the next one runs, and the result is the list of their
-    (argmax, max) pairs: bitwise a separate scan of each.
+    gs is a non-empty sequence of pointwise functions: each maps an array of
+    grid points to the array of their values, each value depending on its
+    own point only.  The grid is built one block of _SCAN_BLOCK consecutive
+    points at a time, in order, as a fresh read-only array, and every g runs
+    on it in turn, so neither the grid nor the temporaries grow with the
+    grid.  Each g's blocks are merged by np.argmax's rule (the first maximum
+    wins, and the first NaN beats any number) before the next g runs, which
+    makes each pair bitwise that of one call of g on the whole grid.
     """
-    fs = [g] if callable(g) else list(g)
+    fs = list(gs)
     if not fs:
         raise ValueError("need at least one function to scan")
     check_real_in("lo", lo, -math.inf, math.inf)
@@ -196,7 +193,7 @@ def grid_scan_extremum(g, lo: float, hi: float, points: int):
             # the first block's argmax stands even at -inf: np.argmax of an all -inf grid is 0
             if start == 0 or vals[i] > best[j][1] or (math.isnan(vals[i]) and not math.isnan(best[j][1])):
                 best[j] = (float(block[i]), float(vals[i]))
-    return best[0] if callable(g) else best
+    return best
 
 
 # --- local closed forms used as references (kept independent of loss.py) ---
@@ -284,7 +281,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     betas = [float(b) for b in betas]
 
     rng = np.random.default_rng(fd.seed)
-    groups = [_group(Z, c, fd.step) for Z, c in _draw_trials(rng, fd.trials)]
+    groups = [_group(Z, c, _FD_STEP) for Z, c in _draw_trials(rng, fd.trials)]
     checks: list[PropertyCheck] = []
 
     def add(prop: str, beta: float | None, tol: float, err: float) -> None:
@@ -321,7 +318,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     # One pass over the peak grid for every beta: each block is built once.
     peaks = grid_scan_extremum([lambda p, b=b: curvature(p, b) for b in betas],
                                _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
-    h = fd.step
+    h = _FD_STEP
     for b, (peak_arg, peak_val) in zip(betas, peaks):
         params = LossParams(beta=b)
         # One kernel call per group on the whole stack; blocks[0] is Z itself.
@@ -336,7 +333,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
             scale = np.maximum(1.0, np.abs(fd_grads).max(axis=1))
             worst_fd = _worst(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
             worst_sum = _worst(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
-        add("fd_gradient_agreement", b, fd.rel_tol, worst_fd)
+        add("fd_gradient_agreement", b, _FD_REL_TOL, worst_fd)
         add("gradient_null_sum", b, 1e-12, worst_sum)
 
         # Adding a constant to every logit must not move loss/grad/probs.

@@ -1,9 +1,12 @@
+import argparse
 import importlib.util
 import os
 import sys
 from pathlib import Path
 
 import pytest
+
+from gradient_decay.cli import build_parser
 
 # Real MNIST IDX files are looked up here for the desk-scale experiment
 # tests; everything else runs on synthetic data.
@@ -39,3 +42,9 @@ def bench_module(name: str):
     finally:
         sys.dont_write_bytecode = writes_bytecode
     return module
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each gradient-decay subcommand, by name."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return dict(sub.choices)

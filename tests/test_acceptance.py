@@ -48,7 +48,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_c1_analytic_formula_suite():
-    report = verify_all(FdConfig(step=1e-5, rel_tol=1e-6, trials=200), DEFAULT_BETAS)
+    report = verify_all(FdConfig(trials=200), DEFAULT_BETAS)
     by_prop = {}
     for c in report.checks:
         by_prop.setdefault(c.property, []).append(c)
@@ -73,8 +73,8 @@ def test_c2_curvature_peak_and_local_bound():
     ok = True
     details = []
     for beta in (0.1, 1.0, 3.0, 10.0):
-        arg, val = grid_scan_extremum(
-            lambda p: logit_curvature(p, beta)[0], 1e-6, 1 - 1e-6, 1_000_000
+        (arg, val), = grid_scan_extremum(
+            [lambda p: logit_curvature(p, beta)[0]], 1e-6, 1 - 1e-6, 1_000_000
         )
         ok &= abs(val - 0.25) <= 1e-9
         ok &= abs(arg - inflection_point(beta)) <= 1e-5
@@ -197,7 +197,7 @@ def test_c7_curriculum_spread(mnist_sweep):
 def blobs_sweep():
     """Over-parameterized blobs: 10 classes, test accuracy < 0.95, hidden 256."""
     train_set, test_set = make_blobs(
-        BlobsConfig(classes=10, dim=2, n_per_class=50, sigma=0.3, radius=1.0, seed=42)
+        BlobsConfig(classes=10, n_per_class=50, sigma=0.3, radius=1.0, seed=42)
     )
     cfg = TrainConfig(lr=0.05, momentum=0.9, weight_decay=0.0,
                       batch_size=100, epochs=400, seed=7)

@@ -24,7 +24,7 @@ from gradient_decay.loss import (
     logit_curvature,
     magnitude_derivatives,
 )
-from gradient_decay.mlp import MlpModel, SampleTraces, TrainConfig, difficulty_groups
+from gradient_decay.mlp import MlpModel, TrainConfig, difficulty_groups
 from gradient_decay.schedule import WarmupSchedule
 from gradient_decay.verify import FdConfig, central_diff_grad, grid_scan_extremum, verify_all
 
@@ -48,14 +48,12 @@ SITES = {
     "WarmupSchedule.beta_end": (lambda v: WarmupSchedule(0.1, v, 3), None),
     "WarmupSchedule.t_warm": (lambda v: WarmupSchedule(0.1, 1.0, v), 1),
     "WarmupSchedule.beta_at": (lambda v: WarmupSchedule(0.1, 1.0, 3).beta_at(v), 0),
-    "FdConfig.step": (lambda v: FdConfig(step=v), None),
-    "FdConfig.rel_tol": (lambda v: FdConfig(rel_tol=v), None),
     "FdConfig.trials": (lambda v: FdConfig(trials=v), 1),
     "FdConfig.seed": (lambda v: FdConfig(seed=v), 0),
     "central_diff_grad.step": (lambda v: central_diff_grad(lambda Z: Z.sum(axis=1), [0.0, 1.0], v), None),
-    "grid_scan_extremum.lo": (lambda v: grid_scan_extremum(lambda g: -g * g, v, 1.0, 3), (-math.inf, math.inf)),
-    "grid_scan_extremum.hi": (lambda v: grid_scan_extremum(lambda g: -g * g, -1.0, v, 3), (-math.inf, math.inf)),
-    "grid_scan_extremum.points": (lambda v: grid_scan_extremum(lambda g: -g * g, -1.0, 1.0, v), 3),
+    "grid_scan_extremum.lo": (lambda v: grid_scan_extremum([lambda g: -g * g], v, 1.0, 3), (-math.inf, math.inf)),
+    "grid_scan_extremum.hi": (lambda v: grid_scan_extremum([lambda g: -g * g], -1.0, v, 3), (-math.inf, math.inf)),
+    "grid_scan_extremum.points": (lambda v: grid_scan_extremum([lambda g: -g * g], -1.0, 1.0, v), 3),
     "verify_all.betas": (lambda v: verify_all(FdConfig(trials=2), [v]), None),
     "TrainConfig.lr": (lambda v: TrainConfig(lr=v), (0, math.inf)),
     "TrainConfig.momentum": (lambda v: TrainConfig(lr=0.1, momentum=v), (0, 1)),
@@ -64,14 +62,13 @@ SITES = {
     "TrainConfig.epochs": (lambda v: TrainConfig(lr=0.1, epochs=v), 1),
     "TrainConfig.seed": (lambda v: TrainConfig(lr=0.1, seed=v), 0),
     "BlobsConfig.classes": (lambda v: BlobsConfig(classes=v), 2),
-    "BlobsConfig.dim": (lambda v: BlobsConfig(dim=v), 2),
     "BlobsConfig.n_per_class": (lambda v: BlobsConfig(n_per_class=v), 5),
     "BlobsConfig.sigma": (lambda v: BlobsConfig(sigma=v), None),
     "BlobsConfig.radius": (lambda v: BlobsConfig(radius=v), None),
     "BlobsConfig.seed": (lambda v: BlobsConfig(seed=v), 0),
     "MlpModel.init.layer_dims": (lambda v: MlpModel.init((2, v), 0), 1),
     "bin_reliability.bins": (lambda v: bin_reliability(_PRED, v), 1),
-    "difficulty_groups.k": (lambda v: difficulty_groups(SampleTraces(_TRACES, np.arange(6)), v), 1),
+    "difficulty_groups.k": (lambda v: difficulty_groups(_TRACES, v), 1),
 }
 
 
@@ -119,3 +116,11 @@ def test_bad_value_is_a_value_error_naming_the_rule(site, value):
 @pytest.mark.parametrize("site, value", ACCEPT, ids=[f"{s}-{type(v).__name__}-{v!r}" for s, v in ACCEPT])
 def test_numpy_and_python_scalars_are_accepted(site, value):
     SITES[site][0](value)
+
+
+@pytest.mark.parametrize("make, name", [(FdConfig, "step"), (FdConfig, "rel_tol"), (BlobsConfig, "dim")],
+                         ids=["FdConfig.step", "FdConfig.rel_tol", "BlobsConfig.dim"])
+def test_removed_settings_are_unexpected_keywords(make, name):
+    """The finite-difference step and tolerance are constants of verify, and blobs are planar."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        make(**{name: 2})

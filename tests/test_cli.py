@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import subcommand_parsers
 from gradient_decay import calibration, cli
 from gradient_decay.calibration import PredictionSet, calibration_report
 from gradient_decay.cli import main
@@ -90,8 +91,8 @@ class TestVerifyCommand:
                      id="flags1---betas must all be positive finite reals"),
         pytest.param(["--betas", "1,inf"], "beta must be a positive finite real, got inf",
                      id="flags2---betas must all be positive finite reals"),
-        (["--rel-tol", "inf"], "rel_tol must be a positive finite real, got inf"),
-        (["--betas", "0.5,2,5e-1"], "0.5 is listed twice in '0.5,2,5e-1'"),
+        pytest.param(["--betas", "0.5,2,5e-1"], "0.5 is listed twice in '0.5,2,5e-1'",
+                     id="flags4-0.5 is listed twice in '0.5,2,5e-1'"),
     ])
     def test_invalid_values_are_usage_errors(self, capsys, flags, message):
         assert_usage_error(["verify"] + flags, capsys, flagged(flags[0], message))
@@ -101,8 +102,9 @@ class TestVerifyCommand:
             run(["verify", "--frobnicate", "1"])
         assert exc.value.code == 2
 
-    def test_overtight_tolerance_exits_one(self, capsys):
-        assert run(["verify", "--trials", "10", "--betas", "1", "--rel-tol", "1e-14"]) == 1
+    def test_overtight_tolerance_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("gradient_decay.verify._FD_REL_TOL", 1e-14)
+        assert run(["verify", "--trials", "10", "--betas", "1"]) == 1
         err = capsys.readouterr().err
         assert "fd_gradient_agreement" in err
 
@@ -326,28 +328,29 @@ class TestTraceCommand:
         out, result, groups = trace_run
         traces = result.traces
         want = "epoch,sample_id,p_true,group\r\n" + "".join(
-            f"{e},{sid},{float(traces.p_true[e, j])!r},{groups.assignment[j]}\r\n"
-            for e in range(traces.epochs) for j, sid in enumerate(traces.sample_ids))
+            f"{e},{j},{float(traces[e, j])!r},{groups.assignment[j]}\r\n"
+            for e in range(traces.shape[0]) for j in range(traces.shape[1]))
         assert (out / "trace.csv").read_bytes() == want.encode()
 
     def test_group_means_csv_bytes(self, trace_run):
         out, result, groups = trace_run
         want = "epoch,group,mean_conf\r\n" + "".join(
             f"{e},{g + 1},{float(groups.group_means[g, e])!r}\r\n"
-            for e in range(result.traces.epochs) for g in range(5))
+            for e in range(result.traces.shape[0]) for g in range(5))
         assert (out / "group_means.csv").read_bytes() == want.encode()
 
-    def test_groups_count_the_subsampled_trace(self, tmp_path, capsys, monkeypatch):
-        # past TRACE_LIMIT training samples, --groups splits the TRACE_LIMIT traced ones
-        monkeypatch.setattr("gradient_decay.mlp.TRACE_LIMIT", 7)
-        monkeypatch.setattr(cli, "TRACE_LIMIT", 7)
+    def test_every_training_sample_may_be_its_own_group(self, tmp_path):
         out = tmp_path / "trace"
-        assert_usage_error(["trace", "--groups", "8", "--out", str(out)] + FAST_SWEEP, capsys,
-                           "--groups must lie between 1 and the 7 traced samples, got 8")
-        assert run(["trace", "--groups", "7", "--out", str(out)] + FAST_SWEEP) == 0
-        rows = [r.split(",") for r in (out / "trace.csv").read_text().splitlines()[1:]]
-        assert [int(r[1]) for r in rows] == [0, 10, 21, 31, 42, 52, 63] * 3  # of 64 training samples
-        assert sorted(int(r[3]) for r in rows[:7]) == [1, 2, 3, 4, 5, 6, 7]
+        assert run(["trace", "--beta", "0.1", "--groups", "64", "--out", str(out)] + FAST_SWEEP) == 0
+        rows = (out / "trace.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows[:64]] == [str(j) for j in range(64)]
+        assert sorted(int(r.split(",")[3]) for r in rows[:64]) == list(range(1, 65))
+
+    @pytest.mark.parametrize("groups", ["0", "65"])
+    def test_groups_outside_the_training_set_is_usage_error(self, tmp_path, capsys, forbid_work, groups):
+        assert_usage_error(["trace", "--groups", groups, "--out", str(tmp_path / "x")] + FAST_SWEEP, capsys,
+                           f"--groups must lie between 1 and the 64 traced samples, got {groups}")
+        assert not (tmp_path / "x").exists()
 
     def test_bins_is_not_a_trace_flag(self, tmp_path, capsys, forbid_work):
         assert_usage_error(["trace", "--bins", "3", "--out", str(tmp_path / "x")] + FAST_SWEEP, capsys,
@@ -417,6 +420,19 @@ class TestCalibCommand:
         assert run(["calib", "--logits", str(path), "--out", str(tmp_path / "r.json"),
                     "--reliability-out", str(tmp_path / "rel.csv"), *fit]) == 0
         assert len(calls) == reports
+
+    @pytest.mark.parametrize("linked", ["output", "logits"])
+    @pytest.mark.parametrize("flag", ["--out", "--reliability-out"])
+    def test_output_linked_to_the_logits_is_usage_error(self, tmp_path, capsys, forbid_work, flag, linked):
+        # the paths are compared once each is resolved, so a symlink on either side is caught
+        path, _, _ = self._logits_csv(tmp_path)
+        before = path.read_bytes()
+        link = tmp_path / "link.csv"
+        link.symlink_to(path)
+        logits, output = (path, link) if linked == "output" else (link, path)
+        assert_usage_error(["calib", "--logits", str(logits), flag, str(output)], capsys,
+                           f"argument {flag}: {output} is also the --logits file")
+        assert path.read_bytes() == before and link.is_symlink()
 
     def test_npz_input(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
@@ -616,8 +632,6 @@ class TestUsageErrorsBeforeWork:
         # a reworded message keeps its case's old id
         pytest.param(["sweep", "--blob-sigma", "-1"], "sigma must be a positive finite real, got -1.0",
                      id="argv5-sigma must be positive, got -1.0"),
-        pytest.param(["sweep", "--blob-dim", "0"], "dim must be an integer >= 2, got 0",
-                     id="argv6-need dim >= 2, got 0"),
         pytest.param(["sweep", "--blob-classes", "1"], "classes must be an integer >= 2, got 1",
                      id="argv7-need at least 2 classes, got 1"),
         pytest.param(["sweep", "--blob-per-class", "0"], "n_per_class must be an integer >= 5, got 0",
@@ -636,10 +650,11 @@ class TestUsageErrorsBeforeWork:
                      id="argv14-epochs must be positive, got 0"),
         pytest.param(["trace", "--batch", "0"], "batch_size must be an integer >= 1, got 0",
                      id="argv15-batch_size must be positive, got 0"),
-        (["sweep", "--warmup-iters", "0", "--beta-initial", "0.1", "--beta-end", "1"],
-         "t_warm must be an integer >= 1, got 0"),
+        pytest.param(["sweep", "--warmup-iters", "0", "--beta-initial", "0.1", "--beta-end", "1"],
+                     "t_warm must be an integer >= 1, got 0", id="argv16-t_warm must be an integer >= 1, got 0"),
         # each run of a repeated beta would overwrite the other's files
-        (["sweep", "--betas", "1,1.0"], "1.0 is listed twice in '1,1.0'"),
+        pytest.param(["sweep", "--betas", "1,1.0"], "1.0 is listed twice in '1,1.0'",
+                     id="argv17-1.0 is listed twice in '1,1.0'"),
     ])
     def test_training_commands(self, tmp_path, capsys, forbid_work, argv, message):
         command, *flags = argv
@@ -718,9 +733,14 @@ class TestUnwritableOutputPaths:
          "c.json is also the --out file"),
         (["calib", "--logits", "l.csv", "--out", "c.json", "--reliability-out", "./c.json"], "--reliability-out",
          "./c.json is also the --out file"),
+        # either report would replace the logits it was made from
+        (["calib", "--logits", "afile", "--out", "afile"], "--out", "afile is also the --logits file"),
+        (["calib", "--logits", "afile", "--reliability-out", "./afile"], "--reliability-out",
+         "./afile is also the --logits file"),
     ], ids=["verify_missing_dir", "verify_dir", "sweep_file", "sweep_under_file", "trace_file",
             "calib_missing_dir", "calib_reliability_missing_dir", "calib_reliability_under_file",
-            "calib_reliability_is_out", "calib_reliability_resolves_to_out"])
+            "calib_reliability_is_out", "calib_reliability_resolves_to_out",
+            "calib_out_is_logits", "calib_reliability_resolves_to_logits"])
     def test_is_usage_error_before_work(self, tmp_path, capsys, monkeypatch, forbid_work, argv, flag, message):
         monkeypatch.chdir(tmp_path)
         for loader in ("_load_datasets", "_load_logits_file"):
@@ -742,10 +762,10 @@ _BASE = {
     "warmup-demo": {},
 }
 _TRAIN_FLAGS = ("tau", "lr", "momentum", "weight-decay", "epochs", "batch", "seed",
-                "blob-classes", "blob-dim", "blob-per-class", "blob-sigma", "blob-radius", "blob-seed",
+                "blob-classes", "blob-per-class", "blob-sigma", "blob-radius", "blob-seed",
                 "dataset", "model")
 _FLAGS = {
-    "verify": ("betas", "trials", "step", "rel-tol", "seed"),
+    "verify": ("betas", "trials", "seed"),
     "sweep": ("betas", "beta-initial", "beta-end", "warmup-iters", "bins") + _TRAIN_FLAGS,
     "trace": ("beta", "groups") + _TRAIN_FLAGS,
     "calib": ("bins", "beta", "fit-temperature"),
@@ -792,3 +812,35 @@ def test_bad_value_is_usage_error_before_any_work(contract_dir, forbid_work, cas
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
     assert not (contract_dir / "out").exists()
+
+
+# options that take a path, whose bad values the contract above cannot draw from BAD_VALUES
+_PATH_FLAGS = {"out", "mnist-dir", "logits", "reliability-out", "config"}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_contract_covers_every_value_flag(command):
+    """A new flag joins _FLAGS, so the contract above draws bad values for it too."""
+    options = {a.option_strings[0][2:] for a in subcommand_parsers()[command]._actions
+               if a.option_strings and a.nargs != 0}
+    assert set(_FLAGS[command]) == options - _PATH_FLAGS
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "step", "1e-4"), ("verify", "rel-tol", "1e-7"),
+    ("sweep", "blob-dim", "3"), ("trace", "blob-dim", "3"),
+])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_removed_flags_are_unrecognized(tmp_path, capsys, forbid_work, command, flag, value, route):
+    """The finite-difference step and tolerance are constants of verify, and blobs are planar."""
+    argv = [command] + (["--out", str(tmp_path / "out")] + FAST_SWEEP if command != "verify" else [])
+    if route == "config":
+        cfg = tmp_path / "removed.cfg"
+        cfg.write_text(f"{flag.replace('-', '_')} = {value}\n")
+        argv += ["--config", str(cfg)]
+        token = f"--{flag}={value}"
+    else:
+        argv += [f"--{flag}", value]
+        token = f"--{flag} {value}"
+    assert assert_usage_error(argv, capsys, f"unrecognized arguments: {token}") == ""
+    assert not (tmp_path / "out").exists()

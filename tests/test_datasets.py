@@ -2,6 +2,7 @@
 
 import gc
 import gzip
+import math
 import mmap
 import struct
 import tracemalloc
@@ -25,7 +26,7 @@ from gradient_decay.datasets import (
 
 class TestMakeBlobs:
     def test_counts_and_balance(self):
-        train, test = make_blobs(BlobsConfig(classes=10, dim=2, n_per_class=100, sigma=0.1, radius=1.0, seed=0))
+        train, test = make_blobs(BlobsConfig(classes=10, n_per_class=100, sigma=0.1, radius=1.0, seed=0))
         assert train.n + test.n == 1000
         assert train.n == 800 and test.n == 200
         for split in (train, test):
@@ -33,7 +34,7 @@ class TestMakeBlobs:
             assert np.all(counts == counts[0])
 
     def test_deterministic(self):
-        cfg = BlobsConfig(classes=3, dim=4, n_per_class=50, sigma=0.2, radius=2.0, seed=123)
+        cfg = BlobsConfig(classes=3, n_per_class=50, sigma=0.2, radius=2.0, seed=123)
         a_train, a_test = make_blobs(cfg)
         b_train, b_test = make_blobs(cfg)
         assert decode(a_train.raw).tobytes() == decode(b_train.raw).tobytes()
@@ -41,24 +42,48 @@ class TestMakeBlobs:
         assert np.array_equal(a_train.labels, b_train.labels)
 
     def test_class_means_on_circle(self):
-        cfg = BlobsConfig(classes=4, dim=3, n_per_class=2000, sigma=0.01, radius=2.0, seed=7)
+        cfg = BlobsConfig(classes=4, n_per_class=2000, sigma=0.01, radius=2.0, seed=7)
         train, _ = make_blobs(cfg)
         for k in range(4):
             angle = 2 * np.pi * k / 4
-            target = np.array([2.0 * np.cos(angle), 2.0 * np.sin(angle), 0.0])
+            target = np.array([2.0 * np.cos(angle), 2.0 * np.sin(angle)])
             got = decode(train.raw)[train.labels == k].mean(axis=0)
             assert np.allclose(got, target, atol=0.01)
 
     def test_features_finite_and_dim(self):
-        train, test = make_blobs(BlobsConfig(classes=2, dim=5, n_per_class=10, sigma=0.5, radius=1.0, seed=1))
-        assert train.dim == 5 and test.dim == 5
+        train, test = make_blobs(BlobsConfig(classes=2, n_per_class=10, sigma=0.5, radius=1.0, seed=1))
+        assert train.dim == 2 and test.dim == 2
         assert np.isfinite(decode(train.raw)).all()
+
+    @pytest.mark.parametrize("cfg", [
+        BlobsConfig(),
+        BlobsConfig(classes=2, n_per_class=5, seed=1),
+        BlobsConfig(classes=3, n_per_class=7, sigma=2.5, radius=0.1, seed=9),
+        BlobsConfig(classes=7, n_per_class=12, sigma=0.05, radius=3.0, seed=42),
+        BlobsConfig(classes=4, n_per_class=20),
+    ], ids=["default", "two_classes", "wide_noise", "seven_classes", "cli_fast"])
+    def test_bits_match_the_dim_general_generator(self, cfg):
+        # the generator from before blobs were planar, at dim 2: each class draws its
+        # (n_per_class, dim) noise in turn around a mean on the circle in the first two coordinates
+        dim = 2
+        rng = np.random.default_rng(cfg.seed)
+        xs, ys = [], []
+        for k in range(cfg.classes):
+            mean = np.zeros(dim)
+            mean[:2] = cfg.radius * math.cos(2.0 * math.pi * k / cfg.classes), \
+                cfg.radius * math.sin(2.0 * math.pi * k / cfg.classes)
+            xs.append(mean + cfg.sigma * rng.standard_normal((cfg.n_per_class, dim)))
+            ys.append(np.full(cfg.n_per_class, k))
+        x, y = np.concatenate(xs), np.concatenate(ys)
+        is_test = np.tile(np.arange(cfg.n_per_class) % 5 == 4, cfg.classes)
+        train, test = make_blobs(cfg)
+        for split, rows in ((train, ~is_test), (test, is_test)):
+            assert decode(split.raw).tobytes() == x[rows].tobytes()
+            assert split.labels.tolist() == y[rows].tolist()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BlobsConfig(classes=1)
-        with pytest.raises(ValueError):
-            BlobsConfig(dim=1)
         with pytest.raises(ValueError):
             BlobsConfig(sigma=0.0)
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Trainer tests: forward/backward correctness, update rule, determinism."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,6 @@ from gradient_decay.mlp import (
     DifficultyGroups,
     EpochMetrics,
     MlpModel,
-    SampleTraces,
     TrainConfig,
     TrainingDiverged,
     difficulty_groups,
@@ -166,7 +166,7 @@ class TestBackward:
 
 
 def _tiny_blobs(seed=0, sigma=0.05, classes=4, n_per_class=40):
-    return make_blobs(BlobsConfig(classes=classes, dim=2, n_per_class=n_per_class,
+    return make_blobs(BlobsConfig(classes=classes, n_per_class=n_per_class,
                                   sigma=sigma, radius=1.0, seed=seed))
 
 
@@ -279,7 +279,7 @@ class TestTrainMatchesReference:
         assert np.array_equal(res.train_p_true, p_true)
         assert np.array_equal(res.test_logits, test_logits)
         if trace:
-            assert np.array_equal(res.traces.p_true, traces)
+            assert np.array_equal(res.traces, traces)
         else:
             assert res.traces is None
 
@@ -378,7 +378,7 @@ class TestTrain:
         a = train(MlpModel.init((2, 8, 4), seed=77), train_set, cfg, LossParams(beta=0.5), test_set=test_set)
         b = train(MlpModel.init((2, 8, 4), seed=77), train_set, cfg, LossParams(beta=0.5), test_set=test_set)
         assert a.metrics == b.metrics
-        assert np.array_equal(a.traces.p_true, b.traces.p_true)
+        assert np.array_equal(a.traces, b.traces)
 
     def test_separable_blobs_reach_high_accuracy(self):
         train_set, test_set = _tiny_blobs(sigma=0.02, classes=2, n_per_class=50)
@@ -407,8 +407,7 @@ class TestTrain:
     def test_non_finite_logits_diverge_at_the_step_they_appear(self):
         # a linear model at lr 1e300: the third batch's logits are no longer finite,
         # and the logit check in beta_ce_batch is what reports it
-        train_set, test_set = make_blobs(BlobsConfig(classes=10, dim=2, n_per_class=50, sigma=0.3, radius=1.0,
-                                                     seed=42))
+        train_set, test_set = make_blobs(BlobsConfig(classes=10, n_per_class=50, sigma=0.3, radius=1.0, seed=42))
         for beta in (0.1, 1.0, 20.0):
             with pytest.raises(TrainingDiverged) as exc:
                 train(MlpModel.init((2, 10), seed=7), train_set,
@@ -465,21 +464,20 @@ class TestTrain:
         model = MlpModel.init((2, 8, 4), seed=0)
         res = train(model, train_set, TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=0),
                     LossParams(beta=1.0), test_set=test_set)
-        assert res.traces.p_true.shape == (3, train_set.n)
-        assert np.all((res.traces.p_true >= 0.0) & (res.traces.p_true <= 1.0))
+        assert res.traces.shape == (3, train_set.n)
+        assert res.traces.dtype == np.float64
+        assert np.all((res.traces >= 0.0) & (res.traces <= 1.0))
 
-    def test_traces_subsample_beyond_the_trace_limit(self, monkeypatch):
-        # past TRACE_LIMIT samples, only np.linspace(0, n - 1, TRACE_LIMIT)'s ids are traced
+    def test_trace_rows_are_every_samples_p_true_after_each_epoch(self):
+        # row e of the traces is bitwise the train_p_true of the same run stopped after epoch e
         train_set, test_set = _tiny_blobs()
-        cfg, params = TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=0), LossParams(beta=1.0)
-        full = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params, test_set=test_set).traces
-        monkeypatch.setattr(mlp, "TRACE_LIMIT", 7)
-        part = train(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, params, test_set=test_set).traces
-        assert train_set.n == 128
-        assert part.sample_ids.tolist() == [0, 21, 42, 63, 84, 105, 127]
-        assert part.p_true.shape == (3, 7)
-        for j, sid in enumerate(part.sample_ids):
-            assert part.p_true[:, j].tobytes() == full.p_true[:, sid].tobytes()
+        params = LossParams(beta=1.0)
+        traces = train(MlpModel.init((2, 8, 4), seed=0), train_set, TrainConfig(lr=0.05, epochs=3, batch_size=32),
+                       params, test_set=test_set).traces
+        for epoch in range(3):
+            short = train(MlpModel.init((2, 8, 4), seed=0), train_set,
+                          TrainConfig(lr=0.05, epochs=epoch + 1, batch_size=32), params, test_set=test_set, trace=False)
+            assert traces[epoch].tobytes() == short.train_p_true.tobytes()
 
     def test_labels_beyond_the_output_layer_rejected_before_training(self):
         train_set, test_set = _tiny_blobs(classes=4)
@@ -581,7 +579,7 @@ class TestCodedInputs:
         assert res.metrics == want.metrics
         assert res.test_logits.tobytes() == want.test_logits.tobytes()
         assert res.train_p_true.tobytes() == want.train_p_true.tobytes()
-        assert res.traces.p_true.tobytes() == want.traces.p_true.tobytes()
+        assert res.traces.tobytes() == want.traces.tobytes()
         for got, ref in zip(model.weights + model.biases, twin.weights + twin.biases):
             assert got.tobytes() == ref.tobytes()
 
@@ -603,13 +601,12 @@ class TestCodedInputs:
 
 class TestDifficultyGroups:
     def _const_traces(self, values, epochs=10):
-        mat = np.tile(np.asarray(values, dtype=float), (epochs, 1))
-        return SampleTraces(mat, np.arange(len(values)))
+        return np.tile(np.asarray(values, dtype=float), (epochs, 1))
 
     def test_single_group_is_global_mean(self):
         traces = self._const_traces([0.1, 0.5, 0.9])
         g = difficulty_groups(traces, k=1)
-        assert np.allclose(g.group_means[0], traces.p_true.mean(axis=1))
+        assert np.allclose(g.group_means[0], traces.mean(axis=1))
         assert np.all(g.assignment == 1)
 
     def test_ordered_constant_traces_identity_ranking(self):
@@ -623,9 +620,18 @@ class TestDifficultyGroups:
         g = difficulty_groups(traces, k=2)
         assert list(g.assignment) == [1, 1, 2, 2]
 
+    def test_order_is_by_score_then_sample_index(self):
+        # ties (-0.0 with 0.0 among them) break by index, and NaN scores sort last
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            traces = rng.choice([-0.0, 0.0, 0.25, 0.5, np.nan], size=(1, 30))
+            g = difficulty_groups(traces, k=30)
+            order = np.lexsort((np.arange(30), traces[0]))
+            assert g.assignment[order].tolist() == list(range(1, 31))
+
     def test_group_means_shape(self):
         rng = np.random.default_rng(0)
-        traces = SampleTraces(rng.uniform(0, 1, (8, 20)), np.arange(20))
+        traces = rng.uniform(0, 1, (8, 20))
         g = difficulty_groups(traces, k=5)
         assert g.group_means.shape == (5, 8)
         counts = np.bincount(g.assignment)[1:]
@@ -635,4 +641,53 @@ class TestDifficultyGroups:
         traces = self._const_traces([0.1, 0.9])
         with pytest.raises(ValueError):
             difficulty_groups(traces, k=5)
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4), (0, 6)], ids=["one_d", "three_d", "no_epochs"])
+    def test_traces_must_be_an_epochs_by_samples_matrix(self, shape):
+        message = f"traces must be an (epochs, n) matrix with at least one epoch, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            difficulty_groups(np.zeros(shape), k=1)
+
+    @pytest.mark.parametrize("epochs, early", [(1, 1), (4, 1), (5, 1), (6, 2), (10, 2), (11, 3)])
+    def test_score_is_the_mean_over_the_first_fifth_of_epochs(self, epochs, early):
+        # every epoch after the window reverses the window's ranking, so one of them in the score would show
+        rng = np.random.default_rng(epochs)
+        traces = np.empty((epochs, 12))
+        traces[:early] = rng.uniform(0.0, 1.0, (early, 12))
+        score = traces[:early].mean(axis=0)
+        traces[early:] = -1e6 * score
+        g = difficulty_groups(traces, k=12)
+        assert g.assignment[np.argsort(score)].tolist() == list(range(1, 13))
+
+    @staticmethod
+    def _lexsort_groups(traces, k):
+        """The groups as built on np.lexsort((sample index, score)) before traces were a plain matrix."""
+        epochs, n = traces.shape
+        early = max(1, math.ceil(0.2 * epochs))
+        order = np.lexsort((np.arange(n), traces[:early].mean(axis=0)))
+        assignment = np.zeros(n, dtype=np.int64)
+        group_means = np.zeros((k, epochs))
+        for j, chunk in enumerate(np.array_split(order, k)):
+            assignment[chunk] = j + 1
+            group_means[j] = traces[:, chunk].mean(axis=1)
+        return assignment, group_means
+
+    @pytest.mark.parametrize("values, shape, k", [
+        (None, (10, 40), 5),
+        ([0.5], (5, 12), 4),
+        ([-0.0, 0.0], (1, 30), 7),
+        ([np.nan, 0.2, 0.7], (3, 30), 6),
+        ([-np.inf, 0.5, 1.0], (2, 25), 5),
+        ([0.0, 0.5, 1.0], (10, 50), 10),
+        (None, (4, 23), 5),
+        ([0.25, 0.75, np.nan, -0.0], (3, 17), 17),
+    ], ids=["distinct", "all_tied", "signed_zeros", "nan", "minus_infinity", "ties_across_epochs",
+            "ragged_groups", "one_sample_per_group"])
+    def test_groups_are_bitwise_the_lexsort_groups(self, values, shape, k):
+        rng = np.random.default_rng(shape[1])
+        traces = rng.uniform(0.0, 1.0, shape) if values is None else rng.choice(values, size=shape)
+        assignment, group_means = self._lexsort_groups(traces, k)
+        g = difficulty_groups(traces, k)
+        assert g.assignment.tolist() == assignment.tolist()
+        assert g.group_means.tobytes() == group_means.tobytes()
 

@@ -1,9 +1,11 @@
-"""The README's command-line examples name only flags and values the parser accepts."""
+"""The README's command-line examples and prose name only flags and values the parser accepts."""
 
+import re
 import shlex
 from pathlib import Path
 
 import pytest
+from conftest import subcommand_parsers
 
 from gradient_decay.cli import build_parser
 
@@ -26,3 +28,11 @@ def test_every_subcommand_has_an_example():
 @pytest.mark.parametrize("line", _command_lines())
 def test_example_parses(line):
     build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_prose_names_real_flags():
+    # `--key=value` is the config file's placeholder, not a flag
+    options = {o for p in subcommand_parsers().values() for a in p._actions for o in a.option_strings}
+    named = set(re.findall(r"`(--[a-z][a-z0-9-]*)", README.read_text(encoding="utf-8"))) - {"--key"}
+    assert "--blob-sigma" in named
+    assert sorted(named - options) == []
