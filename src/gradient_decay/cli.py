@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
+import math
 import re
 import sys
 import warnings
@@ -289,8 +291,10 @@ def cmd_verify(args, parser) -> int:
     if args.out:
         _check_out(parser, "--out", args.out)
     report = verify_all(fd, args.betas)
+    # a non-finite error is written as null: JSON has no NaN or Infinity
     _emit("".join(json.dumps({"property": c.property, "beta": c.beta, "tolerance": c.tolerance,
-                              "worst_error": c.worst_error, "pass": c.passed}) + "\n" for c in report.checks),
+                              "worst_error": c.worst_error if math.isfinite(c.worst_error) else None,
+                              "pass": c.passed}) + "\n" for c in report.checks),
           args.out)
     if not report.all_pass:
         failing = ", ".join(sorted({c.property for c in report.failures()}))
@@ -541,15 +545,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    known, rest = _config_parser().parse_known_args(argv)
-    if known.config is not None:
-        try:
-            rest[1:1] = _config_tokens(known.config)  # after the subcommand, so explicit flags win
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-    args = parser.parse_args(rest)
-    return args.func(args, parser)
+    try:
+        parser = build_parser()
+        known, rest = _config_parser().parse_known_args(argv)
+        if known.config is not None:
+            try:
+                rest[1:1] = _config_tokens(known.config)  # after the subcommand, so explicit flags win
+            except (OSError, ValueError) as exc:
+                parser.error(str(exc))
+        args = parser.parse_args(rest)
+        return args.func(args, parser)
+    finally:
+        # On every way out (a return, a usage error, a traceback) the heap is
+        # frozen, so interpreter shutdown's collections skip the objects of
+        # numpy, argparse and this package instead of freeing the module
+        # graph's cycles one by one; the OS takes that memory back at exit.
+        # An in-process caller keeps a working collector, but cycles that are
+        # already garbage here stay in memory.
+        gc.freeze()
 
 
 def entry() -> None:

@@ -267,6 +267,7 @@ def _worst(*errs) -> float:
     return math.nan if any(math.isnan(e) for e in errs) else max(errs)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the report carries non-finite errors
 def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     """Run every verified property and collect a pass/fail report.
 

@@ -1,9 +1,15 @@
 """CLI behavior: exit codes, file schemas, reproducibility."""
 
 import contextlib
+import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +22,11 @@ from gradient_decay.calibration import PredictionSet, calibration_report
 from gradient_decay.cli import main
 from gradient_decay.datasets import write_idx_images, write_idx_labels
 from gradient_decay.mlp import MlpModel, TrainingDiverged
+from gradient_decay.verify import PropertyCheck, VerifyReport
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# a beta so large that G and d2G overflow: three properties fail, one of them with a NaN error
+HUGE_BETA_FAILURES = "FAILED properties: convexity_flip, curvature_peak_value, monotone_decay\n"
 FAST_SWEEP = [
     "--dataset", "blobs", "--epochs", "3", "--lr", "0.05", "--batch", "50",
     "--blob-per-class", "20", "--blob-classes", "4", "--model", "8,4",
@@ -25,6 +35,17 @@ FAST_SWEEP = [
 
 def run(argv):
     return main(argv)
+
+
+def python_process(*args):
+    """The finished `python ARGS` subprocess, with src on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def no_work(*args, **kwargs):
@@ -119,6 +140,75 @@ class TestVerifyCommand:
             for c in reports[0].checks)
         assert {c.beta for c in reports[0].checks} == {None, 1.0}
         assert out.read_bytes() == want.encode()
+
+
+    @pytest.mark.parametrize("worst_error", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_error_is_written_as_null(self, capsys, monkeypatch, worst_error):
+        report = VerifyReport((PropertyCheck("convexity_flip", 2.0, 0.0, worst_error, False),))
+        monkeypatch.setattr(cli, "verify_all", lambda fd, betas: report)
+        assert run(["verify", "--betas", "2"]) == 1
+        line = capsys.readouterr().out
+        assert json.loads(line, parse_constant=reject_constant) == {
+            "property": "convexity_flip", "beta": 2.0, "tolerance": 0.0, "worst_error": None, "pass": False}
+
+    def test_huge_beta_report_is_strict_json_with_only_the_failures_on_stderr(self, capsys):
+        assert run(["verify", "--trials", "5", "--betas", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == HUGE_BETA_FAILURES
+        records = [json.loads(line, parse_constant=reject_constant) for line in captured.out.splitlines()]
+        assert len(records) == 13  # 3 global checks + 10 for the one beta
+        failed = {r["property"]: r["worst_error"] for r in records if not r["pass"]}
+        assert failed == {"monotone_decay": 0.999999, "convexity_flip": None, "curvature_peak_value": 0.25}
+
+
+class TestExitPath:
+    """main ends with the heap frozen on every way out, and the collector still works after it."""
+
+    @pytest.fixture
+    def unfrozen(self):
+        gc.unfreeze()
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("argv, exits", [
+        (["verify", "--trials", "5", "--betas", "1"], 0),
+        (["verify", "--trials", "5", "--betas", "1e308"], 1),
+        (["verify", "--trials", "0"], SystemExit),
+        (["verify", "--trials", "5"], AssertionError),
+    ], ids=["returns_0", "returns_1", "usage_error", "traceback"])
+    def test_main_freezes_the_heap_and_leaves_the_collector_working(self, capsys, monkeypatch, unfrozen,
+                                                                   argv, exits):
+        if exits is AssertionError:
+            monkeypatch.setattr(cli, "verify_all", no_work)
+        if isinstance(exits, int):
+            assert run(argv) == exits
+        else:
+            with pytest.raises(exits):
+                run(argv)
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled()
+
+        class Node:
+            pass
+
+        node = Node()
+        node.self = node
+        ref = weakref.ref(node)
+        del node
+        gc.collect()
+        assert ref() is None
+
+    def test_importing_cli_freezes_nothing(self):
+        proc = python_process("-c", "import gc; n = gc.get_freeze_count(); import gradient_decay.cli; "
+                                    "print(n, gc.get_freeze_count())")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"0 0\n"
+
+    def test_process_flushes_every_line_before_it_exits(self, capsys):
+        proc = python_process("-m", "gradient_decay", "verify", "--betas", "1e308")
+        assert (proc.returncode, proc.stderr.decode()) == (1, HUGE_BETA_FAILURES)
+        assert run(["verify", "--betas", "1e308"]) == 1
+        assert proc.stdout.decode() == capsys.readouterr().out
+        assert len(proc.stdout.splitlines()) == 13
 
 
 class TestSweepCommand:

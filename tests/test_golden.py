@@ -1,7 +1,8 @@
 """Golden bytes of CLI runs, keyed by bench/gate.py's platform fingerprint.
 
-Non-default `verify` runs are pinned by the sha256 of every stdout line; the
-default run is pinned by bench/digests.json (see test_verify.py).  Commands
+Non-default `verify` runs are pinned by the sha256 of every stdout line, in
+process and, for the first run, piped from a subprocess; the default run is
+pinned by bench/digests.json (see test_verify.py).  Commands
 that train (`sweep`, `trace`) are pinned by the sha256 of every artifact
 they write; they run as subprocesses with one BLAS thread, because the
 artifacts differ between 1 and 2 OpenBLAS threads.  `calib` and
@@ -73,8 +74,13 @@ def line_digests(argv) -> dict[str, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(list(argv)) == 0
+    return digests_of_lines(out.getvalue())
+
+
+def digests_of_lines(text: str) -> dict[str, str]:
+    """{property@beta: sha256 of its line} of a verify report, in line order."""
     digests = {}
-    for line in out.getvalue().splitlines(keepends=True):
+    for line in text.splitlines(keepends=True):
         rec = json.loads(line)
         digests[f"{rec['property']}@{rec['beta']}"] = hashlib.sha256(line.encode()).hexdigest()
     return digests
@@ -154,6 +160,13 @@ def test_verify_lines_match_the_golden_digests(argv):
     digests = line_digests(argv)
     assert list(digests) == list(expected)
     assert [name for name in expected if digests[name] != expected[name]] == []
+
+
+def test_piped_verify_run_matches_the_golden_digests():
+    # the in-process runs above do not reach the process exit, where stdout is flushed to the pipe
+    argv = RUNS[0]
+    expected = recorded_runs()[" ".join(argv)]
+    assert list(digests_of_lines(run_cli(argv).decode()).items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("argv", TRAIN_RUNS, ids=" ".join)

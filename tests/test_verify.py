@@ -554,6 +554,17 @@ class TestVerifyAll:
         b = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
         assert a == b
 
+    def test_overflow_is_reported_without_warnings(self):
+        # at beta=1e308, G and d2G overflow; the report carries that, numpy's warnings would repeat it
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_all(FdConfig(trials=5), [1e308])
+        assert np.geterr() == before
+        failed = {c.property: c.worst_error for c in report.failures()}
+        assert set(failed) == {"monotone_decay", "convexity_flip", "curvature_peak_value"}
+        assert math.isnan(failed["convexity_flip"])
+
     def test_overtight_tolerance_reports_failures_instead_of_raising(self, monkeypatch):
         monkeypatch.setattr(gradient_decay.verify, "_FD_REL_TOL", 1e-14)
         report = verify_all(FdConfig(trials=20), [1.0])
