@@ -40,7 +40,7 @@ __all__ = [
 THRESHOLDS = (0.2, 0.4, 0.6, 0.8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionSet:
     """Per-sample probability rows with labels, confidences and argmaxes."""
 

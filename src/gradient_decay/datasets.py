@@ -32,9 +32,6 @@ __all__ = [
     "write_idx_labels",
 ]
 
-IMAGES_MAGIC = 0x00000803
-LABELS_MAGIC = 0x00000801
-
 # every 5th point per class goes to the test split (exact 80/20, balanced)
 _TEST_STRIDE = 5
 
@@ -60,7 +57,7 @@ class BlobsConfig:
         check_int("seed", self.seed, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Stored features with integer labels and a split tag.
 
@@ -165,45 +162,45 @@ def _read_be32(raw: bytes | mmap.mmap, offset: int, path) -> int:
     return struct.unpack_from(">I", raw, offset)[0]
 
 
+def _read_idx(path, ndim: int, kind: str, unit: str) -> np.ndarray:
+    """The uint8 payload of an IDX file of ndim dimensions, a read-only view of its bytes.
+
+    The one IDX layout: big-endian magic 0x00000800 + ndim, then ndim
+    big-endian 32-bit sizes, then the row-major unsigned bytes.  kind and
+    unit name the file and its bytes in errors ("image", "pixel").
+    """
+    raw = _read_bytes(path)
+    magic = _read_be32(raw, 0, path)
+    if magic != 0x800 + ndim:
+        raise IdxFormatError(path, 0, f"expected {kind} magic 0x{0x800 + ndim:08x}, got 0x{magic:08x}")
+    shape = tuple(_read_be32(raw, 4 + 4 * axis, path) for axis in range(ndim))
+    start = 4 + 4 * ndim
+    expected = math.prod(shape)
+    if len(raw) - start != expected:
+        sizes = f" for {'x'.join(map(str, shape))}" if ndim > 1 else ""
+        raise IdxFormatError(path, start, f"expected {expected} {unit} bytes{sizes}, found {len(raw) - start}")
+    # decoded in place: a slice of raw would copy the whole payload first
+    return np.frombuffer(raw, np.uint8, count=expected, offset=start).reshape(shape)
+
+
 def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Parse an IDX image/label file pair into a Dataset.
 
-    Big-endian headers: images carry magic 0x00000803 then count/rows/cols
-    and row-major unsigned bytes; labels carry magic 0x00000801 then count
-    and bytes.  The pixels stay uint8 codes, a read-only view of the file's
-    bytes: the features are the pixels divided by 255, in [0, 1], decoded
-    only where a batch or an evaluation block needs them.  A plain file is
-    mapped, not copied, so it must not be truncated or rewritten while the
-    Dataset is in use; a .gz file is decompressed into memory.
+    Images are a (count, rows, cols) IDX file, labels a (count,) one.  The
+    pixels stay uint8 codes, a read-only view of the file's bytes: the
+    features are the pixels divided by 255, in [0, 1], decoded only where
+    a batch or an evaluation block needs them.  A plain file is mapped,
+    not copied, so it must not be truncated or rewritten while the Dataset
+    is in use; a .gz file is decompressed into memory.
     """
-    raw = _read_bytes(images_path)
-    magic = _read_be32(raw, 0, images_path)
-    if magic != IMAGES_MAGIC:
-        raise IdxFormatError(images_path, 0, f"expected image magic 0x{IMAGES_MAGIC:08x}, got 0x{magic:08x}")
-    count = _read_be32(raw, 4, images_path)
-    rows = _read_be32(raw, 8, images_path)
-    cols = _read_be32(raw, 12, images_path)
-    expected = count * rows * cols
-    if len(raw) - 16 != expected:
+    images = _read_idx(images_path, 3, "image", "pixel")
+    labels = _read_idx(labels_path, 1, "label", "label")
+    count, rows, cols = images.shape
+    if labels.size != count:
         raise IdxFormatError(
-            images_path, 16, f"expected {expected} pixel bytes for {count}x{rows}x{cols}, found {len(raw) - 16}"
+            labels_path, 4, f"label count {labels.size} does not match image count {count} in {images_path}"
         )
-    # decoded in place: a slice of raw would copy the whole pixel body first
-    images = np.frombuffer(raw, np.uint8, count=expected, offset=16).reshape(count, rows * cols)
-
-    raw = _read_bytes(labels_path)
-    magic = _read_be32(raw, 0, labels_path)
-    if magic != LABELS_MAGIC:
-        raise IdxFormatError(labels_path, 0, f"expected label magic 0x{LABELS_MAGIC:08x}, got 0x{magic:08x}")
-    lcount = _read_be32(raw, 4, labels_path)
-    if len(raw) - 8 != lcount:
-        raise IdxFormatError(labels_path, 8, f"expected {lcount} label bytes, found {len(raw) - 8}")
-    if lcount != count:
-        raise IdxFormatError(
-            labels_path, 4, f"label count {lcount} does not match image count {count} in {images_path}"
-        )
-    labels = np.frombuffer(raw, np.uint8, count=lcount, offset=8).astype(np.int64)
-    return Dataset(images, labels, split)
+    return Dataset(images.reshape(count, rows * cols), labels.astype(np.int64), split)
 
 
 def _idx_codes(values, what: str) -> np.ndarray:
@@ -217,11 +214,11 @@ def _idx_codes(values, what: str) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.uint8)
 
 
-def _write_idx(path, header: bytes, codes: np.ndarray) -> None:
-    """Write header, then the codes from their own buffer: no bytes copy of the payload is made."""
+def _write_idx(path, codes: np.ndarray) -> None:
+    """Write the IDX header of codes, then the codes from their own buffer, with no bytes copy of them."""
     opener = gzip.open if str(path).endswith(".gz") else open
     with opener(path, "wb") as f:
-        f.write(header)
+        f.write(struct.pack(f">{1 + codes.ndim}I", 0x800 + codes.ndim, *codes.shape))
         f.write(codes)
 
 
@@ -230,7 +227,7 @@ def write_idx_images(path, images: np.ndarray) -> None:
     images = _idx_codes(images, "images")
     if images.ndim != 3:
         raise ValueError("images must be (count, rows, cols)")
-    _write_idx(path, struct.pack(">IIII", IMAGES_MAGIC, *images.shape), images)
+    _write_idx(path, images)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
@@ -238,7 +235,7 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
     labels = _idx_codes(labels, "labels")
     if labels.ndim != 1:
         raise ValueError("labels must be a vector")
-    _write_idx(path, struct.pack(">II", LABELS_MAGIC, labels.size), labels)
+    _write_idx(path, labels)
 
 
 def mnist_paths(directory) -> tuple[Path, Path, Path, Path]:

@@ -177,7 +177,7 @@ def stable_softmax(z: np.ndarray, tau: float) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchEval:
     """Row-wise loss/gradient/probability evaluation of a logit matrix.
 
@@ -254,7 +254,8 @@ def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
 
 def _check_prob_open(p_c):
     p = np.asarray(p_c, dtype=np.float64)
-    if not np.all((p > 0.0) & (p < 1.0)):
+    # NaN propagates through both reductions and fails both comparisons; an empty p passes
+    if p.size and not (np.minimum.reduce(p, axis=None) > 0.0 and np.maximum.reduce(p, axis=None) < 1.0):
         raise ValueError("p_c must lie strictly inside (0, 1)")
     return p
 

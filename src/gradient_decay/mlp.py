@@ -49,7 +49,7 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
 
 
-@dataclass
+@dataclass(eq=False)
 class MlpModel:
     """Affine-rectifier chain; the final layer is affine only."""
 
@@ -133,7 +133,7 @@ def _flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
     return flat, views
 
 
-@dataclass
+@dataclass(eq=False)
 class _Rows:
     """Per-row buffers of one batch: inputs, labels, activations, deltas, masks."""
 
@@ -213,7 +213,7 @@ class EpochMetrics:
     mean_conf: float
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainResult:
     metrics: list[EpochMetrics]
     traces: np.ndarray | None  # (epochs, n) p_true of every training sample after each epoch
@@ -221,7 +221,7 @@ class TrainResult:
     test_logits: np.ndarray   # (n_test, m) after the last epoch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifficultyGroups:
     assignment: np.ndarray   # (n,) group index in [1, k]
     group_means: np.ndarray  # (k, epochs) mean p_true per group per epoch

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import importlib.util
 import os
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gradient_decay.cli import build_parser
+from gradient_decay.datasets import mnist_paths
 
 # Real MNIST IDX files are looked up here for the desk-scale experiment
 # tests; everything else runs on synthetic data.
@@ -16,11 +18,11 @@ DEFAULT_MNIST_DIR = Path(__file__).resolve().parents[1] / "data" / "mnist"
 
 def mnist_dir() -> Path | None:
     d = Path(os.environ.get(MNIST_ENV, DEFAULT_MNIST_DIR))
-    names = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
-    if all((d / n).exists() or (d / (n + ".gz")).exists() for n in names):
-        return d
-    return None
+    try:
+        mnist_paths(d)
+    except FileNotFoundError:
+        return None
+    return d
 
 
 requires_mnist = pytest.mark.skipif(
@@ -28,6 +30,13 @@ requires_mnist = pytest.mark.skipif(
     reason=f"MNIST IDX files not found (set {MNIST_ENV} or place them under data/mnist); "
     "they cannot be fetched in an offline environment",
 )
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_heap():
+    """Give back what an in-process cli.main froze, so the next test's garbage stays collectable."""
+    yield
+    gc.unfreeze()
 
 
 def bench_module(name: str):

@@ -266,12 +266,18 @@ class TestIdxFormat:
         assert exc.value.offset == 0
         assert str(exc.value) == f"{p} (offset 0): expected image magic 0x00000803, got 0xdeadbeef"
 
-    def test_label_magic_rejected_for_images(self, tmp_path):
-        p = tmp_path / "labels-as-images"
-        p.write_bytes(struct.pack(">II", 0x00000801, 0))
-        with pytest.raises(IdxFormatError, match="expected image magic 0x00000803, got 0x00000801") as exc:
-            load_mnist_idx(p, p)
-        assert exc.value.offset == 0
+    @pytest.mark.parametrize("suffix", ["", ".gz"])
+    @pytest.mark.parametrize("swapped, message", [
+        ("images", "expected image magic 0x00000803, got 0x00000801"),
+        ("labels", "expected label magic 0x00000801, got 0x00000803"),
+    ], ids=["labels_as_images", "images_as_labels"])
+    def test_a_file_of_the_other_kind_fails_at_offset_zero(self, tmp_path, suffix, swapped, message):
+        _, _, ip, lp = self._roundtrip(tmp_path, suffix)
+        args, path = ((lp, lp), lp) if swapped == "images" else ((ip, ip), ip)
+        with pytest.raises(IdxFormatError) as exc:
+            load_mnist_idx(*args)
+        assert (exc.value.path, exc.value.offset) == (str(path), 0)
+        assert str(exc.value) == f"{path} (offset 0): {message}"
 
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "short"
@@ -299,7 +305,7 @@ class TestIdxFormat:
 
     @pytest.mark.parametrize("suffix", ["", ".gz"])
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray], ids=["C", "F"])
-    @pytest.mark.parametrize("count", [3, 40])  # 40 images exceed a file's 8 KiB write buffer
+    @pytest.mark.parametrize("count", [0, 3, 40])  # 40 images exceed a file's 8 KiB write buffer
     def test_writers_write_the_header_then_the_codes(self, tmp_path, suffix, layout, count):
         rng = np.random.default_rng(count)
         images = layout(rng.integers(0, 256, (count, 28, 28), dtype=np.uint8))
@@ -310,6 +316,9 @@ class TestIdxFormat:
         read = gzip.decompress if suffix else bytes
         assert read(ip.read_bytes()) == struct.pack(">IIII", 0x803, count, 28, 28) + images.tobytes()
         assert read(lp.read_bytes()) == struct.pack(">II", 0x801, count) + labels.astype(np.uint8).tobytes()
+        ds = load_mnist_idx(ip, lp)  # and the reader gives back the same codes
+        assert ds.raw.dtype == np.uint8 and ds.raw.shape == (count, 784) and ds.raw.tobytes() == images.tobytes()
+        assert ds.labels.dtype == np.int64 and ds.labels.tobytes() == labels.astype(np.int64).tobytes()
 
     def test_image_writer_makes_no_copy_of_the_payload(self, tmp_path):
         images = np.random.default_rng(0).integers(0, 256, (2000, 28, 28), dtype=np.uint8)  # 1.5 MB

@@ -564,12 +564,25 @@ class TestCurvature:
         assert block.tobytes() == before
 
     def test_domain(self):
-        for p in (0.0, 1.0, np.array([0.5, np.nan])):
-            with pytest.raises(ValueError, match="p_c"):
-                curvature(p, 1.0)
         for beta in (0.0, -1.0, math.inf):
             with pytest.raises(ValueError, match="beta"):
                 curvature(0.5, beta)
+
+    @pytest.mark.parametrize("kernel", [gradient_magnitude, magnitude_derivatives, curvature, logit_curvature])
+    @pytest.mark.parametrize("p", [
+        0.0, 1.0, math.nan, math.inf, -math.inf, -0.0,
+        np.array([0.5, np.nan]), np.array([np.nan, 0.5]), np.array([[0.5, 0.2], [0.7, math.inf]]),
+        np.array([[0.5], [-math.inf]]), np.array([0.3, 1.0, 0.6]), np.full(3, np.nan),
+    ])
+    def test_every_kernel_rejects_p_outside_the_open_interval(self, kernel, p):
+        with pytest.raises(ValueError, match=r"^p_c must lie strictly inside \(0, 1\)$"):
+            kernel(p, 2.0)
+
+    @pytest.mark.parametrize("kernel", [gradient_magnitude, magnitude_derivatives, curvature, logit_curvature])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_every_kernel_accepts_an_empty_p(self, kernel, shape):
+        out = kernel(np.empty(shape), 2.0)
+        assert all(a.shape == shape for a in (out if isinstance(out, tuple) else (out,)))
 
 
 class TestInflectionPoint:
