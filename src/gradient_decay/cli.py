@@ -219,9 +219,9 @@ def _load_datasets(args, parser):
     """(train set, test set, layer sizes) with a model shape that fits both sets, or a usage error."""
     if args.dataset == "blobs":
         seed_flag = "--seed" if args.blob_seed is None else "--blob-seed"
-        cfg = _build(
+        train_set, test_set = _build(
             parser,
-            BlobsConfig,
+            lambda **fields: make_blobs(BlobsConfig(**fields)),
             {"classes": "--blob-classes", "n_per_class": "--blob-per-class",
              "sigma": "--blob-sigma", "radius": "--blob-radius", "seed": seed_flag},
             classes=args.blob_classes,
@@ -230,7 +230,7 @@ def _load_datasets(args, parser):
             radius=args.blob_radius,
             seed=args.seed if args.blob_seed is None else args.blob_seed,
         )
-        (train_set, test_set), test_files = make_blobs(cfg), "the blobs test split"
+        test_files = "the blobs test split"
     else:
         try:
             ti, tl, vi, vl = mnist_paths(args.mnist_dir)
@@ -399,11 +399,13 @@ def _load_logits_file(path, parser):
         parser.error(f"logits file not found: {p}")
     if p.suffix == ".npz":
         try:
-            data = np.load(p)  # allow_pickle stays off: pickled content is a ValueError
-            if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy file behind an .npz name
-                parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
-            with data:
-                logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
+            # np.load(p) would open the file itself and leak it when the archive is malformed
+            with open(p, "rb") as f:
+                data = np.load(f)  # allow_pickle stays off: pickled content is a ValueError
+                if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy file behind an .npz name
+                    parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
+                with data:
+                    logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
         except KeyError:  # not a member of the archive
             parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:

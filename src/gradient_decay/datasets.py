@@ -121,7 +121,10 @@ def make_blobs(cfg: BlobsConfig) -> tuple[Dataset, Dataset]:
         mean = np.zeros(2)
         mean[0] = cfg.radius * math.cos(angle)
         mean[1] = cfg.radius * math.sin(angle)
-        pts = mean + cfg.sigma * rng.standard_normal((cfg.n_per_class, 2))
+        with np.errstate(over="ignore"):  # an infinite point is reported below
+            pts = mean + cfg.sigma * rng.standard_normal((cfg.n_per_class, 2))
+        if not np.isfinite(pts).all():
+            raise ValueError(f"sigma {cfg.sigma!r} at radius {cfg.radius!r} puts blob points beyond the float64 range")
         is_test = (np.arange(cfg.n_per_class) % _TEST_STRIDE) == _TEST_STRIDE - 1
         train_x.append(pts[~is_test])
         test_x.append(pts[is_test])

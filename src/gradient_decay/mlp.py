@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 # rows of coded inputs decoded at a time for layer 1 of a forward pass (3.2 MB at
-# 784 inputs).  With OpenBLAS, the product of 512 rows and 784x50 weights has
-# bitwise the rows of the whole-matrix product; products of under ~50 rows do not.
+# 784 inputs)
 _BLOCK_ROWS = 512
 
 
@@ -74,36 +73,34 @@ class MlpModel:
         return cls(dims, weights, biases)
 
     def forward(self, x, acts=None) -> np.ndarray:
-        """Logits for the inputs x: a single sample (dim,) or a batch (n, dim).
+        """Logits for the batch x, an (n, dim) matrix; a single sample is a one-row matrix.
 
-        acts, when given, holds one output array per layer (shape
-        x.shape[:-1] + (fan_out,)); each layer's post-activation output is
-        written into it, and the last one, the logits, is returned.
+        acts, when given, holds one (n, fan_out) output array per layer;
+        each layer's post-activation output is written into it, and the
+        last one, the logits, is returned.
 
         Unless x is float64, datasets.decode turns it into inputs: uint8
-        pixel codes (a Dataset's raw) become codes / 255.  A batch of more
-        than _BLOCK_ROWS rows is decoded for layer 1 only, _BLOCK_ROWS rows at
-        a time through one small buffer, so no (n, dim) float64 matrix is made.
-        Every block has exactly _BLOCK_ROWS rows (the last one overlaps the
-        one before), so no block is short enough to take another BLAS path
-        than the whole matrix would; the later layers are whole-matrix
-        products, in the same loop.
+        pixel codes (a Dataset's raw) become codes / 255.  Coded rows are
+        decoded for layer 1 only, min(n, _BLOCK_ROWS) rows at a time through
+        one small buffer, so no (n, dim) float64 matrix is made; the later
+        layers are whole-matrix products.  A coded forward is deterministic;
+        with one OpenBLAS 0.3.31 thread (Haswell) it was bitwise the forward of
+        decode(x) at 784-50-20-10 and 784-{100,128,200,256,1000}-10, not at
+        784-300-100-10 or 784-500-10, so elsewhere it may differ in the last bits.
         """
         x = np.asarray(x)
         expect = self.layer_dims[0]
-        if x.shape[-1] != expect:
-            raise ValueError(f"input dimension {x.shape[-1]} does not match model ({expect})")
-        coded = x.dtype != np.float64
-        blocked = coded and x.ndim == 2 and x.shape[0] > _BLOCK_ROWS
-        a = decode(x) if coded and not blocked else x
+        if x.ndim != 2 or x.shape[1] != expect:
+            raise ValueError(f"inputs must be an (n, {expect}) matrix, got shape {x.shape}")
         if acts is None:
-            acts = [np.empty(x.shape[:-1] + (d,)) for d in self.layer_dims[1:]]
+            acts = [np.empty((x.shape[0], d)) for d in self.layer_dims[1:]]
         hidden = len(self.weights) - 1
+        a = x
         for layer, (W, b, out) in enumerate(zip(self.weights, self.biases, acts)):
-            if blocked and layer == 0:
-                _decoded_matmul(x, W, out)
-            else:
+            if a.dtype == np.float64:
                 np.matmul(a, W, out=out)
+            else:
+                _decoded_matmul(a, W, out)
             np.add(out, b, out=out)
             if layer < hidden:
                 np.maximum(out, 0.0, out=out)
@@ -112,13 +109,13 @@ class MlpModel:
 
 
 def _decoded_matmul(codes: np.ndarray, W: np.ndarray, out: np.ndarray) -> None:
-    """out = decode(codes) @ W, _BLOCK_ROWS rows of codes at a time."""
+    """out = decode(codes) @ W, min(n, _BLOCK_ROWS) rows of codes at a time."""
     n = codes.shape[0]
-    buf = np.empty((_BLOCK_ROWS, codes.shape[1]))
-    for lo in range(0, n, _BLOCK_ROWS):
-        lo = min(lo, n - _BLOCK_ROWS)  # a short last block could take another BLAS path
-        hi = lo + _BLOCK_ROWS
-        np.matmul(decode(codes[lo:hi], out=buf), W, out=out[lo:hi])
+    rows = min(n, _BLOCK_ROWS)
+    buf = np.empty((rows, codes.shape[1]))
+    for lo in range(0, n, max(rows, 1)):  # an empty batch has no block
+        lo = min(lo, n - rows)  # a short last block could take another BLAS path
+        np.matmul(decode(codes[lo : lo + rows], out=buf), W, out=out[lo : lo + rows])
 
 
 def _flat_copy(arrays) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -263,7 +260,8 @@ def train(
     parameters, holding the same values.
 
     A dataset of uint8 codes is decoded where it is read: each batch's rows
-    are gathered as codes and decoded into the batch, and each evaluation
+    are gathered as stored and decoded into the batch (float64 features by a
+    copy that changes no bit), and each evaluation
     decodes layer 1's input a block at a time into a buffer of its own
     (MlpModel.forward), so the run never holds the (n, dim) float64 features.
     """
@@ -285,8 +283,7 @@ def train(
     grad, grads = _flat_copy(params)  # every step overwrites them
     vel, tmp = np.zeros_like(theta), np.empty_like(theta)
     full = _Rows.alloc(model.layer_dims, cfg.batch_size)
-    # uint8 codes are gathered here, then decoded into the batch
-    stage = None if X.dtype == np.float64 else np.empty((cfg.batch_size, train_set.dim), X.dtype)
+    stage = np.empty((cfg.batch_size, train_set.dim), X.dtype)  # each batch's rows, before decoding
     ragged = full.head(n % cfg.batch_size)
     train_acts = [np.empty((n, d)) for d in model.layer_dims[1:]]
     test_acts = [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
@@ -304,10 +301,7 @@ def train(
                 idx = perm[start : start + cfg.batch_size]
                 batch = full if idx.size == cfg.batch_size else ragged
                 # perm holds valid indices; "clip" lets take write straight into out
-                rows = batch.x if stage is None else stage[: idx.size]
-                X.take(idx, axis=0, out=rows, mode="clip")
-                if stage is not None:
-                    decode(rows, out=batch.x)
+                decode(X.take(idx, axis=0, out=stage[: idx.size], mode="clip"), out=batch.x)
                 y.take(idx, out=batch.y, mode="clip")
                 if warmup is not None:
                     beta_now = warmup.beta_at(step)

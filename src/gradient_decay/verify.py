@@ -199,21 +199,17 @@ def grid_scan_extremum(gs, lo: float, hi: float, points: int) -> list[tuple[floa
 # --- local closed forms used as references (kept independent of loss.py) ---
 
 
-def _standard_ce(Z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(losses, gradients) of the standard softmax cross-entropy for the rows of Z, labels c."""
+def _standard_ce(Z: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(losses, gradients, true-class probabilities) of the standard softmax cross-entropy
+    for the rows of Z, labels c."""
     rows = np.arange(len(Z))
     s = Z.max(axis=1)
     e = np.exp(Z - s[:, None])
     total = e.sum(axis=1)
     g = e / total[:, None]
+    p = g[rows, c]
     g[rows, c] -= 1.0
-    return np.log(total) + s - Z[rows, c], g
-
-
-def _p_true(Z: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Softmax probability of the true class for the rows of Z, labels c."""
-    s = Z.max(axis=1)
-    return np.exp(Z[np.arange(len(Z)), c] - s) / np.exp(Z - s[:, None]).sum(axis=1)
+    return np.log(total) + s - Z[rows, c], g, p
 
 
 def _draw_trials(rng: np.random.Generator, trials: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -258,7 +254,7 @@ def _group(Z: np.ndarray, c: np.ndarray, h: float) -> _Group:
     copies = [Z] + [Z + s for s in _SHIFTS] + [Zp, Zm]
     return _Group(
         Z, c, np.repeat(c, 2 * Z.shape[1]), np.vstack(copies), np.tile(c, len(copies)),
-        _p_true(Z, c), _p_true(Zp, c), _p_true(Zm, c), others.max(axis=1) - Z[rows, c],
+        *(_standard_ce(z, c)[2] for z in (Z, Zp, Zm)), others.max(axis=1) - Z[rows, c],
     )
 
 
@@ -292,7 +288,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     # up to summation order.
     worst = 0.0
     for g in groups:
-        ev, (losses, grads) = beta_ce_batch(g.Z, g.c, LossParams(beta=1.0)), _standard_ce(g.Z, g.c)
+        ev, (losses, grads, _) = beta_ce_batch(g.Z, g.c, LossParams(beta=1.0)), _standard_ce(g.Z, g.c)
         worst = _worst(worst, float(np.abs(ev.losses - losses).max()), float(np.abs(ev.grads - grads).max()))
     add("beta1_equivalence", None, 1e-12, worst)
 

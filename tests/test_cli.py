@@ -777,6 +777,15 @@ class TestUsageErrorsBeforeWork:
                                          f"got {per_class}")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "trace"])
+    @pytest.mark.parametrize("sigma, radius", [("1e308", "1.0"), ("1e307", "1.79e308")])
+    def test_blobs_beyond_the_float64_range(self, tmp_path, capsys, forbid_work, command, sigma, radius):
+        # points that overflowed to inf gave a numpy RuntimeWarning, then a traceback with exit 1
+        argv = [command, "--out", str(tmp_path / "x")] + FAST_SWEEP + ["--blob-sigma", sigma, "--blob-radius", radius]
+        assert_usage_error(argv, capsys, f"argument --blob-sigma: sigma {float(sigma)!r} at radius {float(radius)!r} "
+                                         f"puts blob points beyond the float64 range")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("argv, message", [
         pytest.param(["verify", "--seed", "-1"], "seed must be an integer >= 0, got -1",
                      id="argv0-seed must be non-negative, got -1"),  # a reworded message keeps its old id

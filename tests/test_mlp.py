@@ -45,31 +45,39 @@ class TestForward:
         model = MlpModel.init((3, 4, 2), seed=0)
         for W in model.weights:
             W[:] = 0.0
-        assert np.all(model.forward(np.array([1.0, -2.0, 3.0])) == 0.0)
+        assert np.all(model.forward(np.array([[1.0, -2.0, 3.0]])) == 0.0)
 
     def test_identity_single_layer(self):
         model = MlpModel.init((3, 3), seed=0)
         model.weights[0][:] = np.eye(3)
         model.biases[0][:] = 0.0
-        x = np.array([0.3, -1.2, 2.0])
+        x = np.array([[0.3, -1.2, 2.0]])
         assert np.array_equal(model.forward(x), x)
 
     def test_hand_computed_golden(self):
         # x=[1,2]: hidden pre-activation [5.5, -1] -> relu [5.5, 0] -> logits [5.5, 12]
         model = _hand_built_222()
-        assert np.allclose(model.forward(np.array([1.0, 2.0])), [5.5, 12.0], atol=1e-15)
+        assert np.allclose(model.forward(np.array([[1.0, 2.0]])), [[5.5, 12.0]], atol=1e-15)
 
     def test_batch_matches_single(self):
         model = MlpModel.init((4, 8, 3), seed=5)
         X = np.random.default_rng(0).uniform(-1, 1, (6, 4))
         batch = model.forward(X)
         for k in range(6):
-            assert np.allclose(batch[k], model.forward(X[k]), atol=1e-12)
+            assert np.allclose(batch[k : k + 1], model.forward(X[k : k + 1]), atol=1e-12)
 
-    def test_dimension_mismatch(self):
+    # a bare (dim,) sample is not a batch: a single sample is a one-row matrix
+    @pytest.mark.parametrize("shape", [(1, 4), (3,), (1, 1, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_dimension_mismatch(self, shape, dtype):
         model = MlpModel.init((3, 2), seed=0)
-        with pytest.raises(ValueError):
-            model.forward(np.zeros(4))
+        with pytest.raises(ValueError, match=re.escape(f"inputs must be an (n, 3) matrix, got shape {shape}")):
+            model.forward(np.zeros(shape, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_an_empty_batch_gives_empty_logits(self, dtype):
+        model = MlpModel.init((784, 16, 10), seed=0)
+        assert model.forward(np.zeros((0, 784), dtype)).shape == (0, 10)
 
     @pytest.mark.parametrize("dims", [(), (4,)])
     def test_init_needs_input_and_output_sizes(self, dims):
@@ -116,7 +124,7 @@ def backward(model, x, c, params):
 
 def _fd_param_grads(model, x, c, params, h=1e-6):
     def current_loss():
-        return batch_losses(model.forward(x)[None], np.array([c]), params)[0]
+        return batch_losses(model.forward(x[None]), np.array([c]), params)[0]
 
     gws, gbs = [], []
     for arr_list, out in ((model.weights, gws), (model.biases, gbs)):
@@ -554,11 +562,11 @@ class TestCodedInputs:
         acts = [np.empty((rows, d)) for d in (50, 20, 10)]
         assert model.forward(codes, acts) is acts[-1] and acts[-1].tobytes() == want.tobytes()
 
-    def test_short_coded_inputs_are_decoded_whole(self):
+    def test_short_coded_inputs_are_one_block(self):
         codes = np.random.default_rng(0).integers(0, 256, (7, 784), dtype=np.uint8)
         model = MlpModel.init((784, 16, 10), seed=2)
         assert model.forward(codes).tobytes() == model.forward(codes / 255.0).tobytes()
-        assert model.forward(codes[3]).tobytes() == model.forward(codes[3] / 255.0).tobytes()
+        assert model.forward(codes[3:4]).tobytes() == model.forward(codes[3:4] / 255.0).tobytes()
 
     def test_uint8_run_is_bitwise_its_float64_twin(self, tmp_path):
         n_train, n_test = 2 * _BLOCK_ROWS + 10, _BLOCK_ROWS + 20  # a short last eval block each

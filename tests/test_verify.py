@@ -96,7 +96,9 @@ def old_beta_checks(fd: FdConfig, betas) -> list[tuple[str, float, float]]:
     beta-free work was hoisted out of the beta loop: one kernel call per group, beta and shift,
     and the references, fd labels and margin terms recomputed for every beta."""
     groups = gradient_decay.verify._draw_trials(np.random.default_rng(fd.seed), fd.trials)
-    p_true = gradient_decay.verify._p_true
+
+    def p_true(Z, c):
+        return gradient_decay.verify._standard_ce(Z, c)[2]
 
     def per_point(f, p, beta):
         # f(x, beta) for each x in p, one scalar call each
