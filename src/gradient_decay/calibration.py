@@ -1,9 +1,11 @@
 """Calibration analytics: reliability bins, ECE/MCE, confidence tables,
 and post-hoc temperature scaling.
 
-Bins are half-open (lo, hi] on equal widths; a confidence x lands in bin
-ceil(x*bins), with x=0 mapped into bin 1.  MCE maximizes |accuracy - mean
-confidence| over non-empty bins only (the gap is undefined on empty ones).
+Bins are half-open (lo, hi] on equal widths.  Every table bins by one rule,
+np.searchsorted(edges, x, side="left") on its own upper edges below 1, so a
+value lands in the bin whose reported (lo, hi] holds it; 0 goes to the first
+bin.  MCE maximizes |accuracy - mean confidence| over non-empty bins only
+(the gap is undefined on empty ones).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from gradient_decay.loss import (
     class_max,
     shifted_exp,
     stable_softmax,
-    zero_maxima,
 )
 
 __all__ = [
@@ -36,7 +37,8 @@ __all__ = [
     "THRESHOLDS",
 ]
 
-# upper edges of the confidence intervals below 1: (<=0.2], (0.2,0.4], ..., (0.8,1]
+# upper edges of the confidence intervals below 1: (<=0.2], (0.2,0.4], ..., (0.8,1];
+# bitwise the 5-bin edges (b + 1) / 5
 THRESHOLDS = (0.2, 0.4, 0.6, 0.8)
 
 
@@ -96,22 +98,17 @@ class CalibrationReport:
     bins: tuple[ReliabilityBin, ...]
     ece: float
     mce: float
+    mean_conf: float  # mean confidence over all samples
     interval_counts: tuple[int, ...]  # one count per THRESHOLDS interval, as confidence_table
 
 
-def _bin_index(confidences: np.ndarray, bins: int) -> np.ndarray:
-    idx = np.ceil(confidences * bins).astype(np.int64)
-    idx[idx < 1] = 1       # confidence 0 belongs to the first bin
-    idx[idx > bins] = bins
-    return idx - 1
-
-
 def bin_reliability(pred: PredictionSet, bins: int = 10) -> list[ReliabilityBin]:
-    """Equal-width reliability bins on (0, 1]."""
+    """Equal-width reliability bins on (0, 1]; bin b holds the confidences in its (lo, hi]."""
     check_int("bins", bins, 1)
     conf = pred.confidences
     correct = (pred.predicted == pred.labels).astype(np.float64)
-    idx = _bin_index(conf, bins)
+    # the upper edges below 1, each bitwise its bin's hi
+    idx = np.searchsorted([(b + 1) / bins for b in range(bins - 1)], conf, side="left")
     out = []
     for b in range(bins):
         mask = idx == b
@@ -203,7 +200,7 @@ class _NllWorkspace:
     def __init__(self, logits, labels) -> None:
         z, self.labels = check_labeled_logits(logits, labels)
         self.zt = np.ascontiguousarray(z.T)
-        self.rowmax = zero_maxima(np.maximum.reduce(self.zt, axis=0), z)
+        self.rowmax = np.maximum.reduce(self.zt, axis=0)
         self.absmax = np.abs(self.rowmax).max(initial=0.0)
         self.ztrue = z[np.arange(z.shape[0]), self.labels]
         self.buf = np.empty((z.shape[1], min(_BLOCK_ROWS, z.shape[0])))
@@ -275,8 +272,8 @@ def fit_temperature(logits, labels) -> float:
 
 
 def calibration_report(pred: PredictionSet, bins: int = 10) -> CalibrationReport:
-    """Bins, ECE, MCE and true-class confidence interval counts in one shot."""
+    """Bins, ECE, MCE, mean confidence and true-class confidence interval counts in one shot."""
     rel = bin_reliability(pred, bins)
     e, m = _ece_mce(rel, pred.n)
     counts = confidence_table(pred.p_true)
-    return CalibrationReport(tuple(rel), e, m, tuple(int(c) for c in counts))
+    return CalibrationReport(tuple(rel), e, m, float(pred.confidences.mean()), tuple(int(c) for c in counts))

@@ -303,26 +303,6 @@ def cmd_verify(args, parser) -> int:
     return 0
 
 
-def _evaluate_run(result, test_set, bins, tau):
-    """Summary metrics plus report objects for one trained model.
-
-    Everything comes from the run's last-epoch evaluation, which saw the
-    final parameters; the test-set calibration is that of softmax(z/tau).
-    """
-    last = result.metrics[-1]
-    pred = PredictionSet.from_logits(result.test_logits, test_set.labels, tau=tau)
-    report = calibration_report(pred, bins=bins)
-    return {
-        "top1_acc": last.test_acc,
-        "train_acc": last.train_acc,
-        "ece": report.ece,
-        "mce": report.mce,
-        "mean_conf": float(pred.confidences.mean()),
-        "report": report,
-        "train_conf_table": confidence_table(result.train_p_true),
-    }
-
-
 def _diverged(exc: TrainingDiverged) -> str:
     return f"diverged:epoch={exc.epoch},batch={exc.batch}"
 
@@ -351,13 +331,16 @@ def cmd_sweep(args, parser) -> int:
         except TrainingDiverged as exc:
             rows.append([tag, "", "", "", "", "", _diverged(exc)])
             continue
-        ev = _evaluate_run(result, test_set, args.bins, args.tau)
+        # the last epoch's evaluation saw the final parameters; the calibration is that of softmax(z/tau)
+        last = result.metrics[-1]
+        report = calibration_report(PredictionSet.from_logits(result.test_logits, test_set.labels, tau=args.tau),
+                                    bins=args.bins)
         _write_metrics(out / f"metrics_beta_{tag}.csv", result.metrics)
-        _write_reliability(out / f"reliability_beta_{tag}.csv", ev["report"].bins)
+        _write_reliability(out / f"reliability_beta_{tag}.csv", report.bins)
         _write_csv(out / f"conftable_beta_{tag}.csv", ["interval", "count"],
-                   ([name, int(count)] for name, count in zip(_INTERVALS, ev["train_conf_table"])))
-        rows.append([tag, repr(ev["top1_acc"]), repr(ev["train_acc"]),
-                     repr(ev["ece"]), repr(ev["mce"]), repr(ev["mean_conf"]), "ok"])
+                   ([name, int(count)] for name, count in zip(_INTERVALS, confidence_table(result.train_p_true))))
+        rows.append([tag, repr(last.test_acc), repr(last.train_acc),
+                     repr(report.ece), repr(report.mce), repr(report.mean_conf), "ok"])
 
     _write_csv(out / "summary.csv", ["beta", "top1_acc", "train_acc", "ece", "mce", "mean_conf", "status"], rows)
     return 0
@@ -452,7 +435,7 @@ def cmd_calib(args, parser) -> int:
         "beta": args.beta,
         "ece": report.ece,
         "mce": report.mce,
-        "mean_conf": float(pred.confidences.mean()),
+        "mean_conf": report.mean_conf,
         "interval_counts": list(report.interval_counts),
     }
     del pred  # its probabilities need not live through the fit

@@ -122,33 +122,24 @@ _MAX_BLOCK_ROWS = 4096
 
 
 def class_max(Z: np.ndarray) -> np.ndarray:
-    """Z.max(axis=1) of a float64 (n, m) matrix, bitwise, reduced on class-major blocks.
+    """The maximum of each row of a float64 (n, m) matrix, reduced on class-major blocks.
 
     numpy reduces the short rows of Z one at a time.  Here up to 4096 rows
     at a time are copied to class-major order and reduced together, along
-    contiguous class rows.  Max is exact, so every maximum has the same
-    value; only the sign of a zero maximum (a tie of -0.0 and +0.0) depends
-    on the order of the reduction, so zero_maxima takes those rows from
-    Z.max(axis=1) itself.
+    contiguous class rows.  Max is exact, so every maximum has the value of
+    Z.max(axis=1)'s; only the sign of a zero maximum (a tie of -0.0 and
+    +0.0) may differ, and no caller's output depends on it: a shift by
+    either zero gives the same exponentials and the same logarithms.
     """
     n, m = Z.shape
     if n <= _MAX_BLOCK_ROWS:
-        zmax = np.maximum.reduce(Z.T.copy(), axis=0)
-    else:
-        zmax, buf = np.empty(n), np.empty((m, _MAX_BLOCK_ROWS))
-        for lo in range(0, n, _MAX_BLOCK_ROWS):
-            block = Z[lo : lo + _MAX_BLOCK_ROWS]
-            zt = buf[:, : block.shape[0]]
-            np.copyto(zt, block.T)
-            np.maximum.reduce(zt, axis=0, out=zmax[lo : lo + block.shape[0]])
-    return zero_maxima(zmax, Z)
-
-
-def zero_maxima(zmax: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """zmax, a class-major maximum of each row of Z, with every zero entry replaced by Z.max(axis=1)'s."""
-    if np.count_nonzero(zmax) < zmax.size:
-        zero = zmax == 0.0
-        zmax[zero] = Z[zero].max(axis=1)
+        return np.maximum.reduce(Z.T.copy(), axis=0)
+    zmax, buf = np.empty(n), np.empty((m, _MAX_BLOCK_ROWS))
+    for lo in range(0, n, _MAX_BLOCK_ROWS):
+        block = Z[lo : lo + _MAX_BLOCK_ROWS]
+        zt = buf[:, : block.shape[0]]
+        np.copyto(zt, block.T)
+        np.maximum.reduce(zt, axis=0, out=zmax[lo : lo + block.shape[0]])
     return zmax
 
 

@@ -113,21 +113,21 @@ class VerifyReport:
 
 
 def central_diff_grad(f, z, step: float) -> np.ndarray:
-    """Central-difference gradients of k samples from one call of f on all 2m*k perturbed rows.
+    """Central-difference gradients of a (k, m) stack of samples from one call of f on all 2m*k perturbed rows.
 
-    z is one (m,) sample or a (k, m) stack of samples; the result has its
-    shape.  f maps an (r, m) matrix to its r row values.  It is called once,
-    on rows in sample-major order: rows 2m*j + i and 2m*j + m + i hold
-    sample j's z + step*e_i and z - step*e_i.  Component i of sample j is
+    A single sample is a one-row stack; the result has z's shape.  f maps
+    an (r, m) matrix to its r row values.  It is called once, on rows in
+    sample-major order: rows 2m*j + i and 2m*j + m + i hold sample j's
+    z + step*e_i and z - step*e_i.  Component i of sample j is
     (f(z + step*e_i) - f(z - step*e_i)) / (2 step).
     """
     z = np.asarray(z, dtype=np.float64)
     check_positive_real("step", step)
-    if z.ndim not in (1, 2):
-        raise ValueError("z must be an (m,) vector or a (k, m) stack of them")
-    k, m = np.atleast_2d(z).shape
+    if z.ndim != 2:
+        raise ValueError(f"z must be a (k, m) stack of samples, got shape {z.shape}")
+    k, m = z.shape
     i = np.arange(m)
-    rows = np.repeat(np.atleast_2d(z), 2 * m, axis=0).reshape(k, 2, m, m)
+    rows = np.repeat(z, 2 * m, axis=0).reshape(k, 2, m, m)
     rows[:, 0, i, i] += step
     rows[:, 1, i, i] -= step
     vals = np.asarray(f(rows.reshape(2 * m * k, m)), dtype=np.float64)
@@ -138,7 +138,7 @@ def central_diff_grad(f, z, step: float) -> np.ndarray:
     if bad.any():
         j, c = np.argwhere(bad)[0]
         raise ValueError(f"non-finite evaluation while differencing sample {j}, coordinate {c}")
-    return ((fp - fm) / (2.0 * step)).reshape(z.shape)
+    return (fp - fm) / (2.0 * step)
 
 
 def _grid_block(lo: float, hi: float, points: int, start: int, stop: int) -> np.ndarray:

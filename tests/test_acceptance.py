@@ -206,11 +206,11 @@ def blobs_sweep():
         model = MlpModel.init((2, 256, 10), seed=7)
         res = train(model, train_set, cfg, LossParams(beta=beta), test_set=test_set, trace=False)
         logits = model.forward(decode(test_set.raw))
-        pred = PredictionSet.from_logits(logits, test_set.labels)
+        report = calibration_report(PredictionSet.from_logits(logits, test_set.labels), 10)
         runs[beta] = {
             "test_acc": res.metrics[-1].test_acc,
-            "mean_conf": float(pred.confidences.mean()),
-            "ece": calibration_report(pred, 10).ece,
+            "mean_conf": report.mean_conf,
+            "ece": report.ece,
             "logits": logits,
             "labels": test_set.labels,
         }

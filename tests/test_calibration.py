@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gradient_decay import calibration
 from gradient_decay.calibration import (
     _BLOCK_ROWS,
+    THRESHOLDS,
     PredictionSet,
     _column_sums,
     _NllWorkspace,
@@ -33,6 +34,26 @@ def _single_conf_rows(confidences, correct, m=20):
         rows.append(row)
         labels.append(0 if ok else 1)
     return PredictionSet(np.asarray(rows), np.asarray(labels))
+
+
+def _with_confidences(values):
+    """A prediction set whose confidences are the given values, even where no probability row has them."""
+    values = np.asarray(values, dtype=np.float64)
+    pred = PredictionSet(np.full((values.size, 2), 0.5), np.zeros(values.size, dtype=np.int64))
+    pred.__dict__["confidences"] = values  # the cached_property reads the instance dict first
+    return pred
+
+
+def _edge_values(bins):
+    """Each edge b/bins of [0, 1] and the 3 floats on either side of it that lie in [0, 1]."""
+    out = []
+    for b in range(bins + 1):
+        below = above = b / bins
+        out.append(below)
+        for _ in range(3):
+            below, above = np.nextafter(below, -1.0), np.nextafter(above, 2.0)
+            out += [x for x in (below, above) if 0.0 <= x <= 1.0]
+    return np.array(out)
 
 
 # The allocating objective, golden-section search and softmax that the
@@ -254,11 +275,20 @@ class TestBinReliability:
         assert bins[7].count == 1
         assert bins[8].count == 1
 
-    def test_zero_confidence_goes_to_first_bin(self):
-        # confidence cannot be 0 for real softmax rows; exercise the rule directly
-        from gradient_decay.calibration import _bin_index
+    @pytest.mark.parametrize("bins", range(1, 31))
+    def test_each_value_lands_in_the_bin_that_holds_it(self, bins):
+        # every edge b/bins and the 3 ulps on each side; 0 belongs to the first bin
+        for x in _edge_values(bins):
+            rel = bin_reliability(_with_confidences([x]), bins)
+            want = next(b for b, r in enumerate(rel) if x <= r.hi and (x > r.lo or b == 0))
+            assert [b for b, r in enumerate(rel) if r.count] == [want], (x, rel[want])
 
-        assert _bin_index(np.array([0.0]), 10)[0] == 0
+    def test_confidence_table_is_the_five_bin_rule(self):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([_edge_values(5), rng.uniform(0.0, 1.0, 500)])
+        rel = bin_reliability(_with_confidences(values), 5)
+        assert [r.hi for r in rel[:-1]] == list(THRESHOLDS)
+        assert [r.count for r in rel] == list(confidence_table(values))
 
     def test_mixed_hand_case(self):
         # two samples at confidence 0.9, one correct: bin gap |0.5 - 0.9|
@@ -392,14 +422,20 @@ class TestFitTemperature:
             assert _NllWorkspace(z, y)(tau) == _reference_mean_nll(z, y, tau)
 
     @pytest.mark.parametrize("m", [2, 9, 10])
-    def test_row_maxima_are_bitwise_the_row_max(self, m):
-        # taken from the class-major copy; rows whose maximum is a tie of -0.0 and +0.0 included
+    def test_row_maxima_are_the_row_max(self, m):
+        # taken from the class-major copy; rows whose maximum is a tie of -0.0 and +0.0 included.
+        # The sign of such a zero may differ from numpy's row reduction, but no NLL bit moves.
         rng = np.random.default_rng(m)
         z = rng.normal(0.0, 3.0, (_BLOCK_ROWS + 5, m))
         z[::7, :] = np.where(rng.random((len(z[::7]), m)) < 0.5, -0.0, 0.0)
         z[::7, -1] = -1.0
-        ws = _NllWorkspace(z, rng.integers(0, m, len(z)))
-        assert ws.rowmax.tobytes() == z.max(axis=1).tobytes()
+        y = rng.integers(0, m, len(z))
+        ws = _NllWorkspace(z, y)
+        assert np.array_equal(ws.rowmax, z.max(axis=1))
+        ties, tie_labels = z[::7], y[::7]
+        for tau in (0.05, 1.0, 3.7):
+            assert _NllWorkspace(ties, tie_labels)(tau) == _reference_mean_nll(ties, tie_labels, tau)
+            assert ws(tau) == _reference_mean_nll(z, y, tau)
 
     def test_clamps_at_lo(self):
         # every label is its row's strict argmax: NLL falls all the way to tau -> 0

@@ -50,7 +50,7 @@ SITES = {
     "WarmupSchedule.beta_at": (lambda v: WarmupSchedule(0.1, 1.0, 3).beta_at(v), 0),
     "FdConfig.trials": (lambda v: FdConfig(trials=v), 1),
     "FdConfig.seed": (lambda v: FdConfig(seed=v), 0),
-    "central_diff_grad.step": (lambda v: central_diff_grad(lambda Z: Z.sum(axis=1), [0.0, 1.0], v), None),
+    "central_diff_grad.step": (lambda v: central_diff_grad(lambda Z: Z.sum(axis=1), [[0.0, 1.0]], v), None),
     "grid_scan_extremum.lo": (lambda v: grid_scan_extremum([lambda g: -g * g], v, 1.0, 3), (-math.inf, math.inf)),
     "grid_scan_extremum.hi": (lambda v: grid_scan_extremum([lambda g: -g * g], -1.0, v, 3), (-math.inf, math.inf)),
     "grid_scan_extremum.points": (lambda v: grid_scan_extremum([lambda g: -g * g], -1.0, 1.0, v), 3),

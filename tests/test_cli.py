@@ -235,9 +235,10 @@ class TestSweepCommand:
         pred = PredictionSet.from_logits(runs[0].test_logits, test_set.labels, tau=0.5)
         report = calibration_report(pred, bins=10)
         row = (out / "summary.csv").read_text().splitlines()[1].split(",")
-        assert row[3:6] == [repr(report.ece), repr(report.mce), repr(float(pred.confidences.mean()))]
-        untempered = PredictionSet.from_logits(runs[0].test_logits, test_set.labels)
-        assert row[5] != repr(float(untempered.confidences.mean()))
+        assert report.mean_conf.hex() == float(pred.confidences.mean()).hex()
+        assert row[3:6] == [repr(report.ece), repr(report.mce), repr(report.mean_conf)]
+        untempered = calibration_report(PredictionSet.from_logits(runs[0].test_logits, test_set.labels), bins=10)
+        assert row[5] != repr(untempered.mean_conf)
 
     def test_conftable_counts_sum_to_train_size(self, tmp_path):
         out = tmp_path / "sweep"

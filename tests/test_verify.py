@@ -172,17 +172,18 @@ def bits(*xs) -> bytes:
 
 class TestCentralDiffGrad:
     def test_sum_of_squares(self):
-        g = central_diff_grad(lambda Z: (Z**2).sum(axis=1), np.array([1.0, 2.0]), 1e-5)
-        assert np.allclose(g, [2.0, 4.0], atol=1e-8)
+        g = central_diff_grad(lambda Z: (Z**2).sum(axis=1), np.array([[1.0, 2.0]]), 1e-5)
+        assert g.shape == (1, 2)
+        assert np.allclose(g, [[2.0, 4.0]], atol=1e-8)
 
     def test_constant_function(self):
-        g = central_diff_grad(lambda Z: np.full(len(Z), 3.5), np.array([0.3, -1.2, 4.0]), 1e-5)
+        g = central_diff_grad(lambda Z: np.full(len(Z), 3.5), np.array([[0.3, -1.2, 4.0]]), 1e-5)
         assert np.all(np.abs(g) < 1e-10)
 
     def test_matches_analytic_beta_gradient(self):
         params = LossParams(beta=0.1)
-        z = np.zeros(10)
-        fd = central_diff_grad(lambda Z: batch_losses(Z, np.zeros(len(Z), dtype=int), params), z, 1e-5)
+        z = np.zeros((1, 10))
+        (fd,) = central_diff_grad(lambda Z: batch_losses(Z, np.zeros(len(Z), dtype=int), params), z, 1e-5)
         assert fd[0] == pytest.approx(-0.989010989010989, rel=1e-6)
         assert np.allclose(fd[1:], 0.10989010989010989, rtol=1e-6)
 
@@ -190,16 +191,16 @@ class TestCentralDiffGrad:
         def f(Z):
             return np.where(Z[:, 1] > 0.5, np.nan, Z.sum(axis=1))
 
-        with pytest.raises(ValueError, match="coordinate 1"):
-            central_diff_grad(f, np.array([0.0, 0.5]), 1e-2)
+        with pytest.raises(ValueError, match="sample 0, coordinate 1"):
+            central_diff_grad(f, np.array([[0.0, 0.5]]), 1e-2)
 
     def test_reference_is_independent_of_analytic_gradients(self, monkeypatch):
         # Perturbing the analytic derivative path must not move the
         # finite-difference reference at all: it comes from loss values only.
         params = LossParams(beta=0.37)
-        z = np.array([0.4, -1.1, 2.2, 0.0])
+        z = np.array([[0.4, -1.1, 2.2, 0.0]])
         f = lambda Z: batch_losses(Z, np.full(len(Z), 2), params)
-        stack = np.stack([z, z[::-1]])  # verify's entry point: a stack of samples, here both of class 2
+        stack = np.vstack([z, z[:, ::-1]])  # verify's entry point: a stack of samples, here both of class 2
         before = central_diff_grad(f, z, 1e-5)
         before_verify = gradient_decay.verify.central_diff_grad(f, stack, 1e-5)
 
@@ -212,7 +213,7 @@ class TestCentralDiffGrad:
         after = central_diff_grad(f, z, 1e-5)
         assert np.array_equal(before, after)
         assert np.array_equal(before_verify, gradient_decay.verify.central_diff_grad(f, stack, 1e-5))
-        assert np.array_equal(before, before_verify[0])
+        assert np.array_equal(before[0], before_verify[0])
 
     def test_calls_f_once_on_all_perturbed_rows(self):
         calls = []
@@ -222,7 +223,7 @@ class TestCentralDiffGrad:
             return Z.sum(axis=1)
 
         z = np.array([0.1, -0.2, 0.3])
-        central_diff_grad(f, z, 1e-3)
+        central_diff_grad(f, z[None], 1e-3)
         assert len(calls) == 1
         expected = np.array([z + d for d in (1e-3 * np.eye(3))] + [z - d for d in (1e-3 * np.eye(3))])
         assert np.array_equal(calls[0], expected)
@@ -250,7 +251,14 @@ class TestCentralDiffGrad:
 
     def test_f_must_return_one_value_per_row(self):
         with pytest.raises(ValueError, match="one value per row"):
-            central_diff_grad(lambda Z: 1.0, np.array([0.0, 1.0]), 1e-3)
+            central_diff_grad(lambda Z: 1.0, np.array([[0.0, 1.0]]), 1e-3)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 2, 3)])
+    def test_only_a_stack_of_samples_is_accepted(self, shape):
+        calls = []
+        with pytest.raises(ValueError, match=rf"\(k, m\) stack of samples, got shape {re.escape(str(shape))}$"):
+            central_diff_grad(lambda Z: calls.append(Z) or Z.sum(axis=1), np.zeros(shape), 1e-3)
+        assert calls == []
 
     @pytest.mark.parametrize("m", [2, 7, 20])
     @pytest.mark.parametrize("offset", [0.0, 1000.0], ids=["max", "large"])
@@ -266,7 +274,7 @@ class TestCentralDiffGrad:
             stacked = central_diff_grad(lambda R: batch_losses(R, np.repeat(c, 2 * m), params), Z, 1e-5)
             assert stacked.shape == Z.shape
             for j, z in enumerate(Z):
-                new = central_diff_grad(lambda R: batch_losses(R, np.full(len(R), c[j]), params), z, 1e-5)
+                (new,) = central_diff_grad(lambda R: batch_losses(R, np.full(len(R), c[j]), params), z[None], 1e-5)
                 old = old_central_diff_grad(lambda zz: batch_losses(zz[None], [c[j]], params)[0], z, 1e-5)
                 assert np.array_equal(new, old)
                 assert np.array_equal(stacked[j], new)
