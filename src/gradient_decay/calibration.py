@@ -109,17 +109,15 @@ def bin_reliability(pred: PredictionSet, bins: int = 10) -> list[ReliabilityBin]
     correct = (pred.predicted == pred.labels).astype(np.float64)
     # the upper edges below 1, each bitwise its bin's hi
     idx = np.searchsorted([(b + 1) / bins for b in range(bins - 1)], conf, side="left")
+    # one stable sort (a radix sort for keys of up to 16 bits) groups the bins and keeps each
+    # bin's values in their original order, so each mean has the bits of the bin's masked mean
+    order = np.argsort(idx.astype(np.min_scalar_type(bins - 1)), kind="stable")
+    conf, correct = conf[order], correct[order]
+    ends = np.bincount(idx, minlength=bins).cumsum().tolist()
     out = []
-    for b in range(bins):
-        mask = idx == b
-        count = int(mask.sum())
-        if count:
-            out.append(
-                ReliabilityBin(b / bins, (b + 1) / bins, count,
-                               float(conf[mask].mean()), float(correct[mask].mean()))
-            )
-        else:
-            out.append(ReliabilityBin(b / bins, (b + 1) / bins, 0, float("nan"), float("nan")))
+    for b, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        means = (float(conf[lo:hi].mean()), float(correct[lo:hi].mean())) if hi > lo else (math.nan, math.nan)
+        out.append(ReliabilityBin(b / bins, (b + 1) / bins, hi - lo, *means))
     return out
 
 

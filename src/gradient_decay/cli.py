@@ -20,6 +20,8 @@ not matched by prefix.
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import csv
 import gc
 import json
@@ -58,6 +60,11 @@ from gradient_decay.schedule import WarmupSchedule
 from gradient_decay.verify import DEFAULT_BETAS, FdConfig, verify_all
 
 __all__ = ["main", "entry", "build_parser"]
+
+# CPython's Py_FinalizeEx runs atexit hooks before _PyGC_CollectIfEnabled and finalize_modules, so
+# on every way out of a process that imported the CLI, shutdown's collections skip the frozen objects
+# of numpy, argparse and this package instead of freeing their cycles; the OS takes that memory back.
+atexit.register(gc.freeze)
 
 # confidence_table's interval labels: p<=t1, t1<p<=t2, ..., tk<p<=1 for THRESHOLDS t1..tk
 _INTERVALS = [f"p<={THRESHOLDS[0]}"] + [f"{lo}<p<={hi}" for lo, hi in zip(THRESHOLDS, THRESHOLDS[1:] + (1,))]
@@ -161,12 +168,22 @@ def _beta_tag(beta) -> str:
 #
 # Every file and report the commands produce is written here.  A cell that
 # is not already a string or an integer is converted explicitly (repr of a
-# float), because csv.writer writes str() of anything else.
+# float), because csv.writer writes str() of anything else.  A write that fails
+# after _check_out exits 2 naming its flag and path, keeping what it had written.
 
 
-def _write_csv(path, header, rows) -> None:
+@contextlib.contextmanager
+def _writing(flag, path):
+    try:
+        yield
+    except OSError as exc:
+        print(f"gradient-decay: error: argument {flag}: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _write_csv(path, header, rows, flag="--out") -> None:
     """header then rows, in the csv module's default dialect: every row ends in CRLF."""
-    with open(path, "w", newline="") as f:
+    with _writing(flag, path), open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
@@ -175,7 +192,8 @@ def _write_csv(path, header, rows) -> None:
 def _emit(text: str, out) -> None:
     """text to the file out, or to stdout without one."""
     if out:
-        Path(out).write_text(text)
+        with _writing("--out", out):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -186,9 +204,9 @@ def _write_metrics(path, metrics) -> None:
                 for m in metrics))
 
 
-def _write_reliability(path, bins) -> None:
+def _write_reliability(path, bins, flag="--out") -> None:
     _write_csv(path, ["bin_lo", "bin_hi", "count", "mean_conf", "accuracy"],
-               ([repr(b.lo), repr(b.hi), b.count, repr(b.mean_conf), repr(b.accuracy)] for b in bins))
+               ([repr(b.lo), repr(b.hi), b.count, repr(b.mean_conf), repr(b.accuracy)] for b in bins), flag)
 
 
 # ---------------------------------------------------------------- datasets
@@ -451,7 +469,7 @@ def cmd_calib(args, parser) -> int:
         payload["mce_scaled"] = scaled_report.mce
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if args.reliability_out:
-        _write_reliability(args.reliability_out, report.bins)
+        _write_reliability(args.reliability_out, report.bins, "--reliability-out")
     return 0
 
 
@@ -530,24 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-        known, rest = _config_parser().parse_known_args(argv)
-        if known.config is not None:
-            try:
-                rest[1:1] = _config_tokens(known.config)  # after the subcommand, so explicit flags win
-            except (OSError, ValueError) as exc:
-                parser.error(str(exc))
-        args = parser.parse_args(rest)
-        return args.func(args, parser)
-    finally:
-        # On every way out (a return, a usage error, a traceback) the heap is
-        # frozen, so interpreter shutdown's collections skip the objects of
-        # numpy, argparse and this package instead of freeing the module
-        # graph's cycles one by one; the OS takes that memory back at exit.
-        # An in-process caller keeps a working collector, but cycles that are
-        # already garbage here stay in memory.
-        gc.freeze()
+    parser = build_parser()
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config is not None:
+        try:
+            rest[1:1] = _config_tokens(known.config)  # after the subcommand, so explicit flags win
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+    args = parser.parse_args(rest)
+    return args.func(args, parser)
 
 
 def entry() -> None:

@@ -1,5 +1,4 @@
 import argparse
-import gc
 import importlib.util
 import os
 import sys
@@ -30,25 +29,6 @@ requires_mnist = pytest.mark.skipif(
     reason=f"MNIST IDX files not found (set {MNIST_ENV} or place them under data/mnist); "
     "they cannot be fetched in an offline environment",
 )
-
-
-# Objects that gc.unfreeze() gives back sit in the oldest generation, whose full
-# collections the collector defers; one after every 10th test that froze the heap
-# keeps tier-1's peak near what it was before cli.main froze it.
-_COLLECT_EVERY = 10
-_frozen_tests = 0
-
-
-@pytest.fixture(autouse=True)
-def _unfreeze_heap():
-    """Give back what an in-process cli.main froze, so the next test's garbage stays collectable."""
-    global _frozen_tests
-    yield
-    if gc.get_freeze_count():
-        gc.unfreeze()
-        _frozen_tests += 1
-        if _frozen_tests % _COLLECT_EVERY == 0:
-            gc.collect()
 
 
 def bench_module(name: str):

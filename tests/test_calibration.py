@@ -56,6 +56,18 @@ def _edge_values(bins):
     return np.array(out)
 
 
+def _mask_loop_bins(pred, bins):
+    """(lo, hi, count, mean_conf bits, accuracy bits) of each bin, by one boolean mask per bin."""
+    correct = (pred.predicted == pred.labels).astype(np.float64)
+    idx = np.searchsorted([(b + 1) / bins for b in range(bins - 1)], pred.confidences, side="left")
+    out = []
+    for b in range(bins):
+        mask = idx == b
+        means = [float(v[mask].mean()).hex() if mask.any() else "nan" for v in (pred.confidences, correct)]
+        out.append((b / bins, (b + 1) / bins, int(mask.sum()), *means))
+    return out
+
+
 # The allocating objective, golden-section search and softmax that the
 # one-buffer workspace replaced, kept verbatim: the workspace must match
 # them bitwise.
@@ -282,6 +294,14 @@ class TestBinReliability:
             rel = bin_reliability(_with_confidences([x]), bins)
             want = next(b for b, r in enumerate(rel) if x <= r.hi and (x > r.lo or b == 0))
             assert [b for b, r in enumerate(rel) if r.count] == [want], (x, rel[want])
+
+    @pytest.mark.parametrize("bins", [*range(1, 31), 1000])
+    def test_bins_have_the_bits_of_the_mask_loop(self, bins):
+        # 5000 values: at few bins a bin's sum is pairwise, at many most bins are empty
+        rng = np.random.default_rng(bins)
+        pred = PredictionSet.from_logits(rng.normal(0.0, 2.0, (5000, 10)), rng.integers(0, 10, 5000))
+        got = [(r.lo, r.hi, r.count, r.mean_conf.hex(), r.accuracy.hex()) for r in bin_reliability(pred, bins)]
+        assert got == _mask_loop_bins(pred, bins)
 
     def test_confidence_table_is_the_five_bin_rule(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file schemas, reproducibility."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -8,7 +9,6 @@ import os
 import subprocess
 import sys
 import warnings
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -161,41 +161,49 @@ class TestVerifyCommand:
         assert failed == {"monotone_decay": 0.999999, "convexity_flip": None, "curvature_peak_value": 0.25}
 
 
+# the four ways out of main: argv, what main returns or raises (an AssertionError is raised
+# by a stubbed verify_all), and the exit status of a process that leaves that way
+WAYS_OUT = {
+    "returns_0": (["verify", "--trials", "5", "--betas", "1"], 0, 0),
+    "returns_1": (["verify", "--trials", "5", "--betas", "1e308"], 1, 1),
+    "usage_error": (["verify", "--trials", "0"], SystemExit, 2),
+    "traceback": (["verify", "--trials", "5"], AssertionError, 1),
+}
+# registers an atexit hook before importing the CLI, then leaves through main as `entry` does
+EXIT_SCRIPT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0))
+from gradient_decay import cli
+if sys.argv[1] == "stub":
+    cli.verify_all = None  # calling it raises
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 class TestExitPath:
-    """main ends with the heap frozen on every way out, and the collector still works after it."""
+    """main leaves the collector as it found it; the process exits with the heap frozen."""
 
-    @pytest.fixture
-    def unfrozen(self):
-        gc.unfreeze()
-        assert gc.get_freeze_count() == 0
-
-    @pytest.mark.parametrize("argv, exits", [
-        (["verify", "--trials", "5", "--betas", "1"], 0),
-        (["verify", "--trials", "5", "--betas", "1e308"], 1),
-        (["verify", "--trials", "0"], SystemExit),
-        (["verify", "--trials", "5"], AssertionError),
-    ], ids=["returns_0", "returns_1", "usage_error", "traceback"])
-    def test_main_freezes_the_heap_and_leaves_the_collector_working(self, capsys, monkeypatch, unfrozen,
-                                                                   argv, exits):
+    @pytest.mark.parametrize("way", WAYS_OUT)
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, monkeypatch, way):
+        argv, exits, _ = WAYS_OUT[way]
         if exits is AssertionError:
             monkeypatch.setattr(cli, "verify_all", no_work)
+        before = gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()
         if isinstance(exits, int):
             assert run(argv) == exits
         else:
             with pytest.raises(exits):
                 run(argv)
-        assert gc.get_freeze_count() > 0
-        assert gc.isenabled()
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
 
-        class Node:
-            pass
-
-        node = Node()
-        node.self = node
-        ref = weakref.ref(node)
-        del node
-        gc.collect()
-        assert ref() is None
+    @pytest.mark.parametrize("way", WAYS_OUT)
+    def test_process_exits_with_the_heap_frozen(self, way):
+        # atexit runs its hooks last in, first out, so the script's hook runs after the CLI's
+        argv, exits, status = WAYS_OUT[way]
+        proc = python_process("-c", EXIT_SCRIPT, "stub" if exits is AssertionError else "real", *argv)
+        assert proc.returncode == status
+        assert (b"Traceback" in proc.stderr) == (exits is AssertionError)
+        assert proc.stdout.splitlines()[-1] == b"frozen at exit: True"
 
     def test_importing_cli_freezes_nothing(self):
         proc = python_process("-c", "import gc; n = gc.get_freeze_count(); import gradient_decay.cli; "
@@ -849,6 +857,46 @@ class TestUnwritableOutputPaths:
         assert assert_usage_error(argv, capsys, f"argument {flag}: {message}") == ""
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["afile"]
         assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+class TestFailedWrites:
+    """A write that fails after its path passed the checks exits 2 with one stderr line naming flag and path."""
+
+    @staticmethod
+    def assert_one_line(argv, capsys, flag, path):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == \
+            f"gradient-decay: error: argument {flag}: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, on which every write fails")
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--trials", "3", "--betas", "1", "--out"], "--out"),
+        (["calib", "--logits", "l.npz", "--out"], "--out"),
+        (["calib", "--logits", "l.npz", "--reliability-out"], "--reliability-out"),
+    ], ids=["verify", "calib", "calib_reliability"])
+    def test_on_a_full_device(self, tmp_path, capsys, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(0)
+        np.savez("l.npz", logits=rng.normal(0, 1, (30, 4)), labels=rng.integers(0, 4, 30))
+        self.assert_one_line(argv + ["/dev/full"], capsys, flag, "/dev/full")
+
+    @pytest.mark.parametrize("argv, fails_on, left", [
+        (["sweep", "--betas", "1,0.1"], "reliability_beta_0.1.csv",
+         ["conftable_beta_1.0.csv", "metrics_beta_0.1.csv", "metrics_beta_1.0.csv", "reliability_beta_1.0.csv"]),
+        (["trace", "--beta", "1"], "trace.csv", ["metrics.csv"]),
+    ], ids=["sweep", "trace"])
+    def test_on_a_csv(self, tmp_path, capsys, monkeypatch, argv, fails_on, left):
+        def open_or_fail(path, *args, **kwargs):
+            if Path(path).name == fails_on:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", open_or_fail, raising=False)
+        out = tmp_path / "out"
+        self.assert_one_line(argv + FAST_SWEEP + ["--out", str(out)], capsys, "--out", out / fails_on)
+        assert sorted(p.name for p in out.iterdir()) == left  # no summary.csv: it is written last
 
 
 # One valid invocation per subcommand; each contract case replaces one of its

@@ -58,6 +58,8 @@ FILE_RUNS = (
     ("calib", "--logits", "{dir}/logits.npz", "--fit-temperature", "--out", "{dir}/out/calib.json",
      "--reliability-out", "{dir}/out/reliability.csv"),
     ("calib", "--logits", "{dir}/logits.csv", "--bins", "7"),
+    # 1000 bins for 600 rows: most bins are empty, and the rest hold a few values each
+    ("calib", "--logits", "{dir}/logits.npz", "--bins", "1000", "--reliability-out", "{dir}/out/reliability.csv"),
     ("warmup-demo",),
 )
 # "{dir}" holds write_mnist's IDX files, plain under {dir}/plain and gzip-compressed under {dir}/gz
