@@ -6,6 +6,11 @@ np.searchsorted(edges, x, side="left") on its own upper edges below 1, so a
 value lands in the bin whose reported (lo, hi] holds it; 0 goes to the first
 bin.  MCE maximizes |accuracy - mean confidence| over non-empty bins only
 (the gap is undefined on empty ones).
+
+Every softmax here divides by tau, then shifts (_shifted_exp); loss's kernels
+shift, then divide, a last-bit difference at tau != 1.  This order stays, as
+bench's calib_fit digests and the --tau 0.5 sweep and calib runs in
+tests/golden.json pin it.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from gradient_decay.loss import (
     check_labels,
     check_positive_real,
     class_max,
-    shifted_exp,
-    stable_softmax,
 )
 
 __all__ = [
@@ -40,6 +43,24 @@ __all__ = [
 # upper edges of the confidence intervals below 1: (<=0.2], (0.2,0.4], ..., (0.8,1];
 # bitwise the 5-bin edges (b + 1) / 5
 THRESHOLDS = (0.2, 0.4, 0.6, 0.8)
+
+
+def _shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None):
+    """(exp(z/tau - s), s) with s = zmax/tau, writing the exponentials into out if given.
+
+    zmax is the maximum of z along its last axis, shaped to broadcast against
+    z.  Division by tau > 0 is monotone, so s is bitwise the maximum of z/tau.
+    If s overflows anywhere, which takes tau < 1, inf - inf would give NaN
+    there, so all exponents are taken as (z - zmax)/tau instead: finite or -inf.
+    """
+    out = np.divide(z, tau, out)
+    s = zmax / tau
+    if tau < 1.0 and not np.isfinite(s).all():
+        np.divide(np.subtract(z, zmax, out), tau, out)
+    else:
+        np.subtract(out, s, out)
+    np.exp(out, out)
+    return out, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +84,10 @@ class PredictionSet:
     def from_logits(cls, logits, labels, tau: float = 1.0) -> "PredictionSet":
         check_positive_real("tau", tau)
         z, y = check_labeled_logits(logits, labels)
-        return cls(stable_softmax(z, tau), y)
+        with np.errstate(over="ignore"):  # an exponent that overflows is -inf, a 0 probability
+            e, _ = _shifted_exp(z, tau, class_max(z)[:, None])
+        e /= e.sum(axis=1, keepdims=True)
+        return cls(e, y)
 
     @property
     def n(self) -> int:
@@ -187,7 +211,7 @@ class _NllWorkspace:
     time on contiguous class rows and sums them with _column_sums, so each
     row's NLL is bitwise that of a row-major pass over the whole (n, m)
     matrix, as long as no rowmax/tau overflows (only possible for tau < 1
-    and logits near the float64 limit).  Where one does, shifted_exp takes
+    and logits near the float64 limit).  Where one does, _shifted_exp takes
     the fallback exponents for that whole block, which a whole-matrix pass
     would take for every row, and the row's NLL is
     log(sum) + (rowmax - ztrue)/tau: possibly +inf, never NaN.
@@ -217,7 +241,7 @@ class _NllWorkspace:
             for lo in range(0, self.lse.size, _BLOCK_ROWS):
                 rows = slice(lo, lo + _BLOCK_ROWS)
                 zt = self.zt[:, rows]
-                e, s = shifted_exp(zt, tau, self.rowmax[rows], self.buf[:, :zt.shape[1]])
+                e, s = _shifted_exp(zt, tau, self.rowmax[rows], self.buf[:, :zt.shape[1]])
                 lse = np.log(_column_sums(e), out=self.lse[rows])
                 lse += s
                 lse -= np.divide(self.ztrue[rows], tau, out=s)  # s is spent: its memory takes ztrue/tau

@@ -406,7 +406,7 @@ def _load_logits_file(path, parser):
                 if not isinstance(data, np.lib.npyio.NpzFile):  # a .npy file behind an .npz name
                     parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
                 with data:
-                    logits, labels = np.asarray(data["logits"], dtype=np.float64), np.asarray(data["labels"])
+                    logits, labels = data["logits"], data["labels"]
         except KeyError:  # not a member of the archive
             parser.error(f"{p}: expected arrays named 'logits' and 'labels'")
         except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:

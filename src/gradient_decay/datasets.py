@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gradient_decay.loss import check_int, check_positive_real, integer_labels
+from gradient_decay.loss import check_int, check_positive_real, integer_labels, real_array
 
 __all__ = [
     "BlobsConfig",
@@ -63,7 +63,8 @@ class Dataset:
 
     The dtype of raw decides what it holds (see decode): uint8 means IDX
     pixel codes, whose features are raw / 255 in float64, and any other
-    dtype becomes float64 features.  IDX pixels stay uint8 codes, an eighth
+    bool, integer or float dtype becomes float64 features (a complex one is
+    rejected).  IDX pixels stay uint8 codes, an eighth
     of the memory of their float64 values; trainers decode them a batch or
     a row block at a time.
     """
@@ -73,7 +74,7 @@ class Dataset:
     split: str            # "train" or "test"
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.raw)
+        r = real_array("features", self.raw)
         r = r if r.dtype == np.uint8 else r.astype(np.float64, copy=False)
         l = integer_labels(self.labels).astype(np.int64, copy=False)
         object.__setattr__(self, "raw", r)

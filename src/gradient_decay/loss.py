@@ -9,11 +9,11 @@ as a soft margin in decision space, and beta controls how fast the gradient
 assigned to a sample decays as its true-class probability p_c rises.  beta=1
 is the standard softmax cross-entropy.
 
-The loss kernels (beta_ce_batch, batch_losses, batch_p_true) and
-stable_softmax take an (n, m) logit matrix, one sample per row.  Every
-kernel subtracts the maximum logit before exponentiating, so each sample has
-one exponential equal to exp(0) = 1: for any finite logits the denominator
-is finite and at least min(beta, 1), and nothing overflows.
+The loss kernels (beta_ce_batch, batch_losses, batch_p_true) take an (n, m)
+logit matrix, one sample per row.  Every kernel subtracts the maximum logit,
+then divides by tau, before exponentiating, so each sample has one
+exponential equal to exp(0) = 1: for any finite logits the denominator is
+finite and at least min(beta, 1), and nothing overflows.
 
 Everything here is a pure function of its inputs (no shared state), in 64-bit
 floating point.  The scalar curvature functions accept numpy arrays as well
@@ -89,6 +89,14 @@ def check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def real_array(name: str, values) -> np.ndarray:
+    """values as an array, which must have a bool, integer or float dtype (complex parts are not dropped)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must have a bool, integer or float dtype, got {a.dtype}")
+    return a
+
+
 def integer_labels(labels) -> np.ndarray:
     """labels as an array, which must have an integer dtype (floats are not truncated)."""
     y = np.asarray(labels)
@@ -109,7 +117,7 @@ def check_labels(labels, n: int, m: int, rows: str = "logit") -> np.ndarray:
 
 def check_labeled_logits(logits, labels) -> tuple[np.ndarray, np.ndarray]:
     """(z, y): z a finite float64 (n, m) matrix, m >= 2; y integer labels, one per row, in [0, m)."""
-    z = np.asarray(logits, dtype=np.float64)
+    z = real_array("logits", logits).astype(np.float64, copy=False)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError("logits must be an (n, m) matrix with m >= 2")
     if not np.isfinite(z).all():
@@ -141,31 +149,6 @@ def class_max(Z: np.ndarray) -> np.ndarray:
         np.copyto(zt, block.T)
         np.maximum.reduce(zt, axis=0, out=zmax[lo : lo + block.shape[0]])
     return zmax
-
-
-def shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None):
-    """(exp(z/tau - s), s) with s = zmax/tau, writing the exponentials into out if given.
-
-    zmax is the maximum of z along its last axis, shaped to broadcast against
-    z.  Division by tau > 0 is monotone, so s is bitwise the maximum of z/tau.
-    If s overflows anywhere, which takes tau < 1, inf - inf would give NaN
-    there, so all exponents are taken as (z - zmax)/tau instead: finite or -inf.
-    """
-    out = np.divide(z, tau, out)
-    s = zmax / tau
-    if tau < 1.0 and not np.isfinite(s).all():
-        np.divide(np.subtract(z, zmax, out), tau, out)
-    else:
-        np.subtract(out, s, out)
-    np.exp(out, out)
-    return out, s
-
-
-def stable_softmax(z: np.ndarray, tau: float) -> np.ndarray:
-    """softmax(z/tau) of each row of a checked logit matrix."""
-    e, _ = shifted_exp(z, tau, class_max(z)[:, None])
-    e /= e.sum(axis=1, keepdims=True)
-    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +190,8 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
     Z is (n, m), y an integer label vector of length n with entries in
     [0, m).  p_c is clamped to [1e-12, 1 - 1e-12] in the denominator only,
     which keeps the exact zero sum of a saturated gradient.  Each row of a
-    C-ordered Z is bitwise the one-row call on it.  The exponent is shifted
-    then divided, (z - max z)/tau; stable_softmax divides first, which moves
-    the last bit at tau != 1.  Batch reduction is left to the caller.
+    C-ordered Z is bitwise the one-row call on it.  Batch reduction is left
+    to the caller.
     """
     rows, y, W, E, sums, ec, total = _batch_exps(Z, y, p)
     losses = np.log(total) - W[rows, y]

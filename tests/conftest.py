@@ -36,6 +36,7 @@ def bench_module(name: str):
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"_bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a @dataclass looks its module up there
     writes_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:

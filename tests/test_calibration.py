@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradient_decay import calibration
@@ -22,7 +22,7 @@ from gradient_decay.calibration import (
     fit_temperature,
 )
 from gradient_decay.cli import _write_reliability
-from gradient_decay.loss import class_max, stable_softmax
+from gradient_decay.loss import class_max
 
 
 def _single_conf_rows(confidences, correct, m=20):
@@ -183,9 +183,9 @@ class TestPredictionSet:
             calls.append(probs.shape)
             return class_max(probs)
 
-        monkeypatch.setattr(calibration, "class_max", counted)
         rng = np.random.default_rng(1)
         pred = PredictionSet.from_logits(rng.uniform(-4, 4, (50, 7)), rng.integers(0, 7, 50))
+        monkeypatch.setattr(calibration, "class_max", counted)  # after the softmax's own row max
         calibration_report(pred, bins=7)
         assert pred.confidences is pred.confidences
         assert pred.confidences.tobytes() == pred.probs.max(axis=1).tobytes()
@@ -231,12 +231,77 @@ class TestPredictionSet:
 
     @pytest.mark.parametrize("logits, labels, message", [
         ([0.0, 1.0], [0], "logits must be an"),
+        ([[0j, 1.0], [1.0, 0.0]], [0, 1], "logits must have a bool, integer or float dtype, got complex128"),
         ([[0.0, 1.0], [1.0, 0.0]], [0, 1, 1], "one entry per logit row"),
         ([[0.0, 1.0], [1.0, 0.0]], [0, 2], r"labels must lie in \[0, 2\)"),
     ])
     def test_from_logits_runs_the_logit_matrix_check(self, logits, labels, message):
         with pytest.raises(ValueError, match=message):
             PredictionSet.from_logits(np.asarray(logits), np.asarray(labels))
+
+
+def softmax(z, tau=1.0):
+    """PredictionSet.from_logits(...).probs of one logit vector, through a one-row matrix."""
+    return PredictionSet.from_logits(np.asarray(z, dtype=np.float64)[None], [0], tau).probs[0]
+
+
+class TestSoftmaxProbs:
+    """The row softmax of PredictionSet.from_logits."""
+
+    def test_uniform_logits_give_uniform_probs(self):
+        p = softmax(np.zeros(10), 1.0)
+        assert np.all(p == 0.1)
+
+    def test_two_equal_logits(self):
+        assert np.all(softmax(np.array([1.0, 1.0]), 1.0) == 0.5)
+
+    def test_two_class_value(self):
+        # direct evaluation: [1/(1+e^-2), e^-2/(1+e^-2)]
+        p = softmax(np.array([2.0, 0.0]), 1.0)
+        assert p[0] == pytest.approx(0.8807970779778823, rel=1e-12)
+        assert p[1] == pytest.approx(0.11920292202211756, rel=1e-12)
+
+    def test_sums_to_one(self):
+        p = softmax(np.array([3.0, -1.0, 0.5, 2.2]), 0.7)
+        assert abs(p.sum() - 1.0) < 1e-12
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            PredictionSet.from_logits([[1.0, np.nan]], [0], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            PredictionSet.from_logits([[1.0, np.inf]], [0], 1.0)
+
+    def test_rejects_single_class_and_bad_tau(self):
+        with pytest.raises(ValueError, match="m >= 2"):
+            PredictionSet.from_logits([[1.0]], [0], 1.0)
+        with pytest.raises(ValueError, match="tau"):
+            PredictionSet.from_logits([[1.0, 2.0]], [0], 0.0)
+
+    @given(st.lists(st.floats(-20, 20).map(lambda v: round(v, 3)), min_size=2, max_size=12),
+           st.floats(0.05, 5.0))
+    @example([20.0, -18.0, -19.0], 0.05078125)  # both small probabilities underflow to 0.0
+    def test_order_preserving(self, vals, tau):
+        # Logits 0.001 apart at tau <= 5 give probabilities a factor of at
+        # least exp(2e-4) apart, so strict order can fail only once the
+        # smaller one has left the normal float64 range.
+        z = np.asarray(vals)
+        p = softmax(z, tau)
+        tiny = np.finfo(float).tiny
+        for i in range(z.size):
+            for j in range(z.size):
+                if z[i] > z[j]:
+                    assert p[i] >= p[j]
+                    if p[j] >= tiny:
+                        assert p[i] > p[j]
+
+    @pytest.mark.parametrize("tau", [1.0, 0.05])
+    def test_logits_near_the_float64_limit_warn_of_no_overflow(self, tau):
+        # z/tau - max z/tau overflowed to -inf, a 0 probability, with a RuntimeWarning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = PredictionSet.from_logits(np.array([[1e308, -1e308], [0.0, 1.0]]), [0, 1], tau).probs
+        assert probs[0].tolist() == [1.0, 0.0]
+        assert np.array_equal(probs[1], softmax([0.0, 1.0], tau))
 
 
 def _old_softmax(z, tau):
@@ -247,10 +312,10 @@ def _old_softmax(z, tau):
 
 
 class TestOneSoftmax:
-    """PredictionSet.from_logits runs stable_softmax, which divides by tau, then shifts, as the scalar path did.
+    """PredictionSet.from_logits divides by tau, then shifts, as the scalar path did.
 
-    The loss kernels shift, then divide (see beta_ce_batch); the two orders
-    differ in the last bit at tau != 1.
+    The loss kernels shift, then divide; the two orders differ in the last
+    bit at tau != 1.
     """
 
     @pytest.mark.parametrize("tau", [1.0, 0.3, 2.392596809686705, 0.05, 40.0])
@@ -260,9 +325,8 @@ class TestOneSoftmax:
             for scale in (0.01, 1.0, 30.0):
                 z = rng.normal(0.0, scale, m)
                 c = int(rng.integers(m))
-                probs = stable_softmax(z[None], tau)[0]
+                probs = PredictionSet.from_logits(z[None], [c], tau=tau).probs[0]
                 assert np.array_equal(probs, _old_softmax(z, tau))
-                assert np.array_equal(PredictionSet.from_logits(z[None], [c], tau=tau).probs[0], probs)
 
 
 class TestBinReliability:
@@ -515,6 +579,7 @@ class TestFitTemperature:
         ([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], [0, 5], r"labels must lie in \[0, 3\)"),
         ([0.0, 1.0], [0, 1], "logits must be an"),
         ([[0.0, 1.0], [1.0, 0.0]], [0, 1, 1], "one entry per logit row"),
+        ([[0j, 1.0], [1.0, 0.0]], [0, 1], "logits must have a bool, integer or float dtype, got complex128"),
     ])
     def test_invalid_inputs_rejected(self, logits, labels, message):
         with pytest.raises(ValueError, match=message):

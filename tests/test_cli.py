@@ -556,6 +556,27 @@ class TestCalibCommand:
         np.savez(path, logits=logits, labels=rng.integers(0, 4, 30))
         assert_usage_error(["calib", "--logits", str(path)], capsys, f"{path}: all logits must be finite")
 
+    def test_complex_npz_logits_are_usage_error(self, tmp_path, capsys):
+        # numpy cut them to their real parts with a ComplexWarning, and the report went on
+        path = tmp_path / "logits.npz"
+        np.savez(path, logits=np.arange(8).reshape(4, 2) + 1j, labels=np.array([0, 1, 0, 1]))
+        with pytest.raises(SystemExit) as exc:
+            run(["calib", "--logits", str(path)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("usage: ") and captured.err.splitlines()[1:] == [
+            f"gradient-decay: error: {path}: logits must have a bool, integer or float dtype, got complex128"]
+
+    @pytest.mark.parametrize("fit", [[], ["--fit-temperature"]], ids=["report", "fit"])
+    def test_npz_logits_near_the_float64_limit_warn_of_nothing(self, tmp_path, capsys, fit):
+        # an exponent that overflowed to -inf, a 0 probability, printed a RuntimeWarning (four with the fit)
+        path = tmp_path / "logits.npz"
+        np.savez(path, logits=np.array([[1e308, -1e308], [0.0, 1.0]]), labels=np.array([0, 1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["calib", "--logits", str(path), *fit]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("bad", [5, -1, 1.5])
     def test_label_outside_the_columns_is_usage_error(self, tmp_path, capsys, bad):
         path, logits, labels = self._logits_csv(tmp_path)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from gradient_decay.cli import main
+from conftest import bench_module, subcommand_parsers
+from gradient_decay.cli import _config_tokens, main
 from test_cli import _write_mnist
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -45,3 +46,12 @@ def test_recipe_runs(name, tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == artifacts
     if command == "sweep":
         assert all(row.endswith(",ok") for row in (out / "summary.csv").read_text().splitlines()[1:])
+
+
+def test_blobs_recipe_holds_the_arguments_of_the_benchmark_sweep():
+    # bench/workloads.py copies the recipe's flags, so that editing one alone fails here
+    sweep = subcommand_parsers()["sweep"]
+    bench = vars(sweep.parse_args([*bench_module("workloads")._BLOBS_ARGS, "--out", "x"]))
+    recipe = vars(sweep.parse_args(_config_tokens(str(CONFIGS / "blobs_calibration.conf"))))
+    del bench["out"], recipe["out"]
+    assert bench == recipe

@@ -137,6 +137,11 @@ class TestDataset:
         assert d.raw.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
         assert decode(values).tolist() == decode(d.raw).tolist()  # only uint8 holds pixel codes
 
+    def test_complex_features_rejected(self):
+        # they were cut to their real parts, with a ComplexWarning
+        with pytest.raises(ValueError, match="features must have a bool, integer or float dtype, got complex128"):
+            Dataset(np.zeros((3, 2)) + 1j, np.zeros(3, dtype=int), "train")
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_non_finite_features_rejected(self, dtype):
         for bad in (np.nan, np.inf, -np.inf):

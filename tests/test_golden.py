@@ -30,6 +30,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+if __name__ == "__main__":  # conftest imports gradient_decay, which a script run may find only in src/
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from conftest import bench_module
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -195,6 +198,14 @@ def test_mnist_sweep_artifacts_match_the_golden_digests(argv, tmp_path):
     assert [name for name in expected if digests[name] != expected[name]] == []
 
 
+def test_script_imports_without_the_package_on_its_path():
+    # it is not installed here: the usage line, not a ModuleNotFoundError, from a bare run
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve())], env=dict(env, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "usage: python tests/test_golden.py --record\n")
+
+
 def record() -> None:
     gate = bench_module("gate")
     info = gate.platform_info()
@@ -217,6 +228,5 @@ def record() -> None:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     record()
     print(f"wrote {GOLDEN_PATH}")

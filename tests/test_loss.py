@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradient_decay.calibration import PredictionSet
@@ -22,7 +22,6 @@ from gradient_decay.loss import (
     local_lipschitz_bound,
     logit_curvature,
     magnitude_derivatives,
-    stable_softmax,
     suggested_learning_rate,
 )
 from gradient_decay.verify import _SCAN_BLOCK, _grid_block
@@ -53,65 +52,10 @@ def row_eval(x, p):
     return beta_ce_batch(np.asarray(z)[None], np.array([c]), p)
 
 
-def softmax(z, tau=1.0):
-    """stable_softmax of one logit vector, through a one-row matrix."""
-    return stable_softmax(np.asarray(z, dtype=np.float64)[None], tau)[0]
-
-
 betas = st.one_of(
     st.sampled_from([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]),
     st.floats(0.01, 100.0),
 )
-
-
-class TestSoftmaxProbs:
-    """The row softmax: stable_softmax, validated by PredictionSet.from_logits."""
-
-    def test_uniform_logits_give_uniform_probs(self):
-        p = softmax(np.zeros(10), 1.0)
-        assert np.all(p == 0.1)
-
-    def test_two_equal_logits(self):
-        assert np.all(softmax(np.array([1.0, 1.0]), 1.0) == 0.5)
-
-    def test_two_class_value(self):
-        # direct evaluation: [1/(1+e^-2), e^-2/(1+e^-2)]
-        p = softmax(np.array([2.0, 0.0]), 1.0)
-        assert p[0] == pytest.approx(0.8807970779778823, rel=1e-12)
-        assert p[1] == pytest.approx(0.11920292202211756, rel=1e-12)
-
-    def test_sums_to_one(self):
-        p = softmax(np.array([3.0, -1.0, 0.5, 2.2]), 0.7)
-        assert abs(p.sum() - 1.0) < 1e-12
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            PredictionSet.from_logits([[1.0, np.nan]], [0], 1.0)
-        with pytest.raises(ValueError, match="finite"):
-            PredictionSet.from_logits([[1.0, np.inf]], [0], 1.0)
-
-    def test_rejects_single_class_and_bad_tau(self):
-        with pytest.raises(ValueError, match="m >= 2"):
-            PredictionSet.from_logits([[1.0]], [0], 1.0)
-        with pytest.raises(ValueError, match="tau"):
-            PredictionSet.from_logits([[1.0, 2.0]], [0], 0.0)
-
-    @given(st.lists(st.floats(-20, 20).map(lambda v: round(v, 3)), min_size=2, max_size=12),
-           st.floats(0.05, 5.0))
-    @example([20.0, -18.0, -19.0], 0.05078125)  # both small probabilities underflow to 0.0
-    def test_order_preserving(self, vals, tau):
-        # Logits 0.001 apart at tau <= 5 give probabilities a factor of at
-        # least exp(2e-4) apart, so strict order can fail only once the
-        # smaller one has left the normal float64 range.
-        z = np.asarray(vals)
-        p = softmax(z, tau)
-        tiny = np.finfo(float).tiny
-        for i in range(z.size):
-            for j in range(z.size):
-                if z[i] > z[j]:
-                    assert p[i] >= p[j]
-                    if p[j] >= tiny:
-                        assert p[i] > p[j]
 
 
 class TestBetaCeLoss:
@@ -210,7 +154,7 @@ class TestBetaCeEval:
         with np.errstate(over="ignore"):
             be = row_eval(x, p)
             assert be.losses[0] == row_loss(x, p)
-            assert np.array_equal(softmax(z, p.tau), be.probs[0])
+            assert np.array_equal(PredictionSet.from_logits(np.array(z)[None], [c], p.tau).probs[0], be.probs[0])
         assert np.isfinite(be.grads).all() and np.isfinite(be.losses).all()
         assert np.array_equal(be.probs[0], np.eye(len(z))[int(np.argmax(z))])
 
@@ -658,6 +602,8 @@ class TestParamValidation:
 
     def test_labeled_logits(self):
         # one sample: a one-row logit matrix and its label
+        with pytest.raises(ValueError, match="logits must have a bool, integer or float dtype, got complex128"):
+            row_eval((np.array([1.0, 2.0 + 1j]), 0), LossParams(beta=1.0))  # not cut to its real parts
         with pytest.raises(ValueError, match="m >= 2"):
             row_eval((np.array([1.0]), 0), LossParams(beta=1.0))
         with pytest.raises(ValueError, match="finite"):
