@@ -8,9 +8,9 @@ bin.  MCE maximizes |accuracy - mean confidence| over non-empty bins only
 (the gap is undefined on empty ones).
 
 Every softmax here divides by tau, then shifts (_shifted_exp); loss's kernels
-shift, then divide, a last-bit difference at tau != 1.  This order stays, as
-bench's calib_fit digests and the --tau 0.5 sweep and calib runs in
-tests/golden.json pin it.
+shift, then divide, a last-bit difference at tau != 1 unless tau is a power of
+two.  This order stays, as bench's calib_fit digests and the golden
+calib --fit-temperature run (tests/golden.json) pin it.
 """
 
 from __future__ import annotations

@@ -344,8 +344,7 @@ def cmd_sweep(args, parser) -> int:
         tag = _beta_tag(beta_key)
         model = MlpModel.init(dims, seed=args.seed)
         try:
-            result = train(model, train_set, cfg, params,
-                           warmup=sched, test_set=test_set, trace=False)
+            result = train(model, train_set, cfg, params, warmup=sched, test_set=test_set)
         except TrainingDiverged as exc:
             rows.append([tag, "", "", "", "", "", _diverged(exc)])
             continue
@@ -373,12 +372,13 @@ def cmd_trace(args, parser) -> int:
     cfg = _train_config(args, train_set, parser)
 
     model = MlpModel.init(dims, seed=args.seed)
+    traces = np.empty((cfg.epochs, train_set.n))  # p_true of every training sample, one row per epoch
     try:
-        result = train(model, train_set, cfg, params, test_set=test_set, trace=True)
+        result = train(model, train_set, cfg, params, test_set=test_set,
+                       observe=lambda metrics, p_true: np.copyto(traces[metrics.epoch], p_true))
     except TrainingDiverged as exc:
         print(_diverged(exc), file=sys.stderr)
         return 2
-    traces = result.traces
     groups = difficulty_groups(traces, k=args.groups)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # only once there is something to write

@@ -6,9 +6,8 @@ A single run is fully deterministic given its config: initialization and
 shuffling derive from the seed alone, so two identical runs produce
 bitwise-identical metric streams.
 
-The trainer records the true-class probability of every training sample
-after each epoch; difficulty_groups splits those traces into
-quantile groups by early-training confidence, hardest group first.
+difficulty_groups splits the p_true traces that train's observer sees, one
+row per epoch, into quantile groups by early confidence, hardest group first.
 """
 
 from __future__ import annotations
@@ -213,7 +212,6 @@ class EpochMetrics:
 @dataclass(eq=False)
 class TrainResult:
     metrics: list[EpochMetrics]
-    traces: np.ndarray | None  # (epochs, n) p_true of every training sample after each epoch
     train_p_true: np.ndarray  # (n,) clamped p_true of every training sample after the last epoch
     test_logits: np.ndarray   # (n_test, m) after the last epoch
 
@@ -243,12 +241,15 @@ def train(
     warmup: WarmupSchedule | None = None,
     *,
     test_set: Dataset,
-    trace: bool = True,
+    observe=None,
 ) -> TrainResult:
     """Mini-batch gradient descent with momentum; every epoch ends with an evaluation on test_set.
 
     Update rule: v <- momentum*v + g, param <- param - lr*(v + weight_decay*param).
     A warm-up schedule, when given, overrides loss.beta at every optimizer iteration.
+    After each epoch that completes, observe(metrics, p_true), when given, gets that
+    epoch's EpochMetrics and a fresh (n,) array of every training sample's p_true that
+    train never writes again; it runs outside the errstate that hides the epoch's overflows.
 
     Every array the run writes (batch, activations, deltas, gradients,
     momentum, update temporaries and the evaluation activations) is
@@ -287,14 +288,13 @@ def train(
     ragged = full.head(n % cfg.batch_size)
     train_acts = [np.empty((n, d)) for d in model.layer_dims[1:]]
     test_acts = [np.empty((test_set.n, d)) for d in model.layer_dims[1:]]
-    traces = np.zeros((cfg.epochs, n)) if trace else None
 
     metrics: list[EpochMetrics] = []
     step = 0
     beta_now = loss.beta
-    # a diverging run overflows on its way to non-finite logits; TrainingDiverged reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
+        # a diverging run overflows on its way to non-finite logits; TrainingDiverged reports it
+        with np.errstate(over="ignore", invalid="ignore"):
             perm = rng.permutation(n)
             loss_sum = 0.0
             for start in range(0, n, cfg.batch_size):
@@ -332,8 +332,6 @@ def train(
             # int: a numpy count over n would make the metric a np.float64, whose repr differs
             train_acc = int(np.count_nonzero(train_logits.argmax(axis=1) == y)) / n
             mean_conf = float(np.add.reduce(p_true)) / n
-            if traces is not None:
-                traces[epoch] = p_true
             test_logits = model.forward(test_set.raw, test_acts)
             test_acc = int(np.count_nonzero(test_logits.argmax(axis=1) == test_set.labels)) / test_set.n
             metrics.append(
@@ -346,8 +344,10 @@ def train(
                     mean_conf=mean_conf,
                 )
             )
+        if observe is not None:
+            observe(metrics[-1], p_true)
 
-    return TrainResult(metrics=metrics, traces=traces, train_p_true=p_true, test_logits=test_logits)
+    return TrainResult(metrics=metrics, train_p_true=p_true, test_logits=test_logits)
 
 
 def difficulty_groups(traces: np.ndarray, k: int = 5) -> DifficultyGroups:

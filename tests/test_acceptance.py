@@ -142,8 +142,9 @@ def mnist_sweep():
     for beta in MNIST_BETAS:
         params = LossParams(beta=beta)
         model = MlpModel.init((784, 50, 20, 10), seed=0)
-        need_traces = beta in (1.0, 0.01)
-        res = train(model, train_set, cfg, params, test_set=test_set, trace=need_traces)
+        need_traces, traces = beta in (1.0, 0.01), []
+        res = train(model, train_set, cfg, params, test_set=test_set,
+                    observe=(lambda _, p_true: traces.append(p_true)) if need_traces else None)
         p_true = beta_ce_batch(model.forward(decode(train_set.raw)), train_set.labels, params).p_true
         entry = {
             "counts": confidence_table(p_true),
@@ -151,7 +152,7 @@ def mnist_sweep():
             "test_acc": res.metrics[-1].test_acc,
         }
         if need_traces:
-            entry["group_means"] = difficulty_groups(res.traces, k=5).group_means
+            entry["group_means"] = difficulty_groups(np.stack(traces), k=5).group_means
         runs[beta] = entry
         print(f"  [mnist sweep] beta={beta}: test_acc={entry['test_acc']:.4f} "
               f"mean_conf={entry['mean_train_conf']:.4f} ({time.time()-t0:.0f}s elapsed)")
@@ -204,7 +205,7 @@ def blobs_sweep():
     runs = {}
     for beta in (0.1, 1.0, 5.0, 20.0):
         model = MlpModel.init((2, 256, 10), seed=7)
-        res = train(model, train_set, cfg, LossParams(beta=beta), test_set=test_set, trace=False)
+        res = train(model, train_set, cfg, LossParams(beta=beta), test_set=test_set)
         logits = model.forward(decode(test_set.raw))
         report = calibration_report(PredictionSet.from_logits(logits, test_set.labels), 10)
         runs[beta] = {

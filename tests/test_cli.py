@@ -68,6 +68,21 @@ def recorded(monkeypatch, name):
     return calls
 
 
+def observed(monkeypatch):
+    """A list that collects the p_true rows that cli.train hands its observer, in call order."""
+    rows, fn = [], cli.train
+
+    def teeing(*args, observe, **kwargs):
+        def both(metrics, p_true):
+            rows.append(p_true.copy())  # a copy, so what the command does with p_true cannot change it
+            observe(metrics, p_true)
+
+        return fn(*args, observe=both, **kwargs)
+
+    monkeypatch.setattr(cli, "train", teeing)
+    return rows
+
+
 @pytest.fixture
 def forbid_work(monkeypatch):
     """Training, the verify suite and the temperature fit fail if reached."""
@@ -410,32 +425,33 @@ class TestTraceCommand:
 
     @pytest.fixture
     def trace_run(self, tmp_path, monkeypatch):
-        """The trace command's output directory, with the TrainResult and DifficultyGroups it wrote out."""
+        """The trace command's output directory, with the TrainResult, the (epochs, n) p_true rows that
+        train's observer got and the DifficultyGroups it wrote out."""
+        rows = observed(monkeypatch)
         results, groups = recorded(monkeypatch, "train"), recorded(monkeypatch, "difficulty_groups")
         out = tmp_path / "trace"
         assert run(["trace", "--beta", "0.1", "--groups", "5", "--out", str(out)] + FAST_SWEEP) == 0
-        return out, results[0], groups[0]
+        return out, results[0], np.stack(rows), groups[0]
 
     def test_metrics_csv_bytes(self, trace_run):
-        out, result, _ = trace_run
+        out, result, _, _ = trace_run
         want = "epoch,beta,train_loss,train_acc,test_acc,mean_conf\r\n" + "".join(
             f"{m.epoch},{m.beta!r},{m.train_loss!r},{m.train_acc!r},{m.test_acc!r},{m.mean_conf!r}\r\n"
             for m in result.metrics)
         assert (out / "metrics.csv").read_bytes() == want.encode()
 
     def test_trace_csv_bytes(self, trace_run):
-        out, result, groups = trace_run
-        traces = result.traces
+        out, _, traces, groups = trace_run
         want = "epoch,sample_id,p_true,group\r\n" + "".join(
             f"{e},{j},{float(traces[e, j])!r},{groups.assignment[j]}\r\n"
             for e in range(traces.shape[0]) for j in range(traces.shape[1]))
         assert (out / "trace.csv").read_bytes() == want.encode()
 
     def test_group_means_csv_bytes(self, trace_run):
-        out, result, groups = trace_run
+        out, _, traces, groups = trace_run
         want = "epoch,group,mean_conf\r\n" + "".join(
             f"{e},{g + 1},{float(groups.group_means[g, e])!r}\r\n"
-            for e in range(result.traces.shape[0]) for g in range(5))
+            for e in range(traces.shape[0]) for g in range(5))
         assert (out / "group_means.csv").read_bytes() == want.encode()
 
     def test_every_training_sample_may_be_its_own_group(self, tmp_path):

@@ -24,7 +24,7 @@ from gradient_decay.loss import (
     magnitude_derivatives,
     suggested_learning_rate,
 )
-from gradient_decay.verify import _SCAN_BLOCK, _grid_block
+from gradient_decay.verify import _SCAN_BLOCK, _draw_trials, _grid_block
 
 UNIFORM10 = (np.zeros(10), 0)
 
@@ -366,6 +366,15 @@ class TestGradientMagnitude:
         g = gradient_magnitude(p, beta)
         assert np.all(np.diff(g) < 0)
         assert np.all((g > 0) & (g < 1))
+
+    @pytest.mark.parametrize("beta", [0.001, 0.01, 0.1, 1.0, 5.0, 20.0, 1000.0])
+    def test_is_the_true_class_gradient_that_training_computes(self, beta):
+        # at tau=1 no drawn p_c reaches the P_CLAMP floor, so the kernel's -grads[c] is G to the bit;
+        # at tau != 1 the two differ by up to P_CLAMP / min(1, beta) where the floor binds
+        for Z, c in _draw_trials(np.random.default_rng(0), 200):
+            be = beta_ce_batch(Z, c, LossParams(beta=beta))
+            G = -be.grads[np.arange(len(c)), c]
+            assert G.tobytes() == gradient_magnitude(be.p_true, beta).tobytes()
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -203,11 +203,11 @@ def _reference_grads(model, X, y, params):
     return float(be.losses.mean()), gw, gb
 
 
-def _reference_train(model, train_set, cfg, loss, warmup=None, *, test_set, trace=True):
+def _reference_train(model, train_set, cfg, loss, warmup=None, *, test_set):
     """The trainer as a plain loop that allocates every temporary.
 
-    Returns (metrics, per-epoch p_true of every sample or None, last train
-    p_true, last test logits); the model is updated in place.
+    Returns (metrics, (epochs, n) p_true of every sample after each epoch,
+    last train p_true, last test logits); the model is updated in place.
     """
     n = train_set.n
     X, y = decode(train_set.raw), train_set.labels
@@ -251,7 +251,18 @@ def _reference_train(model, train_set, cfg, loss, warmup=None, *, test_set, trac
         metrics.append(EpochMetrics(epoch, beta_now, loss_sum / n,
                                     float((train_logits.argmax(axis=1) == y).mean()),
                                     test_acc, float(be.p_true.mean())))
-    return metrics, (np.array(traces) if trace else None), traces[-1], test_logits
+    return metrics, np.array(traces), traces[-1], test_logits
+
+
+def _recorder():
+    """An observer for train, and the EpochMetrics and p_true rows it is given, in call order."""
+    seen, rows = [], []
+
+    def observe(metrics, p_true):
+        seen.append(metrics)
+        rows.append(p_true)  # kept as given: train never writes it again
+
+    return observe, seen, rows
 
 
 # (dims, config, warm-up); 128 training rows, so every batch size below leaves a ragged last batch
@@ -270,26 +281,29 @@ class TestTrainMatchesReference:
     """train must equal the plain allocating loop bitwise, in every feature."""
 
     @pytest.mark.parametrize("case", sorted(_BITWISE_CASES))
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_bitwise_equal(self, case, trace):
+    @pytest.mark.parametrize("observed", [False, True], ids=["no_observer", "recording_observer"])
+    def test_bitwise_equal(self, case, observed):
         dims, cfg, warmup = _BITWISE_CASES[case]
         train_set, test_set = _tiny_blobs(sigma=0.3)
         assert train_set.n % cfg.batch_size != 0
         loss = LossParams(beta=0.3, tau=0.8)
         model = MlpModel.init(dims, seed=cfg.seed)
         twin = MlpModel.init(dims, seed=cfg.seed)
-        res = train(model, train_set, cfg, loss, warmup=warmup, test_set=test_set, trace=trace)
+        observe, seen, rows = _recorder()
+        res = train(model, train_set, cfg, loss, warmup=warmup, test_set=test_set,
+                    observe=observe if observed else None)
         metrics, traces, p_true, test_logits = _reference_train(
-            twin, train_set, cfg, loss, warmup=warmup, test_set=test_set, trace=trace)
+            twin, train_set, cfg, loss, warmup=warmup, test_set=test_set)
         for got, want in zip(model.weights + model.biases, twin.weights + twin.biases):
             assert np.array_equal(got, want)
         assert res.metrics == metrics
         assert np.array_equal(res.train_p_true, p_true)
         assert np.array_equal(res.test_logits, test_logits)
-        if trace:
-            assert np.array_equal(res.traces, traces)
-        else:
-            assert res.traces is None
+        if observed:
+            assert np.stack(rows).tobytes() == traces.tobytes()
+            # the observer gets the very records the result holds, one per epoch, in order
+            assert len(seen) == len(res.metrics) == cfg.epochs
+            assert all(got is want for got, want in zip(seen, res.metrics))
 
     def test_divergence_at_the_same_step(self):
         train_set, test_set = _tiny_blobs(sigma=0.3)  # diverges in epoch 4, in the ragged batch
@@ -299,7 +313,7 @@ class TestTrainMatchesReference:
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(TrainingDiverged) as exc:
                     run(MlpModel.init((2, 8, 4), seed=0), train_set, cfg, LossParams(beta=1.0),
-                        test_set=test_set, trace=False)
+                        test_set=test_set)
             caught.append((exc.value.epoch, exc.value.batch))
         assert caught[0] == caught[1]
 
@@ -308,7 +322,7 @@ class TestTrainMatchesReference:
         model = MlpModel.init((2, 16, 8, 4), seed=6)
         sched = WarmupSchedule(0.1, 2.0, 5)
         res = train(model, train_set, TrainConfig(lr=0.05, momentum=0.9, batch_size=48, epochs=3, seed=6),
-                    LossParams(beta=1.0), warmup=sched, test_set=test_set, trace=False)
+                    LossParams(beta=1.0), warmup=sched, test_set=test_set)
         final = LossParams(beta=res.metrics[-1].beta)
         fresh = beta_ce_batch(model.forward(decode(train_set.raw)), train_set.labels, final)
         assert np.array_equal(res.train_p_true, fresh.p_true)
@@ -352,7 +366,7 @@ class TestTrain:
                 mean_gw[layer] += gw[layer] / n
                 mean_gb[layer] += gb[layer] / n
         train(model, train_set, TrainConfig(lr=0.1, epochs=1, batch_size=n, seed=0),
-              params, test_set=test_set, trace=False)
+              params, test_set=test_set)
         for layer in range(len(w0)):
             assert np.allclose(model.weights[layer], w0[layer] - 0.1 * mean_gw[layer], atol=1e-12)
             assert np.allclose(model.biases[layer], b0[layer] - 0.1 * mean_gb[layer], atol=1e-12)
@@ -375,7 +389,7 @@ class TestTrain:
                 vel_b[L] = 0.9 * vel_b[L] + gb[L]
                 twin.weights[L] -= 0.05 * (vel_w[L] + 0.01 * twin.weights[L])
                 twin.biases[L] -= 0.05 * (vel_b[L] + 0.01 * twin.biases[L])
-        train(model, train_set, cfg, params, test_set=test_set, trace=False)
+        train(model, train_set, cfg, params, test_set=test_set)
         for L in range(len(model.weights)):
             assert np.allclose(model.weights[L], twin.weights[L], atol=1e-12)
             assert np.allclose(model.biases[L], twin.biases[L], atol=1e-12)
@@ -383,16 +397,19 @@ class TestTrain:
     def test_deterministic_metrics(self):
         train_set, test_set = _tiny_blobs(sigma=0.3)
         cfg = TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=20, seed=77)
-        a = train(MlpModel.init((2, 8, 4), seed=77), train_set, cfg, LossParams(beta=0.5), test_set=test_set)
-        b = train(MlpModel.init((2, 8, 4), seed=77), train_set, cfg, LossParams(beta=0.5), test_set=test_set)
+        (observe_a, _, rows_a), (observe_b, _, rows_b) = _recorder(), _recorder()
+        a = train(MlpModel.init((2, 8, 4), seed=77), train_set, cfg, LossParams(beta=0.5), test_set=test_set,
+                  observe=observe_a)
+        b = train(MlpModel.init((2, 8, 4), seed=77), train_set, cfg, LossParams(beta=0.5), test_set=test_set,
+                  observe=observe_b)
         assert a.metrics == b.metrics
-        assert np.array_equal(a.traces, b.traces)
+        assert np.stack(rows_a).tobytes() == np.stack(rows_b).tobytes()
 
     def test_separable_blobs_reach_high_accuracy(self):
         train_set, test_set = _tiny_blobs(sigma=0.02, classes=2, n_per_class=50)
         model = MlpModel.init((2, 8, 2), seed=0)
         res = train(model, train_set, TrainConfig(lr=0.1, momentum=0.9, epochs=30, batch_size=20, seed=0),
-                    LossParams(beta=1.0), test_set=test_set, trace=False)
+                    LossParams(beta=1.0), test_set=test_set)
         assert res.metrics[-1].train_acc == 1.0
         assert res.metrics[-1].test_acc == 1.0
 
@@ -400,7 +417,7 @@ class TestTrain:
         train_set, test_set = _tiny_blobs(sigma=0.05, classes=4, n_per_class=40)
         model = MlpModel.init((2, 16, 4), seed=1)
         res = train(model, train_set, TrainConfig(lr=0.1, momentum=0.9, epochs=50, batch_size=16, seed=1),
-                    LossParams(beta=1.0), test_set=test_set, trace=False)
+                    LossParams(beta=1.0), test_set=test_set)
         assert res.metrics[-1].train_acc >= 0.99
 
     def test_divergence_reports_epoch_and_batch(self):
@@ -409,8 +426,26 @@ class TestTrain:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged) as exc:
                 train(model, train_set, TrainConfig(lr=1e12, epochs=5, batch_size=32, seed=0),
-                      LossParams(beta=1.0), test_set=test_set, trace=False)
+                      LossParams(beta=1.0), test_set=test_set)
         assert exc.value.epoch >= 0 and exc.value.batch >= 0
+
+    def test_a_diverged_run_observes_only_the_epochs_it_completed(self):
+        train_set, test_set = _tiny_blobs(sigma=0.3)  # diverges in epoch 4, in the ragged batch
+        observe, seen, rows = _recorder()
+        with pytest.raises(TrainingDiverged) as exc:
+            train(MlpModel.init((2, 8, 4), seed=0), train_set,
+                  TrainConfig(lr=1e12, momentum=0.9, epochs=5, batch_size=48, seed=0),
+                  LossParams(beta=1.0), test_set=test_set, observe=observe)
+        assert exc.value.epoch == 4
+        assert [m.epoch for m in seen] == [0, 1, 2, 3] and len(rows) == 4
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_observer_runs_outside_the_epochs_errstate(self):
+        # train hides the overflows of a diverging epoch; an observer's own overflow must still warn
+        train_set, test_set = _tiny_blobs()
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            train(MlpModel.init((2, 8, 4), seed=0), train_set, TrainConfig(lr=0.05, batch_size=32),
+                  LossParams(beta=1.0), test_set=test_set, observe=lambda metrics, p_true: np.exp(np.float64(1000)))
 
     def test_non_finite_logits_diverge_at_the_step_they_appear(self):
         # a linear model at lr 1e300: the third batch's logits are no longer finite,
@@ -420,7 +455,7 @@ class TestTrain:
             with pytest.raises(TrainingDiverged) as exc:
                 train(MlpModel.init((2, 10), seed=7), train_set,
                       TrainConfig(lr=1e300, momentum=0.9, weight_decay=1e-4, seed=7),
-                      LossParams(beta=beta), test_set=test_set, trace=False)
+                      LossParams(beta=beta), test_set=test_set)
             assert (exc.value.epoch, exc.value.batch) == (0, 2)
             assert str(exc.value.__cause__) == "all logits must be finite"
 
@@ -437,7 +472,7 @@ class TestTrain:
         train_set, test_set = _tiny_blobs(sigma=0.3)  # 128 rows: batches of 48, 48 and 32
         train(MlpModel.init((2, 8, 4), seed=0), train_set,
               TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=48, seed=0),
-              LossParams(beta=0.5), test_set=test_set, trace=True)
+              LossParams(beta=0.5), test_set=test_set)
         assert calls == [48, 48, 32] * 3
 
     def test_metrics_are_python_floats(self):
@@ -445,7 +480,7 @@ class TestTrain:
         train_set, test_set = _tiny_blobs(sigma=0.3)
         res = train(MlpModel.init((2, 8, 4), seed=0), train_set,
                     TrainConfig(lr=0.05, momentum=0.9, epochs=2, batch_size=48, seed=0),
-                    LossParams(beta=0.5), test_set=test_set, trace=False)
+                    LossParams(beta=0.5), test_set=test_set)
         for m in res.metrics:
             for field in ("train_loss", "train_acc", "test_acc", "mean_conf"):
                 assert type(getattr(m, field)) is float, field
@@ -454,7 +489,7 @@ class TestTrain:
         train_set, test_set = _tiny_blobs(sigma=0.3)
         model = MlpModel.init((2, 8, 4), seed=0)
         train(model, train_set, TrainConfig(lr=0.05, momentum=0.9, epochs=3, batch_size=20, seed=0),
-              LossParams(beta=0.1), test_set=test_set, trace=False)
+              LossParams(beta=0.1), test_set=test_set)
         for W in model.weights:
             assert np.isfinite(W).all()
 
@@ -464,27 +499,30 @@ class TestTrain:
         sched = WarmupSchedule(0.1, 2.0, steps_per_epoch)  # warm for exactly one epoch
         model = MlpModel.init((2, 8, 4), seed=0)
         res = train(model, train_set, TrainConfig(lr=0.01, epochs=3, batch_size=40, seed=0),
-                    LossParams(beta=1.0), warmup=sched, test_set=test_set, trace=False)
+                    LossParams(beta=1.0), warmup=sched, test_set=test_set)
         assert res.metrics[-1].beta == 2.0
 
     def test_traces_shape_and_range(self):
         train_set, test_set = _tiny_blobs()
         model = MlpModel.init((2, 8, 4), seed=0)
-        res = train(model, train_set, TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=0),
-                    LossParams(beta=1.0), test_set=test_set)
-        assert res.traces.shape == (3, train_set.n)
-        assert res.traces.dtype == np.float64
-        assert np.all((res.traces >= 0.0) & (res.traces <= 1.0))
+        observe, _, rows = _recorder()
+        train(model, train_set, TrainConfig(lr=0.05, epochs=3, batch_size=32, seed=0),
+              LossParams(beta=1.0), test_set=test_set, observe=observe)
+        traces = np.stack(rows)
+        assert traces.shape == (3, train_set.n)
+        assert traces.dtype == np.float64
+        assert np.all((traces >= 0.0) & (traces <= 1.0))
 
     def test_trace_rows_are_every_samples_p_true_after_each_epoch(self):
-        # row e of the traces is bitwise the train_p_true of the same run stopped after epoch e
+        # the observer's row e is bitwise the train_p_true of the same run stopped after epoch e
         train_set, test_set = _tiny_blobs()
         params = LossParams(beta=1.0)
-        traces = train(MlpModel.init((2, 8, 4), seed=0), train_set, TrainConfig(lr=0.05, epochs=3, batch_size=32),
-                       params, test_set=test_set).traces
+        observe, _, traces = _recorder()
+        train(MlpModel.init((2, 8, 4), seed=0), train_set, TrainConfig(lr=0.05, epochs=3, batch_size=32),
+              params, test_set=test_set, observe=observe)
         for epoch in range(3):
             short = train(MlpModel.init((2, 8, 4), seed=0), train_set,
-                          TrainConfig(lr=0.05, epochs=epoch + 1, batch_size=32), params, test_set=test_set, trace=False)
+                          TrainConfig(lr=0.05, epochs=epoch + 1, batch_size=32), params, test_set=test_set)
             assert traces[epoch].tobytes() == short.train_p_true.tobytes()
 
     def test_labels_beyond_the_output_layer_rejected_before_training(self):
@@ -581,13 +619,15 @@ class TestCodedInputs:
         runs = []
         for train_data, test_data in ((train_set, test_set), twins):
             model = MlpModel.init((784, 32, 16, 10), seed=4)
-            res = train(model, train_data, cfg, LossParams(beta=1.0), warmup=sched, test_set=test_data)
-            runs.append((model, res))
-        (model, res), (twin, want) = runs
+            observe, _, rows = _recorder()
+            res = train(model, train_data, cfg, LossParams(beta=1.0), warmup=sched, test_set=test_data,
+                        observe=observe)
+            runs.append((model, res, rows))
+        (model, res, rows), (twin, want, want_rows) = runs
         assert res.metrics == want.metrics
         assert res.test_logits.tobytes() == want.test_logits.tobytes()
         assert res.train_p_true.tobytes() == want.train_p_true.tobytes()
-        assert res.traces.tobytes() == want.traces.tobytes()
+        assert np.stack(rows).tobytes() == np.stack(want_rows).tobytes()
         for got, ref in zip(model.weights + model.biases, twin.weights + twin.biases):
             assert got.tobytes() == ref.tobytes()
 

@@ -44,7 +44,7 @@ RECORDS = {
     "BatchEval": lambda: BatchEval(_Y * 1.0, _P, _P, _Y * 1.0),
     "DifficultyGroups": lambda: DifficultyGroups(_Y + 1, _P),
     "MlpModel": lambda: MlpModel.init((2, 3, 2), 0),
-    "TrainResult": lambda: TrainResult([], None, _Y * 1.0, _P),
+    "TrainResult": lambda: TrainResult([], _Y * 1.0, _P),
     "_Rows": lambda: _Rows.alloc((2, 3, 2), 4),
 }
 
