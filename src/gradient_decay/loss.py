@@ -10,7 +10,8 @@ assigned to a sample decays as its true-class probability p_c rises.  beta=1
 is the standard softmax cross-entropy.
 
 The loss kernels (beta_ce_batch, batch_losses, batch_p_true) take an (n, m)
-logit matrix, one sample per row.  Every kernel subtracts the maximum logit,
+logit matrix, one sample per row, and one beta or a per-row beta (an (n,)
+array in LossParams).  Every kernel subtracts the maximum logit,
 then divides by tau, before exponentiating, so each sample has one
 exponential equal to exp(0) = 1: for any finite logits the denominator is
 finite and at least min(beta, 1), and nothing overflows.
@@ -61,14 +62,49 @@ class LossParams:
     Temperature is applied by pre-scaling logits with 1/tau, so gradients
     carry a 1/tau factor and logit curvature a 1/tau**2 factor relative to
     the tau=1 formulas.
+
+    beta is one real, or a per-row beta for the batch kernels: a non-empty
+    1-d integer or float ndarray (not bool) of positive finite entries, one
+    per logit row, stored as a read-only float64 copy.  A LossParams that
+    holds such an array compares and hashes by identity, like every record
+    of arrays; a scalar one by value.
     """
 
-    beta: float
+    beta: float | np.ndarray
     tau: float = 1.0
 
     def __post_init__(self) -> None:
-        check_positive_real("beta", self.beta)
+        if isinstance(self.beta, np.ndarray):
+            object.__setattr__(self, "beta", _positive_array("beta", self.beta))
+        else:
+            check_positive_real("beta", self.beta)
         check_positive_real("tau", self.tau)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if isinstance(self.beta, np.ndarray) or isinstance(other.beta, np.ndarray):
+            return self is other
+        return (self.beta, self.tau) == (other.beta, other.tau)
+
+    def __hash__(self) -> int:
+        if isinstance(self.beta, np.ndarray):
+            return object.__hash__(self)
+        return hash((self.beta, self.tau))
+
+
+def _positive_array(name: str, a: np.ndarray) -> np.ndarray:
+    """a as a read-only float64 copy, if it is a non-empty 1-d integer or float array of positive finite entries."""
+    if a.dtype.kind not in "iuf" or a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{name} as an array must be non-empty, 1-d and of an integer or float dtype, "
+                         f"got shape {a.shape} and dtype {a.dtype}")
+    out = a.astype(np.float64)  # a copy, even of a float64 array
+    bad = ~(np.isfinite(out) & (out > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{name} entries must be positive finite reals, got {a[i]!r} at index {i}")
+    out.flags.writeable = False
+    return out
 
 
 def check_positive_real(name: str, value) -> None:
@@ -171,10 +207,14 @@ def _batch_exps(Z, y, p: LossParams):
     Returns (rows, y, W, E, sums, ec, total) with y the checked labels, W
     the tau-scaled logits less their row maximum, E = exp(W), ec the
     true-class entries of E and total the loss denominator sums - ec +
-    beta*ec.  Every row of E holds a 1, so sums and total are finite and
-    positive.
+    beta*ec, with each row's own beta when beta is an array.  Every row of E
+    holds a 1, so sums and total are finite and positive.  A beta array
+    whose length is not the number of rows is a ValueError.
     """
     Z, y = check_labeled_logits(Z, y)
+    if isinstance(p.beta, np.ndarray) and p.beta.shape != y.shape:
+        raise ValueError(f"beta must be one real or hold one entry per logit row, "
+                         f"got {p.beta.size} entries for {y.size} rows")
     rows = np.arange(Z.shape[0])
     W = (Z - class_max(Z)[:, None]) / p.tau
     E = np.exp(W)
@@ -190,7 +230,9 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
     Z is (n, m), y an integer label vector of length n with entries in
     [0, m).  p_c is clamped to [1e-12, 1 - 1e-12] in the denominator only,
     which keeps the exact zero sum of a saturated gradient.  Each row of a
-    C-ordered Z is bitwise the one-row call on it.  Batch reduction is left
+    C-ordered Z is bitwise the one-row call on it with that row's beta: a
+    per-row beta (p.beta an (n,) array) enters only elementwise, so row i
+    gets the bits of the scalar call with beta[i].  Batch reduction is left
     to the caller.
     """
     rows, y, W, E, sums, ec, total = _batch_exps(Z, y, p)
@@ -207,9 +249,10 @@ def beta_ce_batch(Z, y, p: LossParams) -> BatchEval:
 
 def batch_losses(Z, y, p: LossParams) -> np.ndarray:
     """The losses column of beta_ce_batch(Z, y, p), bitwise, without probs or gradients.
-    Rows are independent as in beta_ce_batch, so verify's finite
-    differences can stack every perturbed row of a group of samples into one
-    call.  Validates exactly as beta_ce_batch does.
+    Rows are independent as in beta_ce_batch, each with its own beta when
+    p.beta is an array, so verify can stack every perturbed row of a group of
+    samples, or a group's rows once per beta, into one call.  Validates
+    exactly as beta_ce_batch does.
     """
     rows, y, W, _, _, _, total = _batch_exps(Z, y, p)
     return np.log(total) - W[rows, y]
@@ -219,7 +262,8 @@ def batch_p_true(Z, y, p: LossParams) -> np.ndarray:
     """The p_true column of beta_ce_batch(Z, y, p), bitwise, without losses or gradients.
 
     Depends on p only through tau.  Validates exactly as beta_ce_batch does,
-    so a logit matrix that beta_ce_batch rejects is rejected here too.
+    so a logit matrix, or a beta array, that beta_ce_batch rejects is
+    rejected here too.
     """
     _, _, _, _, sums, ec, _ = _batch_exps(Z, y, p)
     return np.minimum(np.maximum(ec / sums, P_CLAMP), 1.0 - P_CLAMP)

@@ -247,6 +247,7 @@ def train(
 
     Update rule: v <- momentum*v + g, param <- param - lr*(v + weight_decay*param).
     A warm-up schedule, when given, overrides loss.beta at every optimizer iteration.
+    loss.beta must be one real: a per-row beta array is a ValueError before the first step.
     After each epoch that completes, observe(metrics, p_true), when given, gets that
     epoch's EpochMetrics and a fresh (n,) array of every training sample's p_true that
     train never writes again; it runs outside the errstate that hides the epoch's overflows.
@@ -275,6 +276,8 @@ def train(
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     check_fits(model.layer_dims, train_set)
     check_fits(model.layer_dims, test_set)
+    if isinstance(loss.beta, np.ndarray):
+        raise ValueError("beta must be one real for train, got a per-row array")
 
     X, y = train_set.raw, train_set.labels
     rng = np.random.default_rng(cfg.seed)

@@ -5,14 +5,18 @@ every analytic claim in :mod:`gradient_decay.loss`.  Reference values are
 computed from loss *values* only (or from closed forms written out locally);
 they never reuse the analytic derivative code paths they are checking.  The
 suite runs on the kernels training runs, with the trials stacked per logit
-width m.  For each beta, one ``beta_ce_batch`` call per width group covers
-the group's logits, every shifted copy of them and the z_c +- h copies of
-the curvature checks, and one ``batch_losses`` call on all 2m*k perturbed
-rows gives its finite differences.  Kernel rows are computed independently,
-so the stacking changes no bit of the report.  What no beta changes (the
-stacks, the p_c references, the margin term) is computed once per group, and
-the d2J/d3J closed forms run once per group and beta on its p_c arrays.  The
-margin sandwich takes its tau=1 losses from the same kernel call.
+width m.  One ``beta_ce_batch`` call per width group covers, for every beta
+at once, the group's logits, every shifted copy of them and the z_c +- h
+copies of the curvature checks: the stack is tiled once per beta, with a
+per-row beta.  One ``batch_losses`` call per group gives the margin
+sandwich's tau=0.1 losses the same way, and per group and beta one
+``batch_losses`` call on all 2m*k perturbed rows gives its finite
+differences.  Kernel rows are computed independently, each with its own
+beta, so the stacking changes no bit of the report.  What no beta changes
+(the stacks, the p_c references, the margin term) is computed once per
+group, and the per-trial checks (the d2J/d3J closed forms and the margin
+sandwich) run once per beta on every group's trials at once.  The margin
+sandwich takes its tau=1 losses from the stack call.
 Grid scans build and evaluate their grid block by block, so a 1M-point
 scan never holds the grid and its temporaries stay cache-sized.  The
 curvature-peak check is one pass over its grid for all betas: each block is
@@ -240,8 +244,8 @@ class _Group(NamedTuple):
     margin: np.ndarray       # max_{i != c} z_i - z_c
 
     def blocks(self, a: np.ndarray) -> np.ndarray:
-        """The rows of a kernel column on stack, as one (k, ...) block per stacked copy of Z."""
-        return a.reshape(-1, len(self.Z), *a.shape[1:])
+        """The rows of a kernel column on stack tiled once per beta, as (k, ...) blocks indexed [beta, copy]."""
+        return a.reshape(-1, len(self.stack) // len(self.Z), len(self.Z), *a.shape[1:])
 
 
 def _group(Z: np.ndarray, c: np.ndarray, h: float) -> _Group:
@@ -316,17 +320,38 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     peaks = grid_scan_extremum([lambda p, b=b: curvature(p, b) for b in betas],
                                _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
     h = _FD_STEP
-    for b, (peak_arg, peak_val) in zip(betas, peaks):
+    # Per group, one kernel call on the stack and one tau=0.1 call on Z, each tiled
+    # once per beta with a per-row beta; blocks(...)[i, 0] is Z itself at betas[i].
+    nb = len(betas)
+    evs = [beta_ce_batch(np.tile(g.stack, (nb, 1)), np.tile(g.stack_labels, nb),
+                         LossParams(beta=np.repeat(betas, len(g.stack))))
+           for g in groups]
+    j_tau01 = [batch_losses(np.tile(g.Z, (nb, 1)), np.tile(g.c, nb),
+                            LossParams(beta=np.repeat(betas, len(g.Z)), tau=0.1)).reshape(nb, -1)
+               for g in groups]
+
+    # The per-trial checks run on every group's trials at once; what a beta changes is a (betas, trials) array.
+    p, p_plus, p_minus, margin = (np.concatenate([getattr(g, f) for g in groups])
+                                  for f in ("p", "p_plus", "p_minus", "margin"))
+    log_m = np.concatenate([np.full(len(g.Z), math.log(g.Z.shape[1])) for g in groups])
+    fd2, j_tau1 = [], []
+    for g, ev in zip(groups, evs):
+        rows = np.arange(len(g.Z))
+        grads = g.blocks(ev.grads)
+        fd2.append((grads[:, -2, rows, g.c] - grads[:, -1, rows, g.c]) / (2.0 * h))
+        # at tau=1, J is block 0 of the stack call, bitwise batch_losses on Z
+        j_tau1.append(g.blocks(ev.losses)[:, 0])
+    fd2, j_tau1, j_tau01 = (np.concatenate(a, axis=1) for a in (fd2, j_tau1, j_tau01))
+
+    for i, (b, (peak_arg, peak_val)) in enumerate(zip(betas, peaks)):
         params = LossParams(beta=b)
-        # One kernel call per group on the whole stack; blocks[0] is Z itself.
-        evs = [beta_ce_batch(g.stack, g.stack_labels, params) for g in groups]
 
         # Analytic gradient vs central differences of the loss value.
         worst_fd = 0.0
         worst_sum = 0.0
         for g, ev in zip(groups, evs):
             fd_grads = central_diff_grad(lambda R: batch_losses(R, g.fd_labels, params), g.Z, h)
-            grads = g.blocks(ev.grads)[0]
+            grads = g.blocks(ev.grads)[i, 0]
             scale = np.maximum(1.0, np.abs(fd_grads).max(axis=1))
             worst_fd = _worst(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
             worst_sum = _worst(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
@@ -336,7 +361,7 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         # Adding a constant to every logit must not move loss/grad/probs.
         worst = 0.0
         for g, ev in zip(groups, evs):
-            fields = [g.blocks(getattr(ev, f)) for f in ("losses", "grads", "probs")]
+            fields = [g.blocks(getattr(ev, f))[i] for f in ("losses", "grads", "probs")]
             worst = _worst(worst, *[float(np.abs(a[1:1 + len(_SHIFTS)] - a[0]).max()) for a in fields])
         add("shift_invariance", b, 1e-10, worst)
 
@@ -364,26 +389,18 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         add("curvature_peak_value", b, 1e-9, abs(peak_val - 0.25))
 
         # d2J must match differences of grad_c in z_c, and d3J differences of d2J.
-        worst2 = 0.0
-        worst3 = 0.0
-        for g, ev in zip(groups, evs):
-            rows = np.arange(len(g.Z))
-            grads = g.blocks(ev.grads)
-            fd2 = (grads[-2][rows, g.c] - grads[-1][rows, g.c]) / (2.0 * h)
-            fd3 = (curvature(g.p_plus, b) - curvature(g.p_minus, b)) / (2.0 * h)
-            d2, d3 = logit_curvature(g.p, b)
-            worst2 = _worst(worst2, float((np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))).max()))
-            worst3 = _worst(worst3, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max()))
-        add("derivative_consistency_d2", b, 1e-5, worst2)
-        add("derivative_consistency_d3", b, 1e-5, worst3)
+        fd3 = (curvature(p_plus, b) - curvature(p_minus, b)) / (2.0 * h)
+        d2, d3 = logit_curvature(p, b)
+        add("derivative_consistency_d2", b, 1e-5,
+            _worst(0.0, float((np.abs(d2 - fd2[i]) / np.maximum(1.0, np.abs(fd2[i]))).max())))
+        add("derivative_consistency_d3", b, 1e-5,
+            _worst(0.0, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max())))
 
         # J is sandwiched between the margin max-term and max-term + log(m).
         worst = 0.0
-        for g, ev in zip(groups, evs):
-            # at tau=1, J is block 0 of the kernel call above, bitwise batch_losses on Z
-            for tau, j in ((1.0, g.blocks(ev.losses)[0]), (0.1, batch_losses(g.Z, g.c, LossParams(beta=b, tau=0.1)))):
-                m_term = np.maximum(math.log(b), g.margin / tau)
-                worst = _worst(worst, float((m_term - j).max()), float((j - (m_term + math.log(g.Z.shape[1]))).max()))
+        for tau, j in ((1.0, j_tau1[i]), (0.1, j_tau01[i])):
+            m_term = np.maximum(math.log(b), margin / tau)
+            worst = _worst(worst, float((m_term - j).max()), float((j - (m_term + log_m)).max()))
         add("margin_sandwich", b, 1e-12, worst)
 
     return VerifyReport(tuple(checks))

@@ -192,6 +192,35 @@ class TestBatchEval:
                         assert np.array_equal(getattr(be, field)[k], getattr(one, field)[0]), (m, beta, k, field)
                     assert losses[k] == batch_losses(Z[k:k + 1], y[k:k + 1], params)[0]
 
+    @pytest.mark.parametrize("offset", [0.0, 1000.0], ids=["max", "large"])
+    @pytest.mark.parametrize("tau", [1.0, 0.1])
+    def test_per_row_beta_rows_are_bitwise_the_scalar_beta_calls(self, offset, tau):
+        # verify tiles each width group's stack once per beta into one call with a
+        # per-row beta; its report stays byte-identical only if each block of rows
+        # has the bits of the scalar-beta call on it
+        betas = [0.001, 0.01, 1.0, 5.0, 1000.0]
+        for Z, c in _draw_trials(np.random.default_rng(11), 120):
+            Z = Z + offset
+            k = len(Z)
+            tiled, labels = np.tile(Z, (len(betas), 1)), np.tile(c, len(betas))
+            params = LossParams(beta=np.repeat(betas, k), tau=tau)
+            be = beta_ce_batch(tiled, labels, params)
+            losses, p_true = batch_losses(tiled, labels, params), batch_p_true(tiled, labels, params)
+            for i, beta in enumerate(betas):
+                block = slice(i * k, (i + 1) * k)
+                one = beta_ce_batch(Z, c, LossParams(beta=beta, tau=tau))
+                for field in ("losses", "grads", "probs", "p_true"):
+                    assert getattr(be, field)[block].tobytes() == getattr(one, field).tobytes(), (Z.shape, beta, field)
+                assert losses[block].tobytes() == batch_losses(Z, c, LossParams(beta=beta, tau=tau)).tobytes()
+                assert p_true[block].tobytes() == batch_p_true(Z, c, LossParams(beta=beta, tau=tau)).tobytes()
+
+    @pytest.mark.parametrize("kernel", [beta_ce_batch, batch_p_true, batch_losses])
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_a_beta_array_of_the_wrong_length_names_beta(self, kernel, length):
+        # not numpy's broadcast error: a one-entry array would even broadcast silently
+        with pytest.raises(ValueError, match="beta must be one real or hold one entry per logit row"):
+            kernel(np.zeros((4, 3)), np.zeros(4, dtype=int), LossParams(beta=np.ones(length)))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             beta_ce_batch(np.zeros((4, 1)), np.zeros(4, dtype=int), LossParams(beta=1.0))
@@ -608,6 +637,27 @@ class TestParamValidation:
             LossParams(beta=1.0, tau=0.0)
         with pytest.raises(ValueError):
             LossParams(beta=math.inf)
+
+    @pytest.mark.parametrize("entry", [0.0, -2.0, math.nan, math.inf, -math.inf])
+    def test_a_beta_array_needs_positive_finite_entries(self, entry):
+        with pytest.raises(ValueError, match=r"beta entries must be positive finite reals, got .* at index 1"):
+            LossParams(beta=np.array([1.0, entry, 3.0]))
+
+    @pytest.mark.parametrize("beta", [np.array([True, True]), np.ones((2, 2)), np.array([]),
+                                      np.array([1 + 0j]), np.array(["1"]), np.array(2.0)],
+                             ids=["bool", "2-d", "empty", "complex", "str", "0-d"])
+    def test_a_beta_array_must_be_a_non_empty_real_vector(self, beta):
+        with pytest.raises(ValueError, match="beta as an array must be non-empty, 1-d"):
+            LossParams(beta=beta)
+
+    def test_a_beta_array_is_a_read_only_float64_copy(self):
+        given = np.array([1, 2, 3], dtype=np.int32)
+        params = LossParams(beta=given)
+        given[0] = 7
+        assert params.beta.dtype == np.float64 and params.beta.tolist() == [1.0, 2.0, 3.0]
+        assert not params.beta.flags.writeable
+        floats = np.array([0.5, 2.0])
+        assert LossParams(beta=floats).beta is not floats
 
     def test_labeled_logits(self):
         # one sample: a one-row logit matrix and its label

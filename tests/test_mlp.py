@@ -559,6 +559,17 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(**{"lr": 0.1, **bad})
 
+    @pytest.mark.parametrize("rows", [32, 160], ids=["batch", "dataset"])
+    def test_a_per_row_beta_is_rejected_before_the_first_step(self, rows):
+        # the kernel's length check is a ValueError too, which train would report as TrainingDiverged(0, 0)
+        train_set, test_set = _tiny_blobs()
+        model = MlpModel.init((2, 8, 4), seed=0)
+        before = [w.copy() for w in model.weights]
+        with pytest.raises(ValueError, match="beta must be one real for train"):
+            train(model, train_set, TrainConfig(lr=0.1, batch_size=32), LossParams(beta=np.ones(rows)),
+                  test_set=test_set)
+        assert all(np.array_equal(a, b) for a, b in zip(model.weights, before))
+
     def test_batch_size_validation(self):
         train_set, test_set = _tiny_blobs(n_per_class=5)
         model = MlpModel.init((2, 4, 4), seed=0)

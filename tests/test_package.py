@@ -42,6 +42,7 @@ RECORDS = {
     "Dataset": lambda: Dataset(_X, _Y, "train"),
     "PredictionSet": lambda: PredictionSet(_P, _Y),
     "BatchEval": lambda: BatchEval(_Y * 1.0, _P, _P, _Y * 1.0),
+    "LossParams": lambda: LossParams(beta=_Y + 1.0),
     "DifficultyGroups": lambda: DifficultyGroups(_Y + 1, _P),
     "MlpModel": lambda: MlpModel.init((2, 3, 2), 0),
     "TrainResult": lambda: TrainResult([], _Y * 1.0, _P),

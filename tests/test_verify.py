@@ -545,9 +545,11 @@ class TestVerifyAll:
     def test_nan_kernel_rows_fail_their_properties(self, monkeypatch, capsys):
         # max(worst, nan) is worst once worst is a number, so a NaN row of the kernel used to pass
         def nan_row(Z, y, params):
+            # row 0 of every beta's block: a stack call holds one block per beta
             ev = beta_ce_batch(Z, y, params)
+            block = len(Z) // len(DEFAULT_BETAS) if isinstance(params.beta, np.ndarray) else len(Z)
             if Z.shape[1] == 7:
-                ev.losses[0] = ev.grads[0] = ev.probs[0] = np.nan
+                ev.losses[::block] = ev.grads[::block] = ev.probs[::block] = np.nan
             return ev
 
         monkeypatch.setattr(gradient_decay.verify, "beta_ce_batch", nan_row)
@@ -558,6 +560,28 @@ class TestVerifyAll:
         assert all(math.isnan(c.worst_error) for c in failures)
         assert main(["verify"]) == 1
         assert "FAILED properties: beta1_equivalence, fd_gradient_agreement" in capsys.readouterr().err
+
+    def test_each_width_group_runs_every_beta_in_one_stack_call(self, monkeypatch):
+        # 19 width groups: 19 beta=1 equivalence calls, 57 temperature-sandwich calls, per group one
+        # stack call and one tau=0.1 call for all betas, and per group and beta one difference call
+        def counted(betas):
+            calls = {"stack": 0, "tau=0.1": 0, "all": 0}
+
+            def wrap(kernel, name):
+                def call(Z, y, params):
+                    calls["all"] += 1
+                    calls[name] += kernel is beta_ce_batch or params.tau == 0.1
+                    return kernel(Z, y, params)
+                return call
+
+            monkeypatch.setattr(gradient_decay.verify, "beta_ce_batch", wrap(beta_ce_batch, "stack"))
+            monkeypatch.setattr(gradient_decay.verify, "batch_losses", wrap(batch_losses, "tau=0.1"))
+            verify_all(FdConfig(), betas)
+            return calls
+
+        five, one = counted(DEFAULT_BETAS), counted([1.0])
+        assert five["all"] == 209
+        assert (five["stack"], five["tau=0.1"]) == (one["stack"], one["tau=0.1"]) == (19 + 19, 19 + 19)
 
     def test_deterministic_given_seed(self):
         a = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
