@@ -67,7 +67,7 @@ def _shifted_exp(z: np.ndarray, tau: float, zmax, out: np.ndarray | None = None)
 class PredictionSet:
     """Per-sample probability rows with labels, confidences and argmaxes."""
 
-    probs: np.ndarray   # (n, m), rows sum to 1 within 1e-9
+    probs: np.ndarray   # (n, m) in [0, 1], rows sum to 1 within 1e-9
     labels: np.ndarray  # (n,)
 
     def __post_init__(self) -> None:
@@ -79,6 +79,8 @@ class PredictionSet:
         # written so that a NaN row sum, which compares false, fails too
         if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9:
             raise ValueError("probability rows must be finite and sum to 1 within 1e-9")
+        if not (p.min() >= 0.0 and p.max() <= 1.0):  # a NaN compares false here too
+            raise ValueError("probabilities must lie in [0, 1]")
 
     @classmethod
     def from_logits(cls, logits, labels, tau: float = 1.0) -> "PredictionSet":

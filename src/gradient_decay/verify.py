@@ -4,19 +4,20 @@ Central finite differences and dense grid scans act as the reference for
 every analytic claim in :mod:`gradient_decay.loss`.  Reference values are
 computed from loss *values* only (or from closed forms written out locally);
 they never reuse the analytic derivative code paths they are checking.  The
-suite runs on the kernels training runs, with the trials stacked per logit
-width m.  One ``beta_ce_batch`` call per width group covers, for every beta
-at once, the group's logits, every shifted copy of them and the z_c +- h
-copies of the curvature checks: the stack is tiled once per beta, with a
-per-row beta.  One ``batch_losses`` call per group gives the margin
-sandwich's tau=0.1 losses the same way, and per group and beta one
-``batch_losses`` call on all 2m*k perturbed rows gives its finite
-differences.  Kernel rows are computed independently, each with its own
-beta, so the stacking changes no bit of the report.  What no beta changes
-(the stacks, the p_c references, the margin term) is computed once per
-group, and the per-trial checks (the d2J/d3J closed forms and the margin
-sandwich) run once per beta on every group's trials at once.  The margin
-sandwich takes its tau=1 losses from the stack call.
+suite runs on the kernels training runs, in one pass over the trials stacked
+per logit width m.  Each width group makes six kernel calls whatever the
+number of betas: a beta=1 ``beta_ce_batch`` call, whose losses are also the
+temperature sandwich's tau=1 losses, the sandwich's tau=0.1 and tau=0.01
+``batch_losses`` calls, and three calls tiled once per beta with a per-row
+beta.  These are ``beta_ce_batch`` on the group's logits, every shifted copy
+of them and their z_c +- h copies; ``batch_losses`` on the 2m*k perturbed
+rows of the finite differences; and the margin sandwich's tau=0.1
+``batch_losses``.  Kernel rows are computed independently, each with its own
+beta, so the stacking changes no bit of the report.  Each check keeps a row
+of per-trial errors or references per group.  After the pass, the d2J/d3J
+closed forms and the margin sandwich (its tau=1 losses are the stack call's)
+run once per beta on all trials at once, and each property is the exact max
+of its rows.
 Grid scans build and evaluate their grid block by block, so a 1M-point
 scan never holds the grid and its temporaries stay cache-sized.  The
 curvature-peak check is one pass over its grid for all betas: each block is
@@ -31,8 +32,8 @@ difference noise floor (~1e-10 at step 1e-5 in float64).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -230,38 +231,6 @@ def _draw_trials(rng: np.random.Generator, trials: int) -> list[tuple[np.ndarray
             for _, group in sorted(by_width.items())]
 
 
-class _Group(NamedTuple):
-    """One width group's trials with the inputs of its checks that no beta changes."""
-
-    Z: np.ndarray            # (k, m) logits
-    c: np.ndarray            # (k,) labels
-    fd_labels: np.ndarray    # labels of central_diff_grad's 2m*k rows
-    stack: np.ndarray        # Z, then Z + s for each of _SHIFTS, then Z with z_c + h and z_c - h
-    stack_labels: np.ndarray
-    p: np.ndarray            # reference p_c of Z, of z_c + h and of z_c - h
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    margin: np.ndarray       # max_{i != c} z_i - z_c
-
-    def blocks(self, a: np.ndarray) -> np.ndarray:
-        """The rows of a kernel column on stack tiled once per beta, as (k, ...) blocks indexed [beta, copy]."""
-        return a.reshape(-1, len(self.stack) // len(self.Z), len(self.Z), *a.shape[1:])
-
-
-def _group(Z: np.ndarray, c: np.ndarray, h: float) -> _Group:
-    rows = np.arange(len(Z))
-    Zp, Zm = Z.copy(), Z.copy()
-    Zp[rows, c] += h
-    Zm[rows, c] -= h
-    others = Z.copy()
-    others[rows, c] = -np.inf
-    copies = [Z] + [Z + s for s in _SHIFTS] + [Zp, Zm]
-    return _Group(
-        Z, c, np.repeat(c, 2 * Z.shape[1]), np.vstack(copies), np.tile(c, len(copies)),
-        *(_standard_ce(z, c)[2] for z in (Z, Zp, Zm)), others.max(axis=1) - Z[rows, c],
-    )
-
-
 def _worst(*errs) -> float:
     """The largest of errs, or NaN if any is NaN: max() keeps a number over a NaN that follows it."""
     return math.nan if any(math.isnan(e) for e in errs) else max(errs)
@@ -281,20 +250,73 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         check_positive_real("beta", b)
     betas = [float(b) for b in betas]
 
-    rng = np.random.default_rng(fd.seed)
-    groups = [_group(Z, c, _FD_STEP) for Z, c in _draw_trials(rng, fd.trials)]
+    nb, h = len(betas), _FD_STEP
+    # One pass over the width groups makes every kernel call.  Each check appends, per
+    # group, a row of its per-trial errors or references: (k,), or (betas, k) if a beta moves it.
+    rows: dict[str, list[np.ndarray]] = defaultdict(list)
+    for Z, c in _draw_trials(np.random.default_rng(fd.seed), fd.trials):
+        k, m = Z.shape
+        t = np.arange(k)
+        losses, grads, p = _standard_ce(Z, c)
+        # beta=1 must reproduce the standard softmax cross-entropy bit-for-bit
+        # up to summation order.  Its losses are bitwise batch_losses' at tau=1.
+        ev = beta_ce_batch(Z, c, LossParams(beta=1.0))
+        rows["beta1"].append(np.maximum(np.abs(ev.losses - losses), np.abs(ev.grads - grads).max(axis=1)))
+
+        # Sandwich between the loss and the max function it smooths (beta=1):
+        # max(z) - z_c <= tau*J <= max(z) - z_c + tau*log(m).
+        lo_bound, sides = Z.max(axis=1) - Z[t, c], []
+        for tau in _SANDWICH_TAUS:
+            tj = tau * (ev.losses if tau == 1.0 else batch_losses(Z, c, LossParams(beta=1.0, tau=tau)))
+            sides += [lo_bound - tj, tj - (lo_bound + tau * math.log(m))]
+        rows["sandwich"].append(np.max(sides, axis=0))
+
+        # One kernel call on Z, Z + s for each of _SHIFTS and Z with z_c +- h, tiled once
+        # per beta with a per-row beta: block [i, copy] of a column is that copy at betas[i].
+        Zp, Zm = Z.copy(), Z.copy()
+        Zp[t, c] += h
+        Zm[t, c] -= h
+        copies = [Z] + [Z + s for s in _SHIFTS] + [Zp, Zm]
+        ev = beta_ce_batch(np.tile(np.vstack(copies), (nb, 1)), np.tile(c, len(copies) * nb),
+                           LossParams(beta=np.repeat(betas, len(copies) * k)))
+        L, G, P = (a.reshape(nb, len(copies), k, -1) for a in (ev.losses, ev.grads, ev.probs))
+
+        # Analytic gradient vs central differences of the loss value: one call on Z tiled per beta.
+        fd_grads = central_diff_grad(
+            lambda R: batch_losses(R, np.tile(np.repeat(c, 2 * m), nb), LossParams(beta=np.repeat(betas, 2 * m * k))),
+            np.tile(Z, (nb, 1)), h).reshape(nb, k, m)
+        scale = np.maximum(1.0, np.abs(fd_grads).max(axis=2))
+        rows["fd"].append(np.abs(G[:, 0] - fd_grads).max(axis=2) / scale)
+        rows["null_sum"].append(np.abs(G[:, 0].sum(axis=2)))
+
+        # Adding a constant to every logit must not move loss/grad/probs.
+        shifted = slice(1, 1 + len(_SHIFTS))
+        rows["shift"].append(np.max([np.abs(a[:, shifted] - a[:, :1]).max(axis=(1, 3)) for a in (L, G, P)], axis=0))
+
+        # References of the per-trial checks, which run after the pass on all trials at once.
+        rows["fd2"].append((G[:, -2, t, c] - G[:, -1, t, c]) / (2.0 * h))
+        rows["p"].append(p)
+        rows["p_plus"].append(_standard_ce(Zp, c)[2])
+        rows["p_minus"].append(_standard_ce(Zm, c)[2])
+        others = Z.copy()
+        others[t, c] = -np.inf
+        rows["margin"].append(others.max(axis=1) - Z[t, c])
+        rows["log_m"].append(np.full(k, math.log(m)))
+        rows["j_tau1"].append(L[:, 0, :, 0])
+        rows["j_tau01"].append(batch_losses(np.tile(Z, (nb, 1)), np.tile(c, nb),
+                                            LossParams(beta=np.repeat(betas, k), tau=0.1)).reshape(nb, k))
+
+    # Every group's rows side by side: max is exact and np.max propagates NaN, so no bit moves.
+    r = {name: np.concatenate(a, axis=-1) for name, a in rows.items()}
     checks: list[PropertyCheck] = []
 
     def add(prop: str, beta: float | None, tol: float, err: float) -> None:
         checks.append(PropertyCheck(prop, beta, tol, float(err), bool(err <= tol)))
 
-    # beta=1 must reproduce the standard softmax cross-entropy bit-for-bit
-    # up to summation order.
-    worst = 0.0
-    for g in groups:
-        ev, (losses, grads, _) = beta_ce_batch(g.Z, g.c, LossParams(beta=1.0)), _standard_ce(g.Z, g.c)
-        worst = _worst(worst, float(np.abs(ev.losses - losses).max()), float(np.abs(ev.grads - grads).max()))
-    add("beta1_equivalence", None, 1e-12, worst)
+    def worst(errs) -> float:
+        return _worst(0.0, float(np.max(errs)))
+
+    add("beta1_equivalence", None, 1e-12, worst(r["beta1"]))
 
     # G -> 1 as beta -> 0+ and G -> 0 as beta -> +inf, evaluated at p=0.5.
     err = _worst(
@@ -303,67 +325,16 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         0.0,
     )
     add("extreme_beta_limits", None, 0.0, err)
-
-    # Sandwich between the loss and the max function it smooths (beta=1):
-    # max(z) - z_c <= tau*J <= max(z) - z_c + tau*log(m).
-    worst = 0.0
-    for g in groups:
-        lo_bound = g.Z.max(axis=1) - g.Z[np.arange(len(g.Z)), g.c]
-        for tau in _SANDWICH_TAUS:
-            tj = tau * batch_losses(g.Z, g.c, LossParams(beta=1.0, tau=tau))
-            up_bound = lo_bound + tau * math.log(g.Z.shape[1])
-            worst = _worst(worst, float((lo_bound - tj).max()), float((tj - up_bound).max()))
-    add("temperature_sandwich", None, 1e-12, worst)
+    add("temperature_sandwich", None, 1e-12, worst(r["sandwich"]))
 
     grid = np.linspace(_PROB_EPS, 1.0 - _PROB_EPS, _DECAY_GRID_POINTS)
     # One pass over the peak grid for every beta: each block is built once.
     peaks = grid_scan_extremum([lambda p, b=b: curvature(p, b) for b in betas],
                                _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
-    h = _FD_STEP
-    # Per group, one kernel call on the stack and one tau=0.1 call on Z, each tiled
-    # once per beta with a per-row beta; blocks(...)[i, 0] is Z itself at betas[i].
-    nb = len(betas)
-    evs = [beta_ce_batch(np.tile(g.stack, (nb, 1)), np.tile(g.stack_labels, nb),
-                         LossParams(beta=np.repeat(betas, len(g.stack))))
-           for g in groups]
-    j_tau01 = [batch_losses(np.tile(g.Z, (nb, 1)), np.tile(g.c, nb),
-                            LossParams(beta=np.repeat(betas, len(g.Z)), tau=0.1)).reshape(nb, -1)
-               for g in groups]
-
-    # The per-trial checks run on every group's trials at once; what a beta changes is a (betas, trials) array.
-    p, p_plus, p_minus, margin = (np.concatenate([getattr(g, f) for g in groups])
-                                  for f in ("p", "p_plus", "p_minus", "margin"))
-    log_m = np.concatenate([np.full(len(g.Z), math.log(g.Z.shape[1])) for g in groups])
-    fd2, j_tau1 = [], []
-    for g, ev in zip(groups, evs):
-        rows = np.arange(len(g.Z))
-        grads = g.blocks(ev.grads)
-        fd2.append((grads[:, -2, rows, g.c] - grads[:, -1, rows, g.c]) / (2.0 * h))
-        # at tau=1, J is block 0 of the stack call, bitwise batch_losses on Z
-        j_tau1.append(g.blocks(ev.losses)[:, 0])
-    fd2, j_tau1, j_tau01 = (np.concatenate(a, axis=1) for a in (fd2, j_tau1, j_tau01))
-
     for i, (b, (peak_arg, peak_val)) in enumerate(zip(betas, peaks)):
-        params = LossParams(beta=b)
-
-        # Analytic gradient vs central differences of the loss value.
-        worst_fd = 0.0
-        worst_sum = 0.0
-        for g, ev in zip(groups, evs):
-            fd_grads = central_diff_grad(lambda R: batch_losses(R, g.fd_labels, params), g.Z, h)
-            grads = g.blocks(ev.grads)[i, 0]
-            scale = np.maximum(1.0, np.abs(fd_grads).max(axis=1))
-            worst_fd = _worst(worst_fd, float((np.abs(grads - fd_grads).max(axis=1) / scale).max()))
-            worst_sum = _worst(worst_sum, float(np.abs(grads.sum(axis=1)).max()))
-        add("fd_gradient_agreement", b, _FD_REL_TOL, worst_fd)
-        add("gradient_null_sum", b, 1e-12, worst_sum)
-
-        # Adding a constant to every logit must not move loss/grad/probs.
-        worst = 0.0
-        for g, ev in zip(groups, evs):
-            fields = [g.blocks(getattr(ev, f))[i] for f in ("losses", "grads", "probs")]
-            worst = _worst(worst, *[float(np.abs(a[1:1 + len(_SHIFTS)] - a[0]).max()) for a in fields])
-        add("shift_invariance", b, 1e-10, worst)
+        add("fd_gradient_agreement", b, _FD_REL_TOL, worst(r["fd"][i]))
+        add("gradient_null_sum", b, 1e-12, worst(r["null_sum"][i]))
+        add("shift_invariance", b, 1e-10, worst(r["shift"][i]))
 
         # G strictly decreasing on (0, 1), with the stated endpoint limits.
         G = gradient_magnitude(grid, b)
@@ -389,18 +360,16 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         add("curvature_peak_value", b, 1e-9, abs(peak_val - 0.25))
 
         # d2J must match differences of grad_c in z_c, and d3J differences of d2J.
-        fd3 = (curvature(p_plus, b) - curvature(p_minus, b)) / (2.0 * h)
-        d2, d3 = logit_curvature(p, b)
-        add("derivative_consistency_d2", b, 1e-5,
-            _worst(0.0, float((np.abs(d2 - fd2[i]) / np.maximum(1.0, np.abs(fd2[i]))).max())))
-        add("derivative_consistency_d3", b, 1e-5,
-            _worst(0.0, float((np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))).max())))
+        fd2, fd3 = r["fd2"][i], (curvature(r["p_plus"], b) - curvature(r["p_minus"], b)) / (2.0 * h)
+        d2, d3 = logit_curvature(r["p"], b)
+        add("derivative_consistency_d2", b, 1e-5, worst(np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))))
+        add("derivative_consistency_d3", b, 1e-5, worst(np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))))
 
         # J is sandwiched between the margin max-term and max-term + log(m).
-        worst = 0.0
-        for tau, j in ((1.0, j_tau1[i]), (0.1, j_tau01[i])):
-            m_term = np.maximum(math.log(b), margin / tau)
-            worst = _worst(worst, float((m_term - j).max()), float((j - (m_term + log_m)).max()))
-        add("margin_sandwich", b, 1e-12, worst)
+        sides = []
+        for tau, j in ((1.0, r["j_tau1"][i]), (0.1, r["j_tau01"][i])):
+            m_term = np.maximum(math.log(b), r["margin"] / tau)
+            sides += [m_term - j, j - (m_term + r["log_m"])]
+        add("margin_sandwich", b, 1e-12, worst(sides))
 
     return VerifyReport(tuple(checks))

@@ -1,6 +1,7 @@
 """Calibration metric and temperature scaling tests."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -208,6 +209,12 @@ class TestPredictionSet:
         # a NaN row sum used to slip past the row-sum check
         with pytest.raises(ValueError, match="finite"):
             PredictionSet(np.array([[bad, bad], [0.5, 0.5]]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [1.0 + 5e-10, 0.0]])
+    def test_probabilities_outside_the_unit_interval_rejected(self, row):
+        # both rows pass the row-sum check; the first used to give a (0.75, 1.0] bin of mean_conf 1.5
+        with pytest.raises(ValueError, match=re.escape("probabilities must lie in [0, 1]")):
+            PredictionSet(np.array([row, [0.5, 0.5]]), np.array([0, 1]))
 
     @pytest.mark.parametrize("tau", [-1.0, 0.0, -0.0, np.inf, np.nan, "1", None])
     def test_from_logits_rejects_a_bad_temperature(self, tau):

@@ -166,6 +166,28 @@ def old_beta_checks(fd: FdConfig, betas) -> list[tuple[str, float, float]]:
     return out
 
 
+def old_beta_free_checks(fd: FdConfig) -> tuple[float, float]:
+    """verify_all's beta1_equivalence and temperature_sandwich worst errors as they ran before the width
+    groups became one pass: one loop over the groups per check, the tau=1 losses from batch_losses."""
+    groups = gradient_decay.verify._draw_trials(np.random.default_rng(fd.seed), fd.trials)
+
+    def nan_max(*errs):
+        return math.nan if any(math.isnan(e) for e in errs) else max(errs)
+
+    equivalence = 0.0
+    for Z, c in groups:
+        ev, (losses, grads, _) = beta_ce_batch(Z, c, LossParams(beta=1.0)), gradient_decay.verify._standard_ce(Z, c)
+        equivalence = nan_max(equivalence, float(np.abs(ev.losses - losses).max()), float(np.abs(ev.grads - grads).max()))
+    sandwich = 0.0
+    for Z, c in groups:
+        lo_bound = Z.max(axis=1) - Z[np.arange(len(Z)), c]
+        for tau in (1.0, 0.1, 0.01):
+            tj = tau * batch_losses(Z, c, LossParams(beta=1.0, tau=tau))
+            up_bound = lo_bound + tau * math.log(Z.shape[1])
+            sandwich = nan_max(sandwich, float((lo_bound - tj).max()), float((tj - up_bound).max()))
+    return equivalence, sandwich
+
+
 def bits(*xs) -> bytes:
     return np.array(xs, dtype=np.float64).tobytes()
 
@@ -542,6 +564,15 @@ class TestVerifyAll:
         assert bits(*[c.worst_error for c in per_beta]) == bits(*[worst for _, _, worst in reference])
         assert {c.tolerance for c in per_beta if c.property == "fd_gradient_agreement"} == {_FD_REL_TOL}
 
+    @pytest.mark.parametrize("trials", [1, 200])
+    @pytest.mark.parametrize("seed", [154, 20240811])
+    def test_beta_free_checks_match_the_per_group_loops(self, seed, trials):
+        # the beta=1 call's losses stand in for batch_losses at tau=1, and the per-trial
+        # errors of every group are reduced at once: both must leave the two lines as they were
+        fd = FdConfig(trials=trials, seed=seed)
+        worst = {c.property: c.worst_error for c in verify_all(fd).checks if c.beta is None}
+        assert bits(worst["beta1_equivalence"], worst["temperature_sandwich"]) == bits(*old_beta_free_checks(fd))
+
     def test_nan_kernel_rows_fail_their_properties(self, monkeypatch, capsys):
         # max(worst, nan) is worst once worst is a number, so a NaN row of the kernel used to pass
         def nan_row(Z, y, params):
@@ -555,33 +586,33 @@ class TestVerifyAll:
         monkeypatch.setattr(gradient_decay.verify, "beta_ce_batch", nan_row)
         failures = verify_all().failures()
         per_beta = ("fd_gradient_agreement", "gradient_null_sum", "shift_invariance", "margin_sandwich")
-        assert {(c.property, c.beta) for c in failures} == \
-            {("beta1_equivalence", None)} | {(prop, b) for b in DEFAULT_BETAS for prop in per_beta}
+        # the sandwich's tau=1 losses are the beta=1 call's
+        assert {(c.property, c.beta) for c in failures} == {("beta1_equivalence", None), ("temperature_sandwich", None)} \
+            | {(prop, b) for b in DEFAULT_BETAS for prop in per_beta}
         assert all(math.isnan(c.worst_error) for c in failures)
         assert main(["verify"]) == 1
         assert "FAILED properties: beta1_equivalence, fd_gradient_agreement" in capsys.readouterr().err
 
     def test_each_width_group_runs_every_beta_in_one_stack_call(self, monkeypatch):
-        # 19 width groups: 19 beta=1 equivalence calls, 57 temperature-sandwich calls, per group one
-        # stack call and one tau=0.1 call for all betas, and per group and beta one difference call
+        # 19 width groups, six kernel calls each however many betas there are: the beta=1 call, the
+        # tau=0.1 and tau=0.01 sandwich calls, and the stack, difference and tau=0.1 margin calls
+        # tiled once per beta
         def counted(betas):
-            calls = {"stack": 0, "tau=0.1": 0, "all": 0}
+            calls = {"beta_ce_batch": 0, "all": 0}
 
-            def wrap(kernel, name):
+            def wrap(kernel):
                 def call(Z, y, params):
                     calls["all"] += 1
-                    calls[name] += kernel is beta_ce_batch or params.tau == 0.1
+                    calls["beta_ce_batch"] += kernel is beta_ce_batch
                     return kernel(Z, y, params)
                 return call
 
-            monkeypatch.setattr(gradient_decay.verify, "beta_ce_batch", wrap(beta_ce_batch, "stack"))
-            monkeypatch.setattr(gradient_decay.verify, "batch_losses", wrap(batch_losses, "tau=0.1"))
+            monkeypatch.setattr(gradient_decay.verify, "beta_ce_batch", wrap(beta_ce_batch))
+            monkeypatch.setattr(gradient_decay.verify, "batch_losses", wrap(batch_losses))
             verify_all(FdConfig(), betas)
             return calls
 
-        five, one = counted(DEFAULT_BETAS), counted([1.0])
-        assert five["all"] == 209
-        assert (five["stack"], five["tau=0.1"]) == (one["stack"], one["tau=0.1"]) == (19 + 19, 19 + 19)
+        assert counted(DEFAULT_BETAS) == counted([1.0]) == {"beta_ce_batch": 19 + 19, "all": 6 * 19}
 
     def test_deterministic_given_seed(self):
         a = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
