@@ -478,8 +478,8 @@ def cmd_warmup_demo(args, parser) -> int:
         parser.error("--points must be at least 2")
     sched = _warmup(args, parser)
     print("t,beta")
-    for i in range(args.points):
-        t = round(i * args.warmup_iters / (args.points - 1))
+    # dict.fromkeys lists each step once where two points round to it
+    for t in dict.fromkeys(round(i * args.warmup_iters / (args.points - 1)) for i in range(args.points)):
         print(f"{t},{sched.beta_at(t)!r}")
     return 0
 
@@ -541,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-initial", type=float, default=0.1)
     p.add_argument("--beta-end", type=float, default=1.0)
     p.add_argument("--warmup-iters", type=int, default=1000)
-    p.add_argument("--points", type=int, default=11)
+    p.add_argument("--points", type=int, default=11,
+                   help="at most this many evenly spaced steps from 0 to --warmup-iters, each listed once")
     p.set_defaults(func=cmd_warmup_demo)
 
     return parser

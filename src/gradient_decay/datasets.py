@@ -115,25 +115,18 @@ def decode(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def make_blobs(cfg: BlobsConfig) -> tuple[Dataset, Dataset]:
     """Deterministic (train, test) blob datasets, 80/20 split per class."""
-    rng = np.random.default_rng(cfg.seed)
-    train_x, train_y, test_x, test_y = [], [], [], []
-    for k in range(cfg.classes):
-        angle = 2.0 * math.pi * k / cfg.classes
-        mean = np.zeros(2)
-        mean[0] = cfg.radius * math.cos(angle)
-        mean[1] = cfg.radius * math.sin(angle)
-        with np.errstate(over="ignore"):  # an infinite point is reported below
-            pts = mean + cfg.sigma * rng.standard_normal((cfg.n_per_class, 2))
-        if not np.isfinite(pts).all():
-            raise ValueError(f"sigma {cfg.sigma!r} at radius {cfg.radius!r} puts blob points beyond the float64 range")
-        is_test = (np.arange(cfg.n_per_class) % _TEST_STRIDE) == _TEST_STRIDE - 1
-        train_x.append(pts[~is_test])
-        test_x.append(pts[is_test])
-        train_y.append(np.full((~is_test).sum(), k, dtype=np.int64))
-        test_y.append(np.full(is_test.sum(), k, dtype=np.int64))
-    train = Dataset(np.concatenate(train_x), np.concatenate(train_y), "train")
-    test = Dataset(np.concatenate(test_x), np.concatenate(test_y), "test")
-    return train, test
+    # math.cos/sin rather than np.cos/sin, whose last bit may differ
+    angles = [2.0 * math.pi * k / cfg.classes for k in range(cfg.classes)]
+    means = np.array([[cfg.radius * math.cos(a), cfg.radius * math.sin(a)] for a in angles])
+    # one draw in C order is the stream of one (n_per_class, 2) draw per class in turn
+    with np.errstate(over="ignore"):  # an infinite point is reported below
+        pts = means[:, None] + cfg.sigma * np.random.default_rng(cfg.seed).standard_normal(
+            (cfg.classes, cfg.n_per_class, 2))
+    if not np.isfinite(pts).all():
+        raise ValueError(f"sigma {cfg.sigma!r} at radius {cfg.radius!r} puts blob points beyond the float64 range")
+    is_test = (np.arange(cfg.n_per_class) % _TEST_STRIDE) == _TEST_STRIDE - 1
+    return tuple(Dataset(pts[:, keep].reshape(-1, 2), np.repeat(np.arange(cfg.classes), keep.sum()), split)
+                 for keep, split in ((~is_test, "train"), (is_test, "test")))
 
 
 class IdxFormatError(ValueError):

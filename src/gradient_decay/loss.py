@@ -54,7 +54,7 @@ _INTS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossParams:
     """Hyperparameters of the gradient-decay loss.
 
@@ -65,9 +65,9 @@ class LossParams:
 
     beta is one real, or a per-row beta for the batch kernels: a non-empty
     1-d integer or float ndarray (not bool) of positive finite entries, one
-    per logit row, stored as a read-only float64 copy.  A LossParams that
-    holds such an array compares and hashes by identity, like every record
-    of arrays; a scalar one by value.
+    per logit row, stored as a read-only float64 copy.  A LossParams
+    compares and hashes by identity, like every record that may hold an
+    array.
     """
 
     beta: float | np.ndarray
@@ -79,18 +79,6 @@ class LossParams:
         else:
             check_positive_real("beta", self.beta)
         check_positive_real("tau", self.tau)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        if isinstance(self.beta, np.ndarray) or isinstance(other.beta, np.ndarray):
-            return self is other
-        return (self.beta, self.tau) == (other.beta, other.tau)
-
-    def __hash__(self) -> int:
-        if isinstance(self.beta, np.ndarray):
-            return object.__hash__(self)
-        return hash((self.beta, self.tau))
 
 
 def _positive_array(name: str, a: np.ndarray) -> np.ndarray:

@@ -231,11 +231,6 @@ def _draw_trials(rng: np.random.Generator, trials: int) -> list[tuple[np.ndarray
             for _, group in sorted(by_width.items())]
 
 
-def _worst(*errs) -> float:
-    """The largest of errs, or NaN if any is NaN: max() keeps a number over a NaN that follows it."""
-    return math.nan if any(math.isnan(e) for e in errs) else max(errs)
-
-
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the report carries non-finite errors
 def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     """Run every verified property and collect a pass/fail report.
@@ -310,50 +305,38 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
     r = {name: np.concatenate(a, axis=-1) for name, a in rows.items()}
     checks: list[PropertyCheck] = []
 
-    def add(prop: str, beta: float | None, tol: float, err: float) -> None:
-        checks.append(PropertyCheck(prop, beta, tol, float(err), bool(err <= tol)))
+    def add(prop: str, beta: float | None, tol: float, errs) -> None:
+        # The worst error is the max of 0.0 and errs, NaN if any is: np.max propagates NaN.
+        # Adding 0.0 turns a -0.0 maximum into 0.0, which np.max may return for a 0.0/-0.0 tie.
+        err = float(np.max(errs, initial=0.0)) + 0.0
+        checks.append(PropertyCheck(prop, beta, tol, err, err <= tol))
 
-    def worst(errs) -> float:
-        return _worst(0.0, float(np.max(errs)))
-
-    add("beta1_equivalence", None, 1e-12, worst(r["beta1"]))
+    add("beta1_equivalence", None, 1e-12, r["beta1"])
 
     # G -> 1 as beta -> 0+ and G -> 0 as beta -> +inf, evaluated at p=0.5.
-    err = _worst(
-        (1.0 - 1e-7) - gradient_magnitude(0.5, 1e-8),
-        gradient_magnitude(0.5, 1e8) - 1e-7,
-        0.0,
-    )
-    add("extreme_beta_limits", None, 0.0, err)
-    add("temperature_sandwich", None, 1e-12, worst(r["sandwich"]))
+    add("extreme_beta_limits", None, 0.0, [(1.0 - 1e-7) - gradient_magnitude(0.5, 1e-8),
+                                           gradient_magnitude(0.5, 1e8) - 1e-7])
+    add("temperature_sandwich", None, 1e-12, r["sandwich"])
 
     grid = np.linspace(_PROB_EPS, 1.0 - _PROB_EPS, _DECAY_GRID_POINTS)
     # One pass over the peak grid for every beta: each block is built once.
     peaks = grid_scan_extremum([lambda p, b=b: curvature(p, b) for b in betas],
                                _PROB_EPS, 1.0 - _PROB_EPS, _PEAK_GRID_POINTS)
     for i, (b, (peak_arg, peak_val)) in enumerate(zip(betas, peaks)):
-        add("fd_gradient_agreement", b, _FD_REL_TOL, worst(r["fd"][i]))
-        add("gradient_null_sum", b, 1e-12, worst(r["null_sum"][i]))
-        add("shift_invariance", b, 1e-10, worst(r["shift"][i]))
+        add("fd_gradient_agreement", b, _FD_REL_TOL, r["fd"][i])
+        add("gradient_null_sum", b, 1e-12, r["null_sum"][i])
+        add("shift_invariance", b, 1e-10, r["shift"][i])
 
         # G strictly decreasing on (0, 1), with the stated endpoint limits.
-        G = gradient_magnitude(grid, b)
-        err = _worst(0.0, float(np.diff(G).max()))
         lo_tol = 1e-8 if b == 1.0 else 1e-6 * max(1.0, 1.0 / b)
         hi_tol = 1e-8 if b == 1.0 else 1e-6 * max(1.0, b)
-        err = _worst(err, (1.0 - lo_tol) - float(gradient_magnitude(1e-9, b)))
-        err = _worst(err, float(gradient_magnitude(1.0 - 1e-9, b)) - hi_tol)
-        add("monotone_decay", b, 0.0, err)
+        add("monotone_decay", b, 0.0, [np.diff(gradient_magnitude(grid, b)).max(),
+                                       (1.0 - lo_tol) - gradient_magnitude(1e-9, b),
+                                       gradient_magnitude(1.0 - 1e-9, b) - hi_tol])
 
         # d2G keeps the sign of (beta - 1) across the whole interval.
         d2g = magnitude_derivatives(grid, b)[1]
-        if b > 1.0:
-            err = _worst(0.0, -float(d2g.min()))
-        elif b < 1.0:
-            err = _worst(0.0, float(d2g.max()))
-        else:
-            err = float(np.abs(d2g).max())
-        add("convexity_flip", b, 0.0, err)
+        add("convexity_flip", b, 0.0, -d2g if b > 1.0 else d2g if b < 1.0 else np.abs(d2g))
 
         # Grid scan must find the curvature peak of exactly 1/4 at 1/(1+beta).
         add("curvature_peak_location", b, 1e-5, abs(peak_arg - inflection_point(b)))
@@ -362,14 +345,14 @@ def verify_all(fd: FdConfig = FdConfig(), betas=DEFAULT_BETAS) -> VerifyReport:
         # d2J must match differences of grad_c in z_c, and d3J differences of d2J.
         fd2, fd3 = r["fd2"][i], (curvature(r["p_plus"], b) - curvature(r["p_minus"], b)) / (2.0 * h)
         d2, d3 = logit_curvature(r["p"], b)
-        add("derivative_consistency_d2", b, 1e-5, worst(np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2))))
-        add("derivative_consistency_d3", b, 1e-5, worst(np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3))))
+        add("derivative_consistency_d2", b, 1e-5, np.abs(d2 - fd2) / np.maximum(1.0, np.abs(fd2)))
+        add("derivative_consistency_d3", b, 1e-5, np.abs(d3 - fd3) / np.maximum(1.0, np.abs(fd3)))
 
         # J is sandwiched between the margin max-term and max-term + log(m).
         sides = []
         for tau, j in ((1.0, r["j_tau1"][i]), (0.1, r["j_tau01"][i])):
             m_term = np.maximum(math.log(b), r["margin"] / tau)
             sides += [m_term - j, j - (m_term + r["log_m"])]
-        add("margin_sandwich", b, 1e-12, worst(sides))
+        add("margin_sandwich", b, 1e-12, sides)
 
     return VerifyReport(tuple(checks))

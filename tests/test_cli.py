@@ -674,6 +674,11 @@ class TestWarmupDemoCommand:
         assert "500,0.55" in out
         assert "1000,1.0" in out
 
+    def test_each_step_is_listed_once(self, capsys):
+        # 5 points over 2 iterations round to steps 0, 0, 1, 2, 2: 0 and 2 were printed twice
+        assert run(["warmup-demo", "--points", "5", "--warmup-iters", "2"]) == 0
+        assert capsys.readouterr().out == "t,beta\n0,0.1\n1,0.55\n2,1.0\n"
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):

@@ -81,6 +81,40 @@ class TestMakeBlobs:
             assert decode(split.raw).tobytes() == x[rows].tobytes()
             assert split.labels.tolist() == y[rows].tolist()
 
+    @pytest.mark.parametrize("cfg", [
+        BlobsConfig(10, 50, 0.3, 1.0, 42),
+        BlobsConfig(),
+        BlobsConfig(3, 7, 2.5, 0.3, 5),
+        BlobsConfig(3, 5, np.float32(0.7), np.float32(1.3), 1),  # radius * cos(angle) rounds to float32
+    ], ids=["bench_recipe", "default", "wide_noise", "float32_scalars"])
+    def test_bits_match_the_per_class_generator(self, cfg):
+        # the generator from before blobs were drawn at once: one (n_per_class, 2) draw per class
+        # in turn, each split per class and the classes concatenated
+        rng = np.random.default_rng(cfg.seed)
+        train_x, train_y, test_x, test_y = [], [], [], []
+        for k in range(cfg.classes):
+            angle = 2.0 * math.pi * k / cfg.classes
+            mean = np.zeros(2)
+            mean[0] = cfg.radius * math.cos(angle)
+            mean[1] = cfg.radius * math.sin(angle)
+            pts = mean + cfg.sigma * rng.standard_normal((cfg.n_per_class, 2))
+            is_test = (np.arange(cfg.n_per_class) % 5) == 4
+            train_x.append(pts[~is_test])
+            test_x.append(pts[is_test])
+            train_y.append(np.full((~is_test).sum(), k, dtype=np.int64))
+            test_y.append(np.full(is_test.sum(), k, dtype=np.int64))
+        train, test = make_blobs(cfg)
+        for split, xs, ys in ((train, train_x, train_y), (test, test_x, test_y)):
+            assert split.raw.dtype == np.float64 and split.raw.tobytes() == np.concatenate(xs).tobytes()
+            assert split.labels.dtype == np.int64 and split.labels.tobytes() == np.concatenate(ys).tobytes()
+
+    @pytest.mark.parametrize("sigma, radius", [(1e308, 1.0), (1e307, 1.79e308)])
+    def test_points_beyond_the_float64_range(self, sigma, radius):
+        cfg = BlobsConfig(sigma=sigma, radius=radius)
+        with pytest.raises(ValueError) as exc:
+            make_blobs(cfg)
+        assert str(exc.value) == f"sigma {sigma!r} at radius {radius!r} puts blob points beyond the float64 range"
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BlobsConfig(classes=1)

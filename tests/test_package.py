@@ -1,9 +1,12 @@
 """The package root loads none of its modules or their dependencies; each module's __all__ is current.
 
-Records that hold arrays compare and hash by identity.
+Every dataclass with a field that may hold an array compares and hashes by
+identity; every other dataclass keeps dataclass value equality.
 """
 
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -29,7 +32,10 @@ def test_import_gradient_decay_loads_nothing():
     assert proc.stdout == "['gradient_decay']\n"
 
 
-@pytest.mark.parametrize("name", ["calibration", "cli", "datasets", "loss", "mlp", "schedule", "verify"])
+MODULES = ["calibration", "cli", "datasets", "loss", "mlp", "schedule", "verify"]
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_every_public_name_exists(name):
     # a stale __all__ entry breaks `from gradient_decay.<module> import *`
     module = importlib.import_module(f"gradient_decay.{name}")
@@ -43,6 +49,7 @@ RECORDS = {
     "PredictionSet": lambda: PredictionSet(_P, _Y),
     "BatchEval": lambda: BatchEval(_Y * 1.0, _P, _P, _Y * 1.0),
     "LossParams": lambda: LossParams(beta=_Y + 1.0),
+    "ScalarLossParams": lambda: LossParams(beta=2.0),
     "DifficultyGroups": lambda: DifficultyGroups(_Y + 1, _P),
     "MlpModel": lambda: MlpModel.init((2, 3, 2), 0),
     "TrainResult": lambda: TrainResult([], _Y * 1.0, _P),
@@ -58,7 +65,20 @@ def test_records_of_arrays_compare_and_hash_by_identity(make):
     assert hash(a) == hash(a) and len({a, b}) == 2
 
 
-@pytest.mark.parametrize("make", [lambda: LossParams(beta=2.0), lambda: TrainConfig(lr=0.1)])
-def test_scalar_configs_keep_value_equality(make):
-    a, b = make(), make()
+def test_scalar_configs_keep_value_equality():
+    a, b = TrainConfig(lr=0.1), TrainConfig(lr=0.1)
     assert a is not b and a == b and hash(a) == hash(b)
+
+
+DATACLASSES = {c.__qualname__: c for name in MODULES
+               for c in vars(importlib.import_module(f"gradient_decay.{name}")).values()
+               if inspect.isclass(c) and dataclasses.is_dataclass(c) and c.__module__ == f"gradient_decay.{name}"}
+
+
+@pytest.mark.parametrize("cls", DATACLASSES.values(), ids=DATACLASSES.keys())
+def test_only_dataclasses_without_arrays_compare_by_value(cls):
+    # annotations are strings (from __future__ import annotations)
+    if any("np.ndarray" in str(f.type) for f in dataclasses.fields(cls)):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    else:
+        assert cls.__dataclass_params__.eq

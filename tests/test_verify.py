@@ -593,6 +593,26 @@ class TestVerifyAll:
         assert main(["verify"]) == 1
         assert "FAILED properties: beta1_equivalence, fd_gradient_agreement" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part, failing", [
+        ("grad", {"beta1_equivalence"}),
+        ("loss", {"beta1_equivalence", "temperature_sandwich"}),
+    ], ids=["grad", "loss"])
+    def test_the_beta_one_call_is_checked_in_every_part(self, monkeypatch, part, failing):
+        # on the drawn trials the gradient half of beta1_equivalence and the tau=1 half of the
+        # sandwich are exactly 0, so only a perturbed beta=1 call shows that they are checked
+        def perturbed(Z, y, params):
+            ev = beta_ce_batch(Z, y, params)
+            if not isinstance(params.beta, np.ndarray):  # the scalar beta=1 call of each width group
+                if part == "grad":
+                    ev.grads[0, 0] += 1e-9
+                else:
+                    # 1e-9 below max(z) - z_c: every drawn tau=1 loss sits over 1e-3 inside its bounds
+                    ev.losses[0] = Z[0].max() - Z[0, y[0]] - 1e-9
+            return ev
+
+        monkeypatch.setattr(gradient_decay.verify, "beta_ce_batch", perturbed)
+        assert {c.property for c in verify_all(FdConfig(trials=50)).failures()} == failing
+
     def test_each_width_group_runs_every_beta_in_one_stack_call(self, monkeypatch):
         # 19 width groups, six kernel calls each however many betas there are: the beta=1 call, the
         # tau=0.1 and tau=0.01 sandwich calls, and the stack, difference and tau=0.1 margin calls
@@ -618,6 +638,13 @@ class TestVerifyAll:
         a = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
         b = verify_all(FdConfig(trials=20, seed=99), [0.1, 5.0])
         assert a == b
+
+    def test_a_negative_zero_error_is_reported_as_zero(self, monkeypatch):
+        # at beta > 1 the convexity error is the max of -d2G: a d2G of zeros makes it -0.0, which
+        # np.max returns for its tie with 0.0; the report gives 0.0, as max(0.0, -0.0) did
+        monkeypatch.setattr(gradient_decay.verify, "magnitude_derivatives", lambda p, b: (p, np.zeros_like(p)))
+        worst = {c.property: c.worst_error for c in verify_all(FdConfig(trials=1), [5.0]).checks}
+        assert bits(worst["convexity_flip"]) == bits(0.0)
 
     def test_overflow_is_reported_without_warnings(self):
         # at beta=1e308, G and d2G overflow; the report carries that, numpy's warnings would repeat it
